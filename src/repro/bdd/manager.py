@@ -295,6 +295,10 @@ class BDDManager:
         """True for the constant nodes ``FALSE`` and ``TRUE``."""
         return node <= TRUE
 
+    def _terminal_nodes(self) -> Iterable[int]:
+        """Every constant node (the ones :meth:`is_terminal` accepts)."""
+        return (FALSE, TRUE)
+
     def _check_var(self, var: int) -> None:
         if not 0 <= var < self._num_vars:
             raise BDDError(
@@ -340,9 +344,8 @@ class BDDManager:
             raise BDDError("count must be non-negative")
         old_sentinel = self._num_vars
         self._num_vars += count
-        for node in range(len(self._level)):
-            if self._level[node] == old_sentinel and self._low[node] == -1:
-                self._level[node] = self._num_vars
+        for node in self._terminal_nodes():
+            self._level[node] = self._num_vars
         self._at_level.extend(set() for _ in range(count))
         self._var_at_level.extend(range(old_sentinel, self._num_vars))
         self._level_at_var.extend(range(old_sentinel, self._num_vars))
@@ -1470,9 +1473,13 @@ class BDDManager:
         stack = [n for n, r in enumerate(self._refs) if r > 0]
         while stack:
             node = stack.pop()
-            if marked[node] or self.is_terminal(node):
+            if marked[node]:
                 continue
+            # Marked before the terminal test: subclasses with interned
+            # terminals beyond FALSE/TRUE keep them live.
             marked[node] = True
+            if self.is_terminal(node):
+                continue
             stack.append(self._low[node])
             stack.append(self._high[node])
         marked[FALSE] = marked[TRUE] = True
@@ -1516,7 +1523,7 @@ class BDDManager:
         live = [
             n
             for n in range(2, len(self._level))
-            if n not in free_set
+            if n not in free_set and not self.is_terminal(n)
         ]
         parents = {n: 0 for n in range(len(self._level))}
         for n in live:

@@ -1,30 +1,35 @@
 """Multi-terminal BDDs (MTBDD/ADD): diagrams over numeric terminals.
 
-The reference :class:`~repro.bdd.manager.BDDManager` hard-codes two
-terminals (``FALSE``/``TRUE``); this manager generalises the terminal
-set to an interned table of numbers (ints and floats), turning the
-diagrams into Algebraic Decision Diagrams.  A boolean relation is the
-``{0, 1}``-terminal special case — node ``0`` *is* the number 0 and
+A boolean BDD is the MTBDD whose only terminals are 0 and 1, so
+:class:`MTBDDManager` subclasses the reference
+:class:`~repro.bdd.manager.BDDManager` and generalises its terminal set
+to an interned table of numbers (ints and floats), turning the diagrams
+into Algebraic Decision Diagrams.  Node ``0`` *is* the number 0 and
 node ``1`` the number 1, so the relational layer's FALSE/TRUE handles
-keep their meaning — and weighted relations (points-to
-multiplicities, call frequencies, fuzzy/scored edges, as in the MTBDD
-fuzzy-relations line of work) are diagrams whose terminals carry the
-weights.
+keep their meaning; weighted relations (points-to multiplicities, call
+frequencies, fuzzy/scored edges, as in the MTBDD fuzzy-relations line
+of work) are diagrams whose terminals carry the weights.
 
-Operations come in three families:
+The node arrays, hash-consing :meth:`~BDDManager.mk`, reference
+counting and GC, the shape/postorder/support walks, ``cube``/``var``
+construction, ``replace``, ``all_sat`` and the level introspection are
+inherited.  The subclass overrides only what terminals beyond 0/1
+change:
 
-* :meth:`apply` — pointwise binary combinators (``or``/``and``/``diff``
-  for the boolean special case, ``add``/``mul``/``max``/``min`` for
-  arithmetic) plus the ternary :meth:`ite`;
+* the terminal table: :meth:`terminal`/:meth:`value`/
+  :meth:`terminal_values`/:meth:`const` and :meth:`is_terminal`;
+* :meth:`apply` — pointwise binary combinators (``and``/``or``/
+  ``diff``/``xor`` for the boolean special case, ``add``/``mul``/
+  ``max``/``min`` for arithmetic) plus the ternary :meth:`ite`;
 * :meth:`abstract` — quantification generalised from the boolean
   ``exist``: ``or``-abstraction is projection, while ``add``/``max``/
   ``min``-abstraction computes grouped sums, maxima, and minima (the
   engine under the relational ``count/sum/max/min/mean`` aggregates).
   Sum-abstraction doubles over skipped levels, exactly compensating
   for the reduction rule that elides don't-care tests;
-* the usual table plumbing: hash-consed :meth:`mk`, bounded op caches,
-  ref-counted mark-and-sweep GC, and :class:`~repro.bdd.stats.KernelStats`
-  wired into every cache probe.
+* the terminal-aware ``exist``/``and_exist``/``sat_count``/
+  :meth:`weighted_total`/:meth:`all_terminals`/:meth:`evaluate`/
+  :meth:`terminals_of`, and the cache set and gauges.
 
 Dynamic variable reordering is not supported (``var == level`` always
 holds); the relational layer treats that as an optional capability.
@@ -33,51 +38,49 @@ holds); the relational layer treats that as an optional capability.
 from __future__ import annotations
 
 from math import isnan
-from time import perf_counter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bdd.manager import FALSE, TRUE, BDDError
+from repro.bdd.manager import (
+    _OP_AND,
+    _OP_DIFF,
+    _OP_NAMES as _BDD_OP_NAMES,
+    _OP_OR,
+    _OP_XOR,
+    FALSE,
+    TRUE,
+    BDDError,
+    BDDManager,
+)
 from repro.bdd.stats import KernelStats
 
 __all__ = ["MTBDDManager", "APPLY_OPS", "ABSTRACT_OPS"]
 
-_OP_OR = 0
-_OP_AND = 1
-_OP_DIFF = 2
-_OP_ADD = 3
-_OP_MUL = 4
-_OP_MAX = 5
-_OP_MIN = 6
-_OP_ITE = 7
+# The boolean tags are the reference kernel's, so the inherited
+# apply_and/apply_or/apply_diff/apply_xor dispatch into _apply below.
+_OP_ADD = 5
+_OP_MUL = 6
+_OP_MAX = 7
+_OP_MIN = 8
+_OP_ITE = 9
 
-_OP_NAMES = ("or", "and", "diff", "add", "mul", "max", "min", "ite")
+_OP_NAMES = _BDD_OP_NAMES + ("add", "mul", "max", "min", "ite")
 
 #: Public names accepted by :meth:`MTBDDManager.apply`.
-APPLY_OPS = ("or", "and", "diff", "add", "mul", "max", "min")
+APPLY_OPS = ("or", "and", "diff", "xor", "add", "mul", "max", "min")
 #: Public names accepted by :meth:`MTBDDManager.abstract`.
 ABSTRACT_OPS = ("or", "add", "max", "min")
 
 _OP_TAG = {name: i for i, name in enumerate(_OP_NAMES)}
-_COMMUTATIVE = frozenset((_OP_OR, _OP_AND, _OP_ADD, _OP_MUL, _OP_MAX, _OP_MIN))
-_BOOLEAN_OPS = frozenset((_OP_OR, _OP_AND, _OP_DIFF))
-
-
-def _bool_or(x, y):
-    return 1 if (x or y) else 0
-
-
-def _bool_and(x, y):
-    return 1 if (x and y) else 0
-
-
-def _bool_diff(x, y):
-    return 1 if (x and not y) else 0
-
+_COMMUTATIVE = frozenset(
+    (_OP_OR, _OP_AND, _OP_XOR, _OP_ADD, _OP_MUL, _OP_MAX, _OP_MIN)
+)
+_BOOLEAN_OPS = frozenset((_OP_OR, _OP_AND, _OP_DIFF, _OP_XOR))
 
 _TERMINAL_FN: Dict[int, Callable] = {
-    _OP_OR: _bool_or,
-    _OP_AND: _bool_and,
-    _OP_DIFF: _bool_diff,
+    _OP_OR: lambda x, y: 1 if (x or y) else 0,
+    _OP_AND: lambda x, y: 1 if (x and y) else 0,
+    _OP_DIFF: lambda x, y: 1 if (x and not y) else 0,
+    _OP_XOR: lambda x, y: 1 if bool(x) != bool(y) else 0,
     _OP_ADD: lambda x, y: x + y,
     _OP_MUL: lambda x, y: x * y,
     _OP_MAX: max,
@@ -85,20 +88,24 @@ _TERMINAL_FN: Dict[int, Callable] = {
 }
 
 
-class MTBDDManager:
-    """A node table for reduced ordered MTBDDs over one variable order.
+class MTBDDManager(BDDManager):
+    """A :class:`~repro.bdd.manager.BDDManager` whose terminals are an
+    interned table of numbers instead of exactly ``FALSE``/``TRUE``.
 
-    Structurally a sibling of :class:`~repro.bdd.manager.BDDManager`:
-    parallel node arrays, a hash-consing unique table, bounded op
-    caches, and ref-counted mark-and-sweep GC.  The differences are the
-    interned terminal table (any number of numeric terminals instead of
-    exactly two) and the generalised operation set.
+    Overrides the terminal table (:meth:`terminal`, :meth:`value`,
+    :meth:`terminal_values`, :meth:`const`, :meth:`is_terminal`), the
+    generalised :meth:`apply`/:meth:`ite`/:meth:`abstract` family, the
+    terminal-aware ``exist``/``and_exist``/``sat_count``/
+    :meth:`weighted_total`/:meth:`all_terminals`/:meth:`evaluate`/
+    :meth:`terminals_of`, and the cache plumbing; everything else is the
+    reference kernel's.
 
     Terminal nodes ``0`` and ``1`` are pre-interned for the values 0
     and 1, so handles of boolean functions coincide with the reference
     kernel's ``FALSE``/``TRUE`` convention.  Values are interned by
     numeric equality (``1`` and ``1.0`` share a terminal); ``NaN`` is
-    rejected because it would break interning.
+    rejected because it would break interning.  Interned terminals hold
+    a permanent reference, so GC never frees them.
     """
 
     telemetry_name = "mtbdd"
@@ -109,59 +116,22 @@ class MTBDDManager:
         gc_threshold: int = 1 << 18,
         cache_limit: Optional[int] = None,
     ) -> None:
-        if num_vars < 0:
-            raise BDDError("num_vars must be non-negative")
-        self._num_vars = num_vars
-        # Parallel node arrays; terminals have low == high == -1 and the
-        # level sentinel (any level >= _num_vars).
-        self._level: List[int] = [num_vars, num_vars]
-        self._low: List[int] = [-1, -1]
-        self._high: List[int] = [-1, -1]
-        self._refs: List[int] = [1, 1]  # terminals are permanently live
-        self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._free: List[int] = []
+        super().__init__(num_vars, gc_threshold, cache_limit)
         #: value -> terminal node (interned) and the reverse map.
         self._terminal_of: Dict[object, int] = {0: FALSE, 1: TRUE}
         self._value_of: Dict[int, object] = {FALSE: 0, TRUE: 1}
-        # Operation caches (cleared by gc()).
-        self._apply_cache: Dict[Tuple, int] = {}
         self._abstract_cache: Dict[Tuple, int] = {}
-        self._replace_cache: Dict[Tuple, int] = {}
-        self.gc_threshold = gc_threshold
-        self.cache_limit = cache_limit
-        self.gc_count = 0
         self.stats = KernelStats(_OP_NAMES)
-        self.gc_listeners: List[Callable[[float, int], None]] = []
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Terminal table, gauges and caches
     # ------------------------------------------------------------------
-
-    @property
-    def num_vars(self) -> int:
-        """Number of boolean decision variables managed."""
-        return self._num_vars
-
-    @property
-    def num_nodes(self) -> int:
-        """Number of live nodes, terminals included."""
-        return len(self._level) - len(self._free)
 
     def table_stats(self) -> Dict[str, float]:
-        """Node-table occupancy gauges (for telemetry snapshots)."""
-        live = self.num_nodes
-        self.stats.note_live(live)
-        capacity = len(self._level)
-        return {
-            "live_nodes": live,
-            "capacity": capacity,
-            "free_slots": len(self._free),
-            "unique_entries": len(self._unique),
-            "load": live / capacity if capacity else 0.0,
-            "num_vars": self._num_vars,
-            "terminals": len(self._terminal_of),
-            "peak_live_nodes": self.stats.peak_live_nodes,
-        }
+        """Node-table occupancy gauges plus the terminal count."""
+        stats = super().table_stats()
+        stats["terminals"] = len(self._terminal_of)
+        return stats
 
     def cache_stats(self) -> Dict[str, int]:
         """Entry counts of the operation caches."""
@@ -171,9 +141,16 @@ class MTBDDManager:
             "replace": len(self._replace_cache),
         }
 
+    def _clear_caches(self) -> None:
+        super()._clear_caches()
+        self._abstract_cache.clear()
+
     def is_terminal(self, node: int) -> bool:
         """True for interned terminal (constant) nodes."""
         return node in self._value_of
+
+    def _terminal_nodes(self) -> Iterable[int]:
+        return self._value_of
 
     def terminal(self, value) -> int:
         """The interned terminal node carrying ``value``.
@@ -192,11 +169,10 @@ class MTBDDManager:
         node = self._terminal_of.get(value)
         if node is not None:
             return node
+        # Freed slots already have low == high == -1 and no parents.
         if self._free:
             node = self._free.pop()
             self._level[node] = self._num_vars
-            self._low[node] = -1
-            self._high[node] = -1
             self._refs[node] = 1
         else:
             node = len(self._level)
@@ -204,6 +180,7 @@ class MTBDDManager:
             self._low.append(-1)
             self._high.append(-1)
             self._refs.append(1)
+            self._parents.append(0)
         self._terminal_of[value] = node
         self._value_of[node] = value
         self.stats.nodes_created += 1
@@ -220,116 +197,6 @@ class MTBDDManager:
         """All interned terminal values, in interning order."""
         return list(self._terminal_of)
 
-    def level_of(self, node: int) -> int:
-        """Level of ``node`` (``num_vars`` for terminals)."""
-        return self._level[node]
-
-    def var_of(self, node: int) -> int:
-        """Variable id tested by ``node`` (identical to its level: this
-        manager does not reorder)."""
-        return self._level[node]
-
-    def level_of_var(self, var: int) -> int:
-        self._check_var(var)
-        return var
-
-    def var_at_level(self, level: int) -> int:
-        if not 0 <= level < self._num_vars:
-            raise BDDError(f"level {level} out of range [0, {self._num_vars})")
-        return level
-
-    def low(self, node: int) -> int:
-        return self._low[node]
-
-    def high(self, node: int) -> int:
-        return self._high[node]
-
-    def _check_var(self, var: int) -> None:
-        if not 0 <= var < self._num_vars:
-            raise BDDError(
-                f"variable {var} out of range [0, {self._num_vars})"
-            )
-
-    def _to_levels(self, variables: Iterable[int]) -> List[int]:
-        out = []
-        for var in variables:
-            self._check_var(var)
-            out.append(var)
-        return out
-
-    def _clear_caches(self) -> None:
-        self._apply_cache.clear()
-        self._abstract_cache.clear()
-        self._replace_cache.clear()
-
-    def _cache_store(self, cache, key, result):
-        if self.cache_limit is not None and len(cache) >= self.cache_limit:
-            cache.clear()
-        cache[key] = result
-        return result
-
-    # ------------------------------------------------------------------
-    # Node construction
-    # ------------------------------------------------------------------
-
-    def add_vars(self, count: int) -> None:
-        """Append ``count`` fresh variables below all existing levels."""
-        if count < 0:
-            raise BDDError("count must be non-negative")
-        self._num_vars += count
-        for node in self._value_of:
-            self._level[node] = self._num_vars
-        self._abstract_cache.clear()
-
-    def mk(self, level: int, low: int, high: int) -> int:
-        """Canonical node testing ``level`` (MTBDD reduction rules)."""
-        if low == high:
-            return low
-        key = (level, low, high)
-        node = self._unique.get(key)
-        if node is not None:
-            return node
-        if self._free:
-            node = self._free.pop()
-            self._level[node] = level
-            self._low[node] = low
-            self._high[node] = high
-            self._refs[node] = 0
-        else:
-            node = len(self._level)
-            self._level.append(level)
-            self._low.append(low)
-            self._high.append(high)
-            self._refs.append(0)
-        self._unique[key] = node
-        self.stats.nodes_created += 1
-        return node
-
-    def var(self, var: int) -> int:
-        """The 0/1 diagram of a single variable."""
-        self._check_var(var)
-        return self.mk(var, FALSE, TRUE)
-
-    def nvar(self, var: int) -> int:
-        """The 0/1 diagram of a negated variable."""
-        self._check_var(var)
-        return self.mk(var, TRUE, FALSE)
-
-    def cube(self, assignment: Dict[int, bool]) -> int:
-        """The 0/1 diagram of one complete tuple (conjunction of literals)."""
-        items = []
-        for var, value in assignment.items():
-            self._check_var(var)
-            items.append((var, value))
-        items.sort(reverse=True)
-        node = TRUE
-        for level, value in items:
-            if value:
-                node = self.mk(level, FALSE, node)
-            else:
-                node = self.mk(level, node, FALSE)
-        return node
-
     def const(self, value) -> int:
         """Alias of :meth:`terminal` (ADD-style naming)."""
         return self.terminal(value)
@@ -341,23 +208,13 @@ class MTBDDManager:
     def apply(self, op: str, a: int, b: int) -> int:
         """Combine two diagrams pointwise with the named operation.
 
-        ``or``/``and``/``diff`` require 0/1 terminals (the boolean
-        special case); ``add``/``mul``/``max``/``min`` accept any
-        numeric terminals.
+        ``or``/``and``/``diff``/``xor`` require 0/1 terminals (the
+        boolean special case); ``add``/``mul``/``max``/``min`` accept
+        any numeric terminals.
         """
-        tag = _OP_TAG.get(op)
-        if tag is None or tag == _OP_ITE:
+        if op not in APPLY_OPS:
             raise BDDError(f"unknown apply operation {op!r}")
-        return self._apply(tag, a, b)
-
-    def apply_or(self, a: int, b: int) -> int:
-        return self._apply(_OP_OR, a, b)
-
-    def apply_and(self, a: int, b: int) -> int:
-        return self._apply(_OP_AND, a, b)
-
-    def apply_diff(self, a: int, b: int) -> int:
-        return self._apply(_OP_DIFF, a, b)
+        return self._apply(_OP_TAG[op], a, b)
 
     def apply_not(self, a: int) -> int:
         """Boolean complement (via diff from the constant 1)."""
@@ -394,6 +251,13 @@ class MTBDDManager:
         elif op == _OP_DIFF:
             if a == FALSE or b == TRUE or a == b:
                 return FALSE
+            if b == FALSE:
+                return a
+        elif op == _OP_XOR:
+            if a == b:
+                return FALSE
+            if a == FALSE:
+                return b
             if b == FALSE:
                 return a
         elif op == _OP_ADD:
@@ -486,13 +350,12 @@ class MTBDDManager:
         implementation applies explicitly.  ``or``/``max``/``min`` are
         idempotent, so skipped variables are no-ops for them.
         """
-        tag = _OP_TAG.get(op)
-        if tag is None or op not in ABSTRACT_OPS:
+        if op not in ABSTRACT_OPS:
             raise BDDError(f"unknown abstraction operation {op!r}")
         lv = tuple(sorted(set(self._to_levels(variables))))
         if not lv:
             return a
-        return self._abstract(tag, a, lv)
+        return self._abstract(_OP_TAG[op], a, lv)
 
     def _abstract(self, op: int, a: int, levels: Tuple[int, ...]) -> int:
         if self._low[a] == -1:  # terminal
@@ -546,48 +409,6 @@ class MTBDDManager:
         return self.exist(self.apply_and(a, b), variables)
 
     # ------------------------------------------------------------------
-    # Variable permutation (physical domain moves)
-    # ------------------------------------------------------------------
-
-    def replace(self, a: int, permutation: Dict[int, int]) -> int:
-        """Rebuild ``a`` with variables renamed by ``permutation``
-        (injective), recomposing via ITE so order-changing permutations
-        are handled correctly.  Works for any terminal values."""
-        perm = {k: v for k, v in permutation.items() if k != v}
-        if not perm:
-            return a
-        if len(set(perm.values())) != len(perm):
-            raise BDDError("replace permutation must be injective")
-        for old, new in perm.items():
-            self._check_var(old)
-            self._check_var(new)
-        key_perm = tuple(sorted(perm.items()))
-        memo: Dict[int, int] = {}
-
-        def rec(node: int) -> int:
-            if self._low[node] == -1:
-                return node
-            cached = self._replace_cache.get((node, key_perm))
-            if cached is not None:
-                self.stats.replace_hits += 1
-                return cached
-            hit = memo.get(node)
-            if hit is not None:
-                return hit
-            self.stats.replace_misses += 1
-            level = self._level[node]
-            new_level = perm.get(level, level)
-            low = rec(self._low[node])
-            high = rec(self._high[node])
-            result = self.ite(self.mk(new_level, FALSE, TRUE), high, low)
-            memo[node] = result
-            return self._cache_store(
-                self._replace_cache, (node, key_perm), result
-            )
-
-        return rec(a)
-
-    # ------------------------------------------------------------------
     # Evaluation and enumeration
     # ------------------------------------------------------------------
 
@@ -603,21 +424,6 @@ class MTBDDManager:
                 )
             node = self._high[node] if assignment[var] else self._low[node]
         return self._value_of[node]
-
-    def support(self, a: int) -> frozenset:
-        """Variable ids occurring in ``a``."""
-        seen = set()
-        vars_seen = set()
-        stack = [a]
-        while stack:
-            node = stack.pop()
-            if node in seen or self._low[node] == -1:
-                continue
-            seen.add(node)
-            vars_seen.add(self._level[node])
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return frozenset(vars_seen)
 
     def sat_count(self, a: int, variables: Sequence[int]) -> int:
         """Number of assignments of ``variables`` mapped to a non-zero
@@ -672,14 +478,6 @@ class MTBDDManager:
             stack.append(self._high[node])
         return sorted(values, key=lambda v: (float(v), isinstance(v, float)))
 
-    def all_sat(
-        self, a: int, variables: Sequence[int]
-    ) -> Iterator[Dict[int, bool]]:
-        """Iterate complete assignments over ``variables`` with non-zero
-        value (tuple enumeration for 0/1 diagrams)."""
-        for assignment, _ in self.all_terminals(a, variables):
-            yield assignment
-
     def all_terminals(
         self, a: int, variables: Sequence[int]
     ) -> Iterator[Tuple[Dict[int, bool], object]]:
@@ -722,151 +520,17 @@ class MTBDDManager:
         return rec(a, 0)
 
     # ------------------------------------------------------------------
-    # Shape and size
+    # No reordering: evaluate/all_terminals read levels as variables
     # ------------------------------------------------------------------
 
-    def node_count(self, a: int) -> int:
-        """Distinct internal nodes reachable from ``a``."""
-        seen = set()
-        stack = [a]
-        while stack:
-            node = stack.pop()
-            if node in seen or self._low[node] == -1:
-                continue
-            seen.add(node)
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return len(seen)
+    def _no_reorder(self, *args, **kwargs):
+        raise BDDError("the mtbdd kernel does not reorder variables")
 
-    def shape(self, a: int) -> List[int]:
-        """Node count at each level."""
-        counts = [0] * self._num_vars
-        seen = set()
-        stack = [a]
-        while stack:
-            node = stack.pop()
-            if node in seen or self._low[node] == -1:
-                continue
-            seen.add(node)
-            counts[self._level[node]] += 1
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return counts
-
-    def postorder(self, root: int) -> List[int]:
-        """Internal nodes reachable from ``root``, children first (the
-        topological order the serializers write)."""
-        order: List[int] = []
-        if self._low[root] == -1:
-            return order
-        seen = set()
-        stack: List[Tuple[int, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if node in seen or self._low[node] == -1:
-                continue
-            seen.add(node)
-            stack.append((node, True))
-            stack.append((self._high[node], False))
-            stack.append((self._low[node], False))
-        return order
-
-    # ------------------------------------------------------------------
-    # Reference counting and garbage collection
-    # ------------------------------------------------------------------
-
-    def ref(self, node: int) -> int:
-        self._refs[node] += 1
-        return node
-
-    def deref(self, node: int) -> None:
-        if self._refs[node] <= 0:
-            raise BDDError(f"deref of node {node} with zero refcount")
-        self._refs[node] -= 1
-
-    def ref_count(self, node: int) -> int:
-        return self._refs[node]
-
-    def maybe_gc(self) -> bool:
-        ran = False
-        if self.num_nodes > self.gc_threshold:
-            self.gc()
-            if self.num_nodes > self.gc_threshold * 3 // 4:
-                self.gc_threshold *= 2
-            ran = True
-        return ran
-
-    def gc(self) -> int:
-        """Sweep nodes unreachable from externally referenced roots.
-
-        Terminals are permanently live (their interned identities must
-        survive).  All operation caches are cleared.
-        """
-        start = perf_counter()
-        self.stats.note_live(self.num_nodes)
-        marked = [False] * len(self._level)
-        stack = [n for n, r in enumerate(self._refs) if r > 0]
-        while stack:
-            node = stack.pop()
-            if marked[node] or self._low[node] == -1:
-                continue
-            marked[node] = True
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        freed = 0
-        free_set = set(self._free)
-        for node in range(2, len(self._level)):
-            if (
-                not marked[node]
-                and node not in free_set
-                and node not in self._value_of
-            ):
-                key = (self._level[node], self._low[node], self._high[node])
-                if self._unique.get(key) == node:
-                    del self._unique[key]
-                self._low[node] = -1
-                self._high[node] = -1
-                self._free.append(node)
-                freed += 1
-        self._clear_caches()
-        self.gc_count += 1
-        seconds = perf_counter() - start
-        stats = self.stats
-        stats.gc_runs += 1
-        stats.gc_seconds += seconds
-        stats.last_gc_seconds = seconds
-        stats.gc_reclaimed += freed
-        for listener in self.gc_listeners:
-            listener(seconds, freed)
-        return freed
-
-    # ------------------------------------------------------------------
-    # Debugging
-    # ------------------------------------------------------------------
+    enable_reorder = reorder = _swap_adjacent = _no_reorder
 
     def check_integrity(self) -> None:
         """Verify table invariants; raises :class:`BDDError` on failure."""
-        free_set = set(self._free)
-        for n in range(len(self._level)):
-            if n in free_set or self._low[n] == -1:
-                continue
-            lo, hi = self._low[n], self._high[n]
-            if lo == hi:
-                raise BDDError(f"node {n} is a redundant test")
-            lvl = self._level[n]
-            if not 0 <= lvl < self._num_vars:
-                raise BDDError(f"node {n} has bad level {lvl}")
-            for child in (lo, hi):
-                if self._level[child] <= lvl and self._low[child] != -1:
-                    raise BDDError(
-                        f"ordering violated: node {n} (level {lvl}) -> "
-                        f"{child} (level {self._level[child]})"
-                    )
-            if self._unique.get((lvl, lo, hi)) != n:
-                raise BDDError(f"node {n} missing from unique table")
+        super().check_integrity()
         for value, node in self._terminal_of.items():
-            if self._value_of.get(node) != value:
+            if self._value_of.get(node) != value or self._low[node] != -1:
                 raise BDDError(f"terminal table inconsistent at {value!r}")

@@ -13,7 +13,6 @@ from repro.relations.backend import (
     PipelineStep,
     UnsupportedByBackend,
     ZDDBackend,
-    make_backend,
 )
 from repro.relations.containers import RelationContainer
 from repro.relations.domain import (
@@ -89,5 +88,4 @@ __all__ = [
     "save_checkpoint",
     "save_tsv",
     "save_universe",
-    "make_backend",
 ]

@@ -14,7 +14,6 @@ other operand's private bits before intersecting.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence
 
@@ -30,7 +29,6 @@ __all__ = [
     "PipelineStep",
     "UnsupportedByBackend",
     "BOOLEAN_TERMINALS",
-    "make_backend",
 ]
 
 #: The terminal domain every boolean backend reports: a diagram maps
@@ -430,82 +428,26 @@ class ZDDBackend(DiagramBackend):
         return self.manager.all_sat(a, levels)
 
 
-class MultiTerminalBackend(DiagramBackend):
+class MultiTerminalBackend(BDDBackend):
     """Adapter over :class:`repro.bdd.MTBDDManager` (ADD/MTBDD diagrams).
 
     Boolean relations are the ``{0, 1}``-terminal special case, so the
-    whole relational operation set works unchanged — a join is still a
-    conjunction, projection is still ``or``-abstraction — and the
-    inherited generic :meth:`relprod_pipeline` keeps the boolean
-    semantics exactly (lowered to match/project/replace, unfused).  On
-    top of that the backend exposes the weighted operations the
-    aggregate executor needs: pointwise arithmetic combinators and
-    sum/max/min-abstraction.
+    whole relational operation set is :class:`BDDBackend`'s, unchanged:
+    a join is still a conjunction and projection is still
+    ``or``-abstraction.  On top of that the backend exposes the weighted
+    operations the aggregate executor needs: pointwise arithmetic
+    combinators and sum/max/min-abstraction.  Dynamic reordering is not
+    offered (the kernel keeps ``var == level``).
     """
 
     name = "mtbdd"
 
-    def __init__(self, manager: MTBDDManager) -> None:
-        super().__init__(manager)
+    supports_reorder = DiagramBackend.supports_reorder
+    reorder = DiagramBackend.reorder
+    enable_reorder = DiagramBackend.enable_reorder
 
     def terminal_domain(self):
         return None  # any numeric terminal
-
-    def empty(self) -> int:
-        return FALSE
-
-    def full(self, levels: Sequence[int]) -> int:
-        return TRUE
-
-    def cube(self, assignment: Dict[int, bool]) -> int:
-        return self.manager.cube(assignment)
-
-    @_traced("mtbdd.union", "kernel")
-    def union(self, a: int, b: int) -> int:
-        return self.manager.apply_or(a, b)
-
-    @_traced("mtbdd.intersect", "kernel")
-    def intersect(self, a: int, b: int) -> int:
-        return self.manager.apply_and(a, b)
-
-    @_traced("mtbdd.diff", "kernel")
-    def diff(self, a: int, b: int) -> int:
-        return self.manager.apply_diff(a, b)
-
-    @_traced("mtbdd.project", "kernel")
-    def project(self, a: int, levels: Iterable[int]) -> int:
-        return self.manager.exist(a, levels)
-
-    @_traced("mtbdd.match", "kernel")
-    def match(self, a, b, cmp_levels, a_only_levels, b_only_levels, quantify):
-        if quantify:
-            return self.manager.and_exist(a, b, cmp_levels)
-        return self.manager.apply_and(a, b)
-
-    @_traced("mtbdd.replace", "kernel")
-    def replace(self, a: int, perm: Dict[int, int]) -> int:
-        return self.manager.replace(a, perm)
-
-    def equality(self, levels_a, levels_b, values) -> int:
-        node = TRUE
-        for la, lb in zip(levels_a, levels_b):
-            both = self.manager.apply_and(
-                self.manager.var(la), self.manager.var(lb)
-            )
-            neither = self.manager.apply_and(
-                self.manager.nvar(la), self.manager.nvar(lb)
-            )
-            node = self.manager.apply_and(
-                node, self.manager.apply_or(both, neither)
-            )
-        return node
-
-    @_traced("mtbdd.count", "kernel")
-    def count(self, a: int, levels: Sequence[int]) -> int:
-        return self.manager.sat_count(a, levels)
-
-    def all_sat(self, a, levels):
-        return self.manager.all_sat(a, levels)
 
     # Weighted operations (only this backend provides them) --------------
     def terminal(self, value) -> int:
@@ -547,6 +489,7 @@ class MultiTerminalBackend(DiagramBackend):
 
 def _backend_for(manager) -> DiagramBackend:
     """Wrap a manager in the matching adapter (internal)."""
+    # MTBDDManager subclasses BDDManager: test it first.
     if isinstance(manager, MTBDDManager):
         return MultiTerminalBackend(manager)
     if isinstance(manager, BDDManager):
@@ -555,15 +498,3 @@ def _backend_for(manager) -> DiagramBackend:
         return ZDDBackend(manager)
     raise TypeError(f"unsupported manager type {type(manager).__name__}")
 
-
-def make_backend(manager) -> DiagramBackend:
-    """Deprecated: construct universes with
-    :func:`repro.relations.open_universe` instead of wrapping managers
-    by hand."""
-    warnings.warn(
-        "make_backend() is deprecated; use repro.relations.open_universe()"
-        " (or Universe/Relation constructors) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _backend_for(manager)

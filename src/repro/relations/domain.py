@@ -571,8 +571,7 @@ class Universe:
             # temp is disposed here; result survives
 
         Scopes nest: relations register with the innermost active
-        scope.  This replaces the manual ``Relation.release()``
-        protocol.
+        scope.
         """
         return RelationScope(self)
 
@@ -659,8 +658,8 @@ def open_universe(
 ) -> Universe:
     """One-stop factory for a configured universe.
 
-    Unifies the previously scattered entry points (``make_backend``,
-    ``Universe(...)``, per-relation constructors)::
+    Unifies the scattered entry points (``Universe(...)``, declarations,
+    ``finalize()``)::
 
         u = open_universe(
             backend="bdd",

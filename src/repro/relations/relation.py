@@ -31,7 +31,6 @@ them with the profiler so they can be tuned away (section 4.3).
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     Dict,
     Hashable,
@@ -321,16 +320,6 @@ class Relation:
                 self.backend.deref(self.node)
             except Exception:
                 pass  # interpreter shutdown may have torn down the manager
-
-    def release(self) -> None:
-        """Deprecated alias of :meth:`dispose`."""
-        warnings.warn(
-            "Relation.release() is deprecated; use dispose(), a `with`"
-            " block, or Universe.scope()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self.dispose()
 
     @property
     def disposed(self) -> bool:

@@ -38,6 +38,7 @@ import io
 import json
 import socket
 import threading
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
@@ -76,25 +77,44 @@ class _WireCache:
     binary encodings inside checkpoints) can be reused verbatim until
     the relation actually changes — the common case for a standing
     query read repeatedly between updates.
+
+    That identity only holds while the root is live: GC recycles node
+    ids.  Each entry therefore holds the relation it was built from,
+    whose reference pins the root, and an entry whose relation has been
+    disposed is discarded.  At most ``LIMIT`` entries (least recently
+    used out first) bound the diagrams the cache keeps alive.
     """
 
+    LIMIT = 64
+
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[int, int, tuple], object] = {}
+        self._entries: "OrderedDict[tuple, Tuple[Relation, object]]" = (
+            OrderedDict()
+        )
         self.hits = 0
         self.misses = 0
 
+    @staticmethod
+    def _key(rel: Relation, kind: str) -> tuple:
+        return (id(rel.universe), rel.node, kind, tuple(rel.schema.names()))
+
     def get(self, rel: Relation, kind: str):
-        key = (id(rel.universe), rel.node, (kind,) + tuple(rel.schema.names()))
-        value = self._entries.get(key)
-        if value is not None:
-            self.hits += 1
-        else:
+        key = self._key(rel, kind)
+        entry = self._entries.get(key)
+        if entry is not None and entry[0].disposed:
+            del self._entries[key]
+            entry = None
+        if entry is None:
             self.misses += 1
-        return value
+            return None
+        self._entries.move_to_end(key)
+        self.hits += 1
+        return entry[1]
 
     def put(self, rel: Relation, kind: str, value) -> None:
-        key = (id(rel.universe), rel.node, (kind,) + tuple(rel.schema.names()))
-        self._entries[key] = value
+        self._entries[self._key(rel, kind)] = (rel, value)
+        if len(self._entries) > self.LIMIT:
+            self._entries.popitem(last=False)
 
 
 class _UniverseSession:

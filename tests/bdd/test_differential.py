@@ -17,6 +17,13 @@ The suite runs each chain twice, with automatic variable reordering off
 and on, so sifting is proven semantics-preserving under real operation
 mixes (not just on static diagrams) for every kernel.
 
+The plain-mode chains run a third time with an mtbdd lane
+(``test_differential_chains_mtbdd``; the multi-terminal backend does
+not reorder).  Its relations are {0, 1}-terminal MTBDDs, which must
+match the oracle's tuple sets and, node for node, the reference
+kernel's diagrams: the same ``node_count`` and the same
+``(var, low, high)`` table up to renumbering.
+
 Chains are seeded by index: on the first divergence the harness prints
 a one-line replay recipe (seed + chain index + which pair of
 implementations disagreed; see :mod:`tests.bdd._repro`), and
@@ -166,78 +173,100 @@ class Oracle:
         }
 
 
-class Quint:
-    """The same relation on all three BDD kernels, the ZDD engine, and
-    the oracle."""
+#: Lane name -> label used in divergence messages and repro lines.
+LANE_LABELS = {
+    "ref": "reference-bdd",
+    "arena": "arena-bdd",
+    "ooc": "ooc-bdd",
+    "zdd": "zdd",
+    "mtbdd": "mtbdd",
+}
 
-    def __init__(self, ref, arena, ooc, zdd, oracle):
-        self.ref = ref
-        self.arena = arena
-        self.ooc = ooc
-        self.zdd = zdd
+
+def structure(manager, root):
+    """The diagram's ``(var, low, high)`` node table up to renumbering.
+
+    Nodes are numbered in postorder (low subtree first) and the
+    terminals keep their handles 0/1, so two kernels holding the same
+    reduced diagram produce equal tables whatever their node ids.
+    """
+    order = manager.postorder(root)
+    local = {0: 0, 1: 1}
+    for i, node in enumerate(order, start=2):
+        local[node] = i
+    return local[root], [
+        (manager.var_of(n), local[manager.low(n)], local[manager.high(n)])
+        for n in order
+    ]
+
+
+class Quint:
+    """The same relation on every lane -- the three BDD kernels, the
+    ZDD engine and, in the mtbdd chains, the multi-terminal backend --
+    plus the oracle."""
+
+    def __init__(self, rels, oracle):
+        self.rels = rels
         self.oracle = oracle
 
+    def each(self, fn, oracle):
+        return Quint({k: fn(r) for k, r in self.rels.items()}, oracle)
+
+    def pair(self, other, fn, oracle):
+        return Quint(
+            {k: fn(r, other.rels[k]) for k, r in self.rels.items()}, oracle
+        )
+
     def check(self):
-        names = self.ref.schema.names()
+        ref = self.rels["ref"]
+        names = ref.schema.names()
         expected = self.oracle.tuple_set(names)
-        got_ref = set(self.ref.tuples())
-        assert got_ref == expected, (
-            f"reference-BDD diverged from oracle over {names}: "
-            f"extra={got_ref - expected}, missing={expected - got_ref}\n"
-            + _repro("reference-bdd vs oracle")
-        )
-        got_arena = set(self.arena.tuples())
-        assert got_arena == expected, (
-            f"arena-BDD diverged from oracle over {names}: "
-            f"extra={got_arena - expected}, "
-            f"missing={expected - got_arena}\n"
-            + _repro("arena-bdd vs oracle")
-        )
-        got_ooc = set(self.ooc.tuples())
-        assert got_ooc == expected, (
-            f"ooc-BDD diverged from oracle over {names}: "
-            f"extra={got_ooc - expected}, "
-            f"missing={expected - got_ooc}\n"
-            + _repro("ooc-bdd vs oracle")
-        )
-        znames = self.zdd.schema.names()
-        got_zdd = {
-            tuple(row[znames.index(n)] for n in names)
-            for row in self.zdd.tuples()
-        }
-        assert got_zdd == expected, (
-            f"ZDD backend diverged from oracle over {names}: "
-            f"extra={got_zdd - expected}, missing={expected - got_zdd}\n"
-            + _repro("zdd vs oracle")
-        )
-        assert self.ref.size() == len(expected)
-        assert self.arena.size() == len(expected)
-        assert self.ooc.size() == len(expected)
-        assert self.zdd.size() == len(expected)
-        # Canonicity: under the same variable order, both BDD kernels
+        for lane, rel in self.rels.items():
+            cols = [rel.schema.names().index(n) for n in names]
+            got = {tuple(row[c] for c in cols) for row in rel.tuples()}
+            label = LANE_LABELS[lane]
+            assert got == expected, (
+                f"{label} diverged from oracle over {names}: "
+                f"extra={got - expected}, missing={expected - got}\n"
+                + _repro(f"{label} vs oracle")
+            )
+            assert rel.size() == len(expected)
+        # Canonicity: under the same variable order, every BDD kernel
         # must hold node-for-node identical diagrams, not merely the
         # same tuple set.  Identical inputs drive identical (size
         # triggered, deterministic) sift decisions, so the orders never
         # drift apart either.
-        m_ref = self.ref.universe.manager
-        wire_ref = dumps_diagram_binary(m_ref, self.ref.node)
-        for label, rel in (("arena", self.arena), ("ooc", self.ooc)):
+        m_ref = ref.universe.manager
+        wire_ref = dumps_diagram_binary(m_ref, ref.node)
+        for lane in ("arena", "ooc"):
+            rel = self.rels[lane]
             m_other = rel.universe.manager
             assert m_ref.current_order() == m_other.current_order(), (
-                f"variable orders diverged between reference and {label} "
+                f"variable orders diverged between reference and {lane} "
                 "kernels\n"
-                + _repro(f"reference-bdd vs {label}-bdd")
+                + _repro(f"reference-bdd vs {LANE_LABELS[lane]}")
             )
             wire_other = dumps_diagram_binary(m_other, rel.node)
             assert wire_ref == wire_other, (
-                f"BDD kernels (reference vs {label}) diverged on "
+                f"BDD kernels (reference vs {lane}) diverged on "
                 f"canonical node table over {names} "
                 f"({len(wire_ref)} vs {len(wire_other)} wire bytes)\n"
-                + _repro(f"reference-bdd vs {label}-bdd")
+                + _repro(f"reference-bdd vs {LANE_LABELS[lane]}")
+            )
+        # A 0/1 MTBDD is the reduced BDD of the same function.  Its wire
+        # kind differs (kind 2 carries a terminal table), so compare the
+        # node tables directly.
+        mt = self.rels.get("mtbdd")
+        if mt is not None:
+            m_mt = mt.universe.manager
+            assert m_mt.node_count(mt.node) == m_ref.node_count(ref.node)
+            assert structure(m_mt, mt.node) == structure(m_ref, ref.node), (
+                f"mtbdd diverged from the reference kernel's node table "
+                f"over {names}\n" + _repro("reference-bdd vs mtbdd")
             )
 
 
-def random_base(rng, u_ref, u_arena, u_ooc, u_zdd):
+def random_base(rng, universes):
     n_attrs = rng.randrange(1, 3)
     attrs = rng.sample(ATTRS, n_attrs)
     pds = rng.sample(PHYSDOMS, n_attrs)
@@ -247,42 +276,36 @@ def random_base(rng, u_ref, u_arena, u_ooc, u_zdd):
         for _ in range(n_rows)
     ]
     return Quint(
-        Relation.from_tuples(u_ref, attrs, rows, pds),
-        Relation.from_tuples(u_arena, attrs, rows, pds),
-        Relation.from_tuples(u_ooc, attrs, rows, pds),
-        Relation.from_tuples(u_zdd, attrs, rows, pds),
+        {
+            lane: Relation.from_tuples(u, attrs, rows, pds)
+            for lane, u in universes.items()
+        },
         Oracle.from_tuples(attrs, rows),
     )
 
 
-def apply_random_op(rng, pool, u_ref, u_arena, u_ooc, u_zdd):
+def apply_random_op(rng, pool, universes):
     """Apply one random operation; returns a new Quint or None."""
     ops = ["base", "union", "intersect", "difference", "project",
            "rename", "join", "compose", "select", "replace"]
     op = rng.choice(ops)
     if op == "base" or not pool:
-        return random_base(rng, u_ref, u_arena, u_ooc, u_zdd)
+        return random_base(rng, universes)
     t1 = rng.choice(pool)
     if op in ("union", "intersect", "difference"):
         same = [t for t in pool if t.oracle.attrs == t1.oracle.attrs]
         t2 = rng.choice(same)
-        return Quint(
-            getattr(t1.ref, op)(t2.ref),
-            getattr(t1.arena, op)(t2.arena),
-            getattr(t1.ooc, op)(t2.ooc),
-            getattr(t1.zdd, op)(t2.zdd),
+        return t1.pair(
+            t2,
+            lambda a, b: getattr(a, op)(b),
             getattr(t1.oracle, op)(t2.oracle),
         )
     if op == "project":
         if len(t1.oracle.attrs) < 2:
             return None
         name = rng.choice(sorted(t1.oracle.attrs))
-        return Quint(
-            t1.ref.project_away(name),
-            t1.arena.project_away(name),
-            t1.ooc.project_away(name),
-            t1.zdd.project_away(name),
-            t1.oracle.project_away(name),
+        return t1.each(
+            lambda r: r.project_away(name), t1.oracle.project_away(name)
         )
     if op == "rename":
         unused = sorted(set(ATTRS) - t1.oracle.attrs)
@@ -290,12 +313,8 @@ def apply_random_op(rng, pool, u_ref, u_arena, u_ooc, u_zdd):
             return None
         old = rng.choice(sorted(t1.oracle.attrs))
         new = rng.choice(unused)
-        return Quint(
-            t1.ref.rename({old: new}),
-            t1.arena.rename({old: new}),
-            t1.ooc.rename({old: new}),
-            t1.zdd.rename({old: new}),
-            t1.oracle.rename({old: new}),
+        return t1.each(
+            lambda r: r.rename({old: new}), t1.oracle.rename({old: new})
         )
     if op in ("join", "compose"):
         t2 = rng.choice(pool)
@@ -317,56 +336,42 @@ def apply_random_op(rng, pool, u_ref, u_arena, u_ooc, u_zdd):
         )
         if result_size > 3 or result_size == 0:
             return None
-        if op == "join":
-            return Quint(
-                t1.ref.join(t2.ref, [x], [y]),
-                t1.arena.join(t2.arena, [x], [y]),
-                t1.ooc.join(t2.ooc, [x], [y]),
-                t1.zdd.join(t2.zdd, [x], [y]),
-                t1.oracle.join(t2.oracle, x, y),
-            )
-        return Quint(
-            t1.ref.compose(t2.ref, [x], [y]),
-            t1.arena.compose(t2.arena, [x], [y]),
-            t1.ooc.compose(t2.ooc, [x], [y]),
-            t1.zdd.compose(t2.zdd, [x], [y]),
-            t1.oracle.compose(t2.oracle, x, y),
+        return t1.pair(
+            t2,
+            lambda a, b: getattr(a, op)(b, [x], [y]),
+            getattr(t1.oracle, op)(t2.oracle, x, y),
         )
     if op == "select":
         name = rng.choice(sorted(t1.oracle.attrs))
         values = {name: rng.randrange(DOMAIN_SIZE)}
-        return Quint(
-            t1.ref.select(values),
-            t1.arena.select(values),
-            t1.ooc.select(values),
-            t1.zdd.select(values),
-            t1.oracle.select(values),
-        )
+        return t1.each(lambda r: r.select(values), t1.oracle.select(values))
     if op == "replace":
         # Semantically the identity: move one attribute to a free pd.
         name = rng.choice(sorted(t1.oracle.attrs))
-        used = {pd.name for _, pd in t1.ref.schema.pairs}
+        used = {pd.name for _, pd in t1.rels["ref"].schema.pairs}
         free = sorted(set(PHYSDOMS) - used)
         if not free:
             return None
         target = rng.choice(free)
-        return Quint(
-            t1.ref.replace({name: target}),
-            t1.arena.replace({name: target}),
-            t1.ooc.replace({name: target}),
-            t1.zdd.replace({name: target}),
-            t1.oracle,
-        )
+        return t1.each(lambda r: r.replace({name: target}), t1.oracle)
     raise AssertionError(op)
 
 
-def run_chain(seed, reorder, n_ops, chain_index=0):
+def run_chain(seed, reorder, n_ops, chain_index=0, mtbdd=False):
+    """Run one seeded chain; ``mtbdd`` adds the multi-terminal lane,
+    which does not reorder (so it runs with ``reorder`` off only)."""
+    assert not (mtbdd and reorder)
     _CTX.update(seed=seed, chain_index=chain_index, reorder=reorder)
     rng = random.Random(seed)
-    u_ref = build_universe("bdd", kernel="reference")
-    u_arena = build_universe("bdd", kernel="arena")
-    u_ooc = build_universe("bdd", kernel="ooc")
-    u_zdd = build_universe("zdd")
+    universes = {
+        "ref": build_universe("bdd", kernel="reference"),
+        "arena": build_universe("bdd", kernel="arena"),
+        "ooc": build_universe("bdd", kernel="ooc"),
+        "zdd": build_universe("zdd"),
+    }
+    if mtbdd:
+        universes["mtbdd"] = build_universe("mtbdd")
+    bdd_universes = [universes[k] for k in ("ref", "arena", "ooc")]
     if reorder:
         # Tiny threshold so sifting actually fires mid-chain, with both
         # grouping policies exercised across seeds.  Every BDD kernel
@@ -374,13 +379,12 @@ def run_chain(seed, reorder, n_ops, chain_index=0):
         # sift decisions must coincide (check() asserts it).
         threshold = rng.choice([20, 60])
         group = bool(seed % 2)
-        u_ref.enable_reorder(threshold=threshold, group_by_physdom=group)
-        u_arena.enable_reorder(threshold=threshold, group_by_physdom=group)
-        u_ooc.enable_reorder(threshold=threshold, group_by_physdom=group)
-    pool = [random_base(rng, u_ref, u_arena, u_ooc, u_zdd)]
+        for u in bdd_universes:
+            u.enable_reorder(threshold=threshold, group_by_physdom=group)
+    pool = [random_base(rng, universes)]
     pool[0].check()
     for _ in range(n_ops):
-        result = apply_random_op(rng, pool, u_ref, u_arena, u_ooc, u_zdd)
+        result = apply_random_op(rng, pool, universes)
         if result is None:
             continue
         result.check()
@@ -390,15 +394,15 @@ def run_chain(seed, reorder, n_ops, chain_index=0):
         if reorder and rng.random() < 0.1:
             # Manual pass at an operation boundary, then re-check every
             # live relation's tuples survived it.
-            u_ref.reorder()
-            u_arena.reorder()
-            u_ooc.reorder()
+            for u in bdd_universes:
+                u.reorder()
             for t in pool:
                 t.check()
     if reorder:
-        u_ref.manager.check_integrity()
-        u_arena.manager.check_integrity()
-        u_ooc.manager.check_integrity()
+        for u in bdd_universes:
+            u.manager.check_integrity()
+    if mtbdd:
+        universes["mtbdd"].manager.check_integrity()
 
 
 # Ten batches per mode keep single-test runtimes small while totalling
@@ -414,6 +418,19 @@ def test_differential_chains(reorder, batch):
     for i in range(per_batch):
         seed = 90_000 + base + i if reorder else base + i
         run_chain(seed, reorder, OPS_PER_CHAIN, chain_index=base + i)
+
+
+@pytest.mark.parametrize("batch", range(BATCHES))
+def test_differential_chains_mtbdd(batch):
+    """The plain-mode chains again with the mtbdd lane added: tuple
+    sets against the oracle and node tables against the reference
+    kernel (``-k mtbdd`` selects these)."""
+    per_batch = N_CHAINS // BATCHES
+    base = batch * per_batch
+    for i in range(per_batch):
+        run_chain(
+            base + i, False, OPS_PER_CHAIN, chain_index=base + i, mtbdd=True
+        )
 
 
 @pytest.mark.reorder_stress
@@ -449,5 +466,5 @@ def test_replay_chain():
     seed = os.environ.get(REPLAY_ENV)
     if seed is None:
         pytest.skip(f"set {REPLAY_ENV}=<seed> to replay a chain")
-    for reorder in (False, True):
-        run_chain(int(seed), reorder, OPS_PER_CHAIN_STRESS)
+    run_chain(int(seed), False, OPS_PER_CHAIN_STRESS, mtbdd=True)
+    run_chain(int(seed), True, OPS_PER_CHAIN_STRESS)

@@ -76,6 +76,44 @@ class TestTerminals:
         assert not m.is_terminal(m.var(0))
 
 
+class TestSharedCore:
+    """What the subclass inherits from the reference kernel must still
+    respect terminals beyond 0/1."""
+
+    def test_gc_keeps_interned_terminals(self):
+        m = MTBDDManager(NVARS)
+        kept = m.ref(build(m, [0, 1, -5, 2.5, 0.25, 3, 7, -1.5]))
+        build(m, [9, 9, 4, 4, 0, 0, 11, 12])  # garbage
+        before = table(m, kept)
+        t11 = m.terminal(11)
+        assert m.gc() > 0
+        # Reuse the freed slots: none of them may be a terminal.
+        other = build(m, [5, 6, 8, 10, 13, 14, 15, 16])
+        m.check_integrity()
+        assert table(m, kept) == before
+        assert table(m, other) == [5, 6, 8, 10, 13, 14, 15, 16]
+        assert m.terminal(11) == t11 and m.value(t11) == 11
+
+    def test_add_vars_moves_terminals_below_new_levels(self):
+        m = MTBDDManager(NVARS)
+        w = build(m, [0, 1, -5, 2.5, 0.25, 3, 7, -1.5])
+        m.add_vars(2)
+        new = m.apply("mul", w, m.var(NVARS + 1))
+        m.check_integrity()
+        full = dict(ASSIGNMENTS[3])
+        full.update({NVARS: False, NVARS + 1: True})
+        assert m.evaluate(new, full) == 2.5
+
+    def test_reordering_refused(self):
+        m = MTBDDManager(NVARS)
+        with pytest.raises(BDDError, match="reorder"):
+            m.enable_reorder()
+        with pytest.raises(BDDError, match="reorder"):
+            m.reorder()
+        with pytest.raises(BDDError, match="reorder"):
+            m.swap_levels(0)
+
+
 class TestApplyOperators:
     @given(xs=functions, ys=functions)
     @settings(max_examples=60, deadline=None)
@@ -97,6 +135,8 @@ class TestApplyOperators:
         assert table(m, m.apply_diff(a, b)) == [
             x & (1 - y) for x, y in zip(xs, ys)
         ]
+        assert table(m, m.apply_xor(a, b)) == [x ^ y for x, y in zip(xs, ys)]
+        assert table(m, m.apply_not(a)) == [1 - x for x in xs]
 
     @given(fs=bool_functions, xs=functions, ys=functions)
     @settings(max_examples=60, deadline=None)

@@ -1,18 +1,15 @@
 """Tests for the relation lifetime API: dispose(), `with` blocks,
-Universe.scope(), the open_universe() factory, and the deprecation of
-the old release()/make_backend entry points."""
+Universe.scope(), and the open_universe() factory."""
 
 import warnings
 
 import pytest
 
-from repro.bdd import BDDManager
 from repro.relations import (
     JeddError,
     Relation,
     RelationScope,
     Universe,
-    make_backend,
     open_universe,
 )
 
@@ -43,12 +40,6 @@ class TestDispose:
     def test_with_block_disposes(self, u):
         with u.relation_of(["src", "dst"], [(1, 2)], ["N1", "N2"]) as r:
             assert r.size() == 1
-        assert r.disposed
-
-    def test_release_is_deprecated_alias(self, u):
-        r = u.relation_of(["src", "dst"], [(1, 2)], ["N1", "N2"])
-        with pytest.warns(DeprecationWarning, match="dispose"):
-            r.release()
         assert r.disposed
 
 
@@ -131,11 +122,6 @@ class TestOpenUniverse:
         assert u.full(["src"], ["N1"]).size() == 16
         assert list(u.relation({"src": 5}, {"src": "N1"}).tuples()) == [(5,)]
         assert u.relation_of(["src"], [(1,), (2,)], ["N1"]).size() == 2
-
-    def test_make_backend_deprecated(self):
-        mgr = BDDManager(4)
-        with pytest.warns(DeprecationWarning, match="open_universe"):
-            make_backend(mgr)
 
     def test_internal_paths_emit_no_deprecation_warnings(self):
         with warnings.catch_warnings():

@@ -6,14 +6,18 @@ the shell's ``connect`` command and the CI smoke script use.
 """
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro import telemetry
+from repro.relations import Relation, open_universe
 from repro.service import (
     PROTOCOL_VERSION,
+    JeddService,
     ServiceClient,
     ServiceError,
+    _WireCache,
     start_in_thread,
 )
 
@@ -176,6 +180,24 @@ class TestStandingQueries:
             "query.get", universe="sq4", query="tc", relation="path"
         )["wire_cache"]
         assert wire["hits"] >= 1
+
+    def test_wire_cache_entry_cannot_outlive_its_root(self):
+        # A cached listing must not be served for a different relation
+        # that GC later builds on the recycled root id.
+        u = open_universe(
+            "bdd", domains={"B": 2}, attributes={"x": "B"},
+            physdoms={"P": 1},
+        )
+        session = SimpleNamespace(wire=_WireCache())
+        first = Relation.from_tuples(u, ["x"], [(0,)], ["P"])
+        assert JeddService._tuples(first, session) == [[0]]
+        root = first.node
+        first.dispose()
+        del first
+        u.manager.gc()
+        other = Relation.from_tuples(u, ["x"], [(1,)], ["P"])
+        assert other.node == root  # the id really was recycled
+        assert JeddService._tuples(other, session) == [[1]]
 
     def test_query_results_published_to_shell(self, client):
         standing_tc(client, "sq5")
