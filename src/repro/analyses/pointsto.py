@@ -15,7 +15,10 @@ Rules iterated to a simultaneous fixpoint:
 
 By default the rules run on the semi-naive
 :class:`~repro.relations.fixpoint.FixpointEngine` (each round joins
-only the previous round's delta); how they run is one
+only the previous round's delta), with rules 3 and 4 split through the
+intermediate joins ``sp(baseobj, field, srcvar)`` and
+``lp(dstvar, field, baseobj)`` so that every rule body is one binary
+join, as in the hand-coded solver; how they run is one
 :class:`~repro.relations.ExecutionPolicy` value —
 ``policy="naive"`` selects the original whole-relation loop, kept for
 differential testing, and ``ExecutionPolicy(engine="parallel",
@@ -113,6 +116,26 @@ class PointsTo:
                 ["H1", "F1", "H2"],
             ),
         )
+        # The store and load rules each join two recursive atoms; they
+        # are split through the intermediate joins the hand-coded
+        # solver builds (its s1 and l1), so every rule body is one
+        # binary join and no relation appears twice in a body.
+        eng.relation(
+            "sp",
+            Relation.empty(
+                au.universe,
+                ["baseobj", "field", "srcvar"],
+                ["H1", "F1", "V2"],
+            ),
+        )
+        eng.relation(
+            "lp",
+            Relation.empty(
+                au.universe,
+                ["dstvar", "field", "baseobj"],
+                ["V1", "F1", "H1"],
+            ),
+        )
         if self.compat is not None:
             eng.filter("pt", self.compat)
         # rule 2: assignments (dst inherits src's points-to set)
@@ -121,15 +144,21 @@ class PointsTo:
             ("pt", {"var": "srcvar", "obj": "obj"}),
         ])
         # rule 3: stores populate the heap
-        eng.rule("hpt", ("baseobj", "field", "srcobj"), [
+        eng.rule("sp", ("baseobj", "field", "srcvar"), [
             ("store", ("basevar", "field", "srcvar")),
             ("pt", {"var": "basevar", "obj": "baseobj"}),
+        ])
+        eng.rule("hpt", ("baseobj", "field", "srcobj"), [
+            ("sp", ("baseobj", "field", "srcvar")),
             ("pt", {"var": "srcvar", "obj": "srcobj"}),
         ])
         # rule 4: loads read the heap
-        eng.rule("pt", ("dstvar", "srcobj"), [
+        eng.rule("lp", ("dstvar", "field", "baseobj"), [
             ("load", ("dstvar", "basevar", "field")),
             ("pt", {"var": "basevar", "obj": "baseobj"}),
+        ])
+        eng.rule("pt", ("dstvar", "srcobj"), [
+            ("lp", ("dstvar", "field", "baseobj")),
             ("hpt", ("baseobj", "field", "srcobj")),
         ])
         solution = eng.solve()

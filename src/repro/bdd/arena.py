@@ -1827,9 +1827,10 @@ class ArenaBDDManager(BDDManager):
         else:
             level_set = frozenset(self._to_levels(variables))
             width = len(level_set)
-            bad = {
-                self._level_at_var[v] for v in self.support(a)
-            } - level_set
+        level_nodes, _ = self._levelize(a)
+        if level_set is not None:
+            # The level batches are the support: no separate walk.
+            bad = set(level_nodes) - level_set
             if bad:
                 raise BDDError(
                     f"sat_count variables {sorted(variables)} do not cover "
@@ -1863,7 +1864,6 @@ class ArenaBDDManager(BDDManager):
             if level_set is None or lvl in rank_below:
                 rb[lvl] = relevant_below(lvl)
         rb[self._num_vars] = -1
-        level_nodes, _ = self._levelize(a)
         low_arr, high_arr, lvl_arr = self._low, self._high, self._level
         memo: Dict[int, int] = {FALSE: 0, TRUE: 1}
         for level in sorted(level_nodes, reverse=True):

@@ -621,8 +621,11 @@ class BDDManager:
         of one physical domain to another, so the relation's tuples are
         unchanged but stored in different BDD variables.
 
-        The implementation recomposes via ITE so that permutations that
-        change the relative order of variables are handled correctly.
+        Where the target level lies above both rebuilt children the
+        node is rebuilt directly with :meth:`mk` (BuDDy's
+        ``correctify`` fast path); otherwise it is recomposed via ITE so
+        that permutations that change the relative order of variables
+        are handled correctly.  Both give the same canonical node.
         """
         perm_vars = {k: v for k, v in permutation.items() if k != v}
         if not perm_vars:
@@ -652,7 +655,11 @@ class BDDManager:
             new_level = perm.get(level, level)
             low = rec(self._low[node])
             high = rec(self._high[node])
-            result = self.ite(self._var_bdd_at(new_level), high, low)
+            lv = self._level
+            if lv[low] > new_level and lv[high] > new_level:
+                result = self.mk(new_level, low, high)
+            else:
+                result = self.ite(self._var_bdd_at(new_level), high, low)
             memo[node] = result
             return self._cache_store(
                 self._replace_cache, (node, key_perm), result
@@ -803,38 +810,26 @@ class BDDManager:
         else:
             level_set = frozenset(self._to_levels(variables))
             width = len(level_set)
-            bad = {
-                self._level_at_var[v] for v in self.support(a)
-            } - level_set
-            if bad:
-                raise BDDError(
-                    f"sat_count variables {sorted(variables)} do not cover "
-                    f"support variables "
-                    f"{sorted(self._var_at_level[lv] for lv in bad)}"
-                )
         # Count assignments over *relevant* levels only: between a parent
         # at level l and a child at level m, the number of skipped
         # relevant levels determines the wildcard multiplier.
+        # below[l] = number of relevant levels strictly below l (deeper),
+        # None for a level outside the set, and -1 at the terminal
+        # sentinel, so the "levels skipped on an edge" formula
+        #     skipped = below[parent] - below[child] - 1
+        # counts every relevant level strictly below the parent.
+        below: List[Optional[int]] = [None] * (self._num_vars + 1)
+        below[self._num_vars] = -1
         sorted_levels = (
-            sorted(level_set) if level_set is not None else list(range(width))
+            sorted(level_set) if level_set is not None else range(width)
         )
-        # rank[l] = number of relevant levels strictly below l (deeper).
-        rank_below: Dict[int, int] = {}
         for i, lvl in enumerate(sorted_levels):
-            rank_below[lvl] = len(sorted_levels) - i - 1
-
-        def relevant_below(level: int) -> int:
-            # Convention: for a terminal (level sentinel) return -1 so the
-            # "levels skipped on an edge" formula
-            #     skipped = relevant_below(parent) - relevant_below(child) - 1
-            # counts every relevant level strictly below the parent.
-            if level >= self._num_vars:
-                return -1
-            if level_set is None:
-                return self._num_vars - level - 1
-            return rank_below[level]
-
+            below[lvl] = width - i - 1
+        levels, lows, highs = self._level, self._low, self._high
         memo: Dict[int, int] = {}
+        # Support levels outside ``level_set``, found by the counting
+        # walk itself (it visits every node) instead of a support() pass.
+        bad: set = set()
 
         def count(node: int) -> int:
             # Returns count over relevant levels strictly below node level,
@@ -846,14 +841,17 @@ class BDDManager:
             hit = memo.get(node)
             if hit is not None:
                 return hit
-            level = self._level[node]
-            here = relevant_below(level)
+            low, high = lows[node], highs[node]
+            c_low, c_high = count(low), count(high)
+            here = below[levels[node]]
             total = 0
-            for child in (self._low[node], self._high[node]):
-                c = count(child)
-                if c:
-                    skipped = here - relevant_below(self._level[child]) - 1
-                    total += c << skipped
+            if here is None:
+                bad.add(levels[node])
+            elif not bad:
+                if c_low:
+                    total = c_low << (here - below[levels[low]] - 1)
+                if c_high:
+                    total += c_high << (here - below[levels[high]] - 1)
             memo[node] = total
             return total
 
@@ -861,8 +859,14 @@ class BDDManager:
             return 0
         if a == TRUE:
             return 1 << width
-        top_skipped = width - relevant_below(self._level[a]) - 1
-        return count(a) << top_skipped
+        total = count(a)
+        if bad:
+            raise BDDError(
+                f"sat_count variables {sorted(variables)} do not cover "
+                f"support variables "
+                f"{sorted(self._var_at_level[lv] for lv in bad)}"
+            )
+        return total << (width - below[levels[a]] - 1)
 
     def any_sat(self, a: int) -> Dict[int, bool] | None:
         """One satisfying partial assignment (by variable id), or None."""

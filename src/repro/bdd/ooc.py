@@ -1368,10 +1368,20 @@ class OocBDDManager(BDDManager):
                 for node, count, lo_spec, hi_spec in plan.pop_level(level):
                     lo = self._take(resolved, lo_spec)
                     hi = self._take(resolved, hi_spec)
-                    # Recompose through ITE on the *target* variable so
-                    # order-changing permutations stay correct — the
-                    # same lowering as the reference kernel.
-                    result = self.ite(self._var_bdd_at(new_level), hi, lo)
+                    # A target level above both children is a pure
+                    # relabelling; otherwise recompose through ITE on
+                    # the *target* variable so order-changing
+                    # permutations stay correct — the same lowering as
+                    # the reference kernel.
+                    if (
+                        self._level[lo] > new_level
+                        and self._level[hi] > new_level
+                    ):
+                        result = self.mk(new_level, lo, hi)
+                    else:
+                        result = self.ite(
+                            self._var_bdd_at(new_level), hi, lo
+                        )
                     self._cache_store(
                         self._replace_cache, (node, key_perm), result
                     )

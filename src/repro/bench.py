@@ -111,11 +111,11 @@ def _run_pointsto(
 
 
 #: Default memory cap for the ``pointsto-xl`` workload.  The uncapped
-#: solve keeps ~70 MB of kernel state resident (see
+#: solve keeps ~43 MB of kernel state resident (see
 #: ``benchmarks/test_ooc.py``, which measures rather than assumes), so
-#: 16 MB forces every spill mechanism: unique-table runs, page
+#: 8 MiB forces every spill mechanism: unique-table runs, page
 #: eviction, and sweep-queue chunks.
-XL_CAP_BYTES = 16 << 20
+XL_CAP_BYTES = 8 << 20
 
 
 def _run_pointsto_xl(chain_depth: int) -> Dict[str, float]:

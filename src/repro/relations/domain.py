@@ -311,6 +311,15 @@ class Universe:
         """All physical domains in declaration order."""
         return list(self._physdom_order)
 
+    def bit_order_group(self, pd: PhysicalDomain) -> List[PhysicalDomain]:
+        """The physical domains of ``pd``'s :meth:`set_bit_order` group
+        (``pd`` included), or ``[]`` when no bit order was set or
+        ``pd`` is a scratch domain."""
+        for group in self._bit_order_groups or ():
+            if pd.name in group:
+                return [self._physdoms[name] for name in group]
+        return []
+
     # ------------------------------------------------------------------
     # Finalization: bit ordering and manager creation
     # ------------------------------------------------------------------

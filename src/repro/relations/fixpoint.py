@@ -810,6 +810,11 @@ class FixpointEngine:
                     if contrib is None:
                         fresh = self._empty_like(name)
                     else:
+                        # Move the round's tuples into the relation's
+                        # declared domains before the diff, so every
+                        # delta has the same placement and the next
+                        # round's replaces of static facts hit the cache.
+                        contrib = self._full[name]._align_to(contrib)
                         contrib = self._apply_filter(name, contrib)
                         fresh = contrib - self._full[name]
                     self._delta[name] = scope.keep(fresh)

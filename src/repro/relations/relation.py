@@ -93,11 +93,24 @@ class CsvFormatError(JeddError):
 
 
 def _free_physdom(
-    universe: Universe, width: int, banned: Iterable[PhysicalDomain]
+    universe: Universe,
+    width: int,
+    banned: Iterable[PhysicalDomain],
+    near: Optional[PhysicalDomain] = None,
 ) -> PhysicalDomain:
-    """A physical domain of ``width`` bits not in ``banned``."""
+    """A physical domain of ``width`` bits not in ``banned``.
+
+    Domains of ``near``'s bit-order group come first, then the rest in
+    declaration order; a scratch domain only when none is free.  A
+    domain moved within its group keeps its bits interleaved with the
+    ones it moved from, so the ``replace`` does not cross other
+    families' blocks.
+    """
     banned_names = {pd.name for pd in banned}
-    for pd in universe.physical_domains():
+    candidates = universe.physical_domains()
+    if near is not None:
+        candidates = universe.bit_order_group(near) + candidates
+    for pd in candidates:
         if pd.bits == width and pd.name not in banned_names:
             return pd
     return universe.scratch_physdom(width)
@@ -176,7 +189,7 @@ def _plan_match(
         if attr.name in targets:
             continue
         if pd.name in self_pds:
-            fresh = _free_physdom(universe, pd.bits, used)
+            fresh = _free_physdom(universe, pd.bits, used, near=pd)
             targets[attr.name] = fresh
             used.append(fresh)
     moves = []
@@ -354,9 +367,19 @@ class Relation:
             for a in attributes
         ]
         if physdoms is None:
-            pds = [
-                universe.scratch_physdom(attr.domain.bits) for attr in attrs
-            ]
+            # Free declared domains first: a scratch domain per literal
+            # would grow the manager's variable count without bound.
+            # Attributes of one domain stay in one bit-order group.
+            pds: List[PhysicalDomain] = []
+            for attr in attrs:
+                near = next(
+                    (pd for a, pd in zip(attrs, pds)
+                     if a.domain is attr.domain),
+                    None,
+                )
+                pds.append(
+                    _free_physdom(universe, attr.domain.bits, pds, near)
+                )
         else:
             if len(physdoms) != len(attrs):
                 raise JeddError("one physical domain per attribute required")
@@ -616,12 +639,6 @@ class Relation:
         }
         return other.replace(targets)
 
-    def _free_physdom(
-        self, width: int, banned: Iterable[PhysicalDomain]
-    ) -> PhysicalDomain:
-        """A physical domain of ``width`` bits not in ``banned``."""
-        return _free_physdom(self.universe, width, banned)
-
     # ------------------------------------------------------------------
     # Set operations ([SetOp], [Assign], [Compare] of Figure 6)
     # ------------------------------------------------------------------
@@ -811,7 +828,9 @@ class Relation:
             extra_pds = []
             used = [pd for _, pd in self.schema.pairs]
             for _ in targets[1:]:
-                pd = self._free_physdom(src_pd.bits, used)
+                pd = _free_physdom(
+                    self.universe, src_pd.bits, used, near=src_pd
+                )
                 extra_pds.append(pd)
                 used.append(pd)
         # Conceptually a join with the identity relation {(v, v)} matching

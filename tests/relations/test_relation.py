@@ -395,3 +395,56 @@ class TestEdgeCases:
         again = rel(u, ["type"], [("A",)], ["T1"])
         assert set(again.tuples()) == {("A",)}
         del node
+
+
+class TestFreePhysdomPreference:
+    """Auto-alignment moves an attribute within its own bit-order group
+    before it takes an equally wide domain of another family."""
+
+    @staticmethod
+    def grouped_universe():
+        u = Universe()
+        obj = u.domain("Obj", 16)
+        meth = u.domain("Method", 16)
+        for name in ("obj", "baseobj", "srcobj"):
+            u.attribute(name, obj)
+        u.attribute("method", meth)
+        # M1 is declared before H2/H3 and has the same width.
+        for name in ("H1", "M1", "H2", "H3"):
+            u.physical_domain(name, obj.bits)
+        u.set_bit_order([["H1", "H2", "H3"], ["M1"]])
+        u.finalize()
+        return u
+
+    def test_group_before_declaration_order(self):
+        from repro.relations.relation import _free_physdom
+
+        u = self.grouped_universe()
+        h1, m1, h2, h3 = (u.get_physdom(n) for n in ("H1", "M1", "H2", "H3"))
+        assert _free_physdom(u, h1.bits, [h1], near=h1) is h2
+        assert _free_physdom(u, h1.bits, [h1, h2], near=h1) is h3
+        assert _free_physdom(u, h1.bits, [h1, h2, h3], near=h1) is m1
+        # Without a domain to stay near, declaration order decides.
+        assert _free_physdom(u, h1.bits, [h1]) is m1
+
+    def test_join_moves_colliding_attribute_within_its_family(self):
+        u = self.grouped_universe()
+        left = rel(u, ["obj"], [("a",)], ["H1"])
+        right = rel(u, ["baseobj", "srcobj"], [("a", "b")], ["H2", "H1"])
+        j = left.join(right, ["obj"], ["baseobj"])
+        assert set(j.tuples()) == {("a", "b")}
+        assert j.schema.physdom("srcobj").name in ("H2", "H3")
+
+    def test_copy_takes_a_domain_of_the_same_family(self):
+        u = self.grouped_universe()
+        r = rel(u, ["obj"], [("a",)], ["H1"])
+        c = r.copy("obj", ["obj", "baseobj"])
+        assert c.schema.physdom("baseobj").name == "H2"
+        assert set(c.tuples()) == {("a", "a")}
+
+    def test_literal_without_physdoms_uses_declared_domains(self):
+        u = self.grouped_universe()
+        before = u.manager.num_vars
+        r = Relation.from_tuple(u, {"obj": "a", "baseobj": "b"})
+        assert [pd.name for _, pd in r.schema.pairs] == ["H1", "H2"]
+        assert u.manager.num_vars == before

@@ -126,6 +126,36 @@ class TestExpressions:
         shell, out = script(["nodes extend"])
         assert out.strip().split()[-1].isdigit()
 
+    def test_literal_lookups_keep_the_variable_count(self):
+        """A `new {...}` literal takes free declared physical domains,
+        so a standing lookup does not grow the manager's variables."""
+        out = io.StringIO()
+        shell = run_script(
+            [
+                "domain Var 16",
+                "domain Obj 16",
+                "attribute var : Var",
+                "attribute obj : Obj",
+                "physdom V1 4",
+                "physdom V2 4",
+                "physdom H1 4",
+                "finalize",
+                "rel pt var:V1 obj:H1",
+                "insert pt v3 o1",
+                "insert pt v3 o2",
+                "insert pt v4 o1",
+            ],
+            stdout=out,
+        )
+        num_vars = shell.universe.manager.num_vars
+        for _ in range(200):
+            out.seek(0)
+            out.truncate()
+            shell.onecmd('print pt{var} >< new { "v3" => var }{var}')
+        assert shell.universe.manager.num_vars == num_vars
+        rows = [line.split() for line in out.getvalue().splitlines()[2:]]
+        assert sorted(rows) == [["v3", "o1"], ["v3", "o2"]]
+
 
 class TestErrors:
     def test_unknown_relation(self):
