@@ -82,23 +82,20 @@ class LowLevelPointsTo:
 
     # -- encoding ---------------------------------------------------------
 
-    def _cube(self, pairs: Sequence[Tuple[_Dom, int]]) -> int:
-        assignment: Dict[int, bool] = {}
-        for dom, value in pairs:
-            for j in range(dom.bits):
-                assignment[dom.levels[j]] = bool(value >> j & 1)
-        return self.m.cube(assignment)
-
     def _encode(self, rows, spec) -> int:
-        node = FALSE
+        # One key per row, the fields packed least significant first,
+        # then one bottom-up build: the same kernel primitive the
+        # relational layer encodes its facts with.
+        variables = [level for dom, _ in spec for level in dom.levels]
+        keys = []
         for row in rows:
-            node = self.m.apply_or(
-                node,
-                self._cube(
-                    [(dom, table[key]) for (dom, table), key in zip(spec, row)]
-                ),
-            )
-        return node
+            key = 0
+            offset = 0
+            for (dom, table), obj in zip(spec, row):
+                key |= table[obj] << offset
+                offset += dom.bits
+            keys.append(key)
+        return self.m.from_keys(variables, keys)
 
     def _perm(self, moves: Sequence[Tuple[_Dom, _Dom]]) -> Dict[int, int]:
         perm: Dict[int, int] = {}

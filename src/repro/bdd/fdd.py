@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.bdd.manager import FALSE, TRUE, BDDError, BDDManager
+from repro.bdd.manager import TRUE, BDDError, BDDManager
 
 __all__ = ["FiniteDomain", "FDDManager"]
 
@@ -105,13 +105,12 @@ class FDDManager:
         """BDD of ``domain < size`` (BuDDy's ``fdd_domain``).
 
         For sizes that are not a power of two this excludes the unused
-        bit patterns.
+        bit patterns.  Built in one bulk pass: the values split into at
+        most one complete block per bit, so the node work is quadratic in
+        the width, not linear in ``size``.
         """
         dom = self._dom(domain)
-        node = FALSE
-        for value in range(dom.size):
-            node = self.manager.apply_or(node, self.ithvar(dom, value))
-        return node
+        return self.manager.from_keys(dom.levels, range(dom.size))
 
     def equals(
         self, a: FiniteDomain | str, b: FiniteDomain | str

@@ -13,6 +13,8 @@ exact operation set Jedd's code generator needs:
   ``SwapVariables``), used to move data between physical domains,
 - satisfying-assignment counting and enumeration (relation ``size()`` and
   iterators),
+- bulk construction of a set of tuples in one bottom-up pass
+  (``from_keys``; :func:`build_from_keys` is shared with the ZDD kernel),
 - per-level node counts (the "shape" of a BDD, used by the profiler),
 - dynamic variable reordering by Rudell sifting (BuDDy's
   ``bdd_reorder(BDD_REORDER_SIFT)`` / CUDD's ``CUDD_REORDER_SIFT``).
@@ -52,6 +54,7 @@ by a reference count (see ``repro.relations.containers``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -67,7 +70,14 @@ from typing import (
 
 from repro.bdd.stats import KernelStats
 
-__all__ = ["BDDManager", "BDDError", "ReorderEvent", "FALSE", "TRUE"]
+__all__ = [
+    "BDDManager",
+    "BDDError",
+    "ReorderEvent",
+    "FALSE",
+    "TRUE",
+    "build_from_keys",
+]
 
 #: Node index of the constant-false terminal.
 FALSE = 0
@@ -417,6 +427,22 @@ class BDDManager:
             else:
                 node = self.mk(level, node, FALSE)
         return node
+
+    def from_keys(
+        self,
+        variables: Sequence[int],
+        keys: Iterable[int],
+        leaves: Optional[Sequence[int]] = None,
+    ) -> int:
+        """The union of one cube per key, built in one bottom-up pass.
+
+        Bit ``p`` of each key is the value of variable ``variables[p]``
+        (see :func:`build_from_keys`); ``leaves`` optionally gives each
+        key's terminal instead of ``TRUE``.
+        """
+        return build_from_keys(
+            self.mk, self._to_levels(variables), keys, FALSE, TRUE, leaves
+        )
 
     # ------------------------------------------------------------------
     # Boolean combinators
@@ -1601,3 +1627,126 @@ class BDDManager:
                 else self._low[node]
             )
         return node == TRUE
+
+
+# ----------------------------------------------------------------------
+# Bulk construction
+# ----------------------------------------------------------------------
+#
+# A relation literal -- a fact file, a list of tuples -- is a set of
+# complete assignments to the variables of its schema.  Folding it as
+# ``union(node, cube(row))`` per row costs one apply per row and leaves
+# every intermediate union behind as garbage.  Sorted, the same set is a
+# binary trie whose reduction *is* the diagram, so it can be built in one
+# bottom-up pass with no apply-cache work, the way Adiar builds diagrams
+# level by level from sorted streams.  The pass is written once, against
+# a node constructor and two terminals: the BDD kernels (reference,
+# arena, ooc, and MTBDD with per-key terminal leaves) pass their
+# hash-consing ``mk``, the ZDD kernel its zero-suppressing one.
+# Canonicity makes the result the very node the fold would return.
+
+
+def build_from_keys(
+    mk: Callable[[int, int, int], int],
+    levels: Sequence[int],
+    keys: Iterable[int],
+    zero: int,
+    one: int,
+    leaves: Optional[Sequence[int]] = None,
+) -> int:
+    """The diagram holding exactly the assignments encoded by ``keys``.
+
+    Bit ``p`` of every key is the value of the variable currently at
+    ``levels[p]``; the variables are visited by level, so the build is
+    correct under any variable order.  ``keys`` are sorted and
+    deduplicated, then the trie is built by recursing on ``bisect``
+    split points and calling ``mk(level, low, high)`` once per trie
+    node, with ``zero`` for an absent branch and ``one`` at a complete
+    assignment.  A subrange that holds every assignment of the levels
+    below it is built once per depth and shared.
+
+    ``leaves`` optionally gives the terminal of each key instead of
+    ``one`` (a multi-terminal diagram); its keys must then be distinct.
+    """
+    n = len(levels)
+    if len(set(levels)) != n:
+        raise BDDError(f"bulk build over repeated levels {list(levels)}")
+    keys = list(keys)
+    if keys and (min(keys) < 0 or max(keys) >> n):
+        raise BDDError(f"bulk build key outside {n} bit(s)")
+    order = sorted(range(n), key=levels.__getitem__)
+    top = [levels[p] for p in order]
+    keys = _level_keys(keys, order)
+    if leaves is None:
+        keys = sorted(set(keys))
+        leaf = None
+    else:
+        if len(leaves) != len(keys):
+            raise BDDError(
+                f"bulk build: {len(keys)} key(s) but {len(leaves)} leaves"
+            )
+        pairs = sorted(zip(keys, leaves))
+        keys = [k for k, _ in pairs]
+        leaf = [t for _, t in pairs]
+        if any(a == b for a, b in zip(keys, keys[1:])):
+            raise BDDError("bulk build: repeated key with per-key leaves")
+    if not keys:
+        return zero
+
+    full: List[int] = [one]  # full[i]: every assignment of the i lowest levels
+
+    def complete(d: int) -> int:
+        while len(full) <= n - d:
+            below = full[-1]
+            full.append(mk(top[n - len(full)], below, below))
+        return full[n - d]
+
+    def chain(key: int, d: int, node: int) -> int:
+        # The cube of one key, bottom up: depth n - 1 is key bit 0.
+        for e in range(n - 1, d - 1, -1):
+            if key & 1:
+                node = mk(top[e], zero, node)
+            else:
+                node = mk(top[e], node, zero)
+            key >>= 1
+        return node
+
+    def rec(lo: int, hi: int, d: int) -> int:
+        # keys[lo:hi] agree on the levels above depth d.
+        if hi - lo == 1:
+            return chain(keys[lo], d, one if leaf is None else leaf[lo])
+        if leaf is None and hi - lo == 1 << (n - d):
+            return complete(d)
+        shift = n - 1 - d
+        split = bisect_left(keys, (keys[lo] >> shift | 1) << shift, lo, hi)
+        low = rec(lo, split, d + 1) if split > lo else zero
+        high = rec(split, hi, d + 1) if split < hi else zero
+        return mk(top[d], low, high)
+
+    return rec(0, len(keys), 0)
+
+
+def _level_keys(keys: List[int], order: List[int]) -> List[int]:
+    """Rewrite each key so its bits run from the top level (most
+    significant) down: then integer order is the trie's order.
+
+    ``order[d]`` is the key bit tested at depth ``d``.  The rewrite
+    reads each key in chunks through precomputed tables; the chunk
+    width grows with the number of keys, so a single key pays for no
+    large table.
+    """
+    n = len(order)
+    dest = [0] * n
+    for d, p in enumerate(order):
+        dest[p] = n - 1 - d
+    width = max(1, min(8, len(keys).bit_length()))
+    mask = (1 << width) - 1
+    tables = []
+    for base in range(0, n, width):
+        table = [0]
+        for target in dest[base:base + width]:
+            table += [v | 1 << target for v in table]
+        tables.append((base, table))
+    return [
+        sum(table[k >> base & mask] for base, table in tables) for k in keys
+    ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 from time import perf_counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.bdd.manager import BDDError
+from repro.bdd.manager import BDDError, build_from_keys
 from repro.bdd.stats import KernelStats
 
 __all__ = ["ZDDManager", "EMPTY", "BASE"]
@@ -174,6 +174,14 @@ class ZDDManager:
     def cube(self, assignment: Dict[int, bool]) -> int:
         """Single bit string given as ``{level: value}``; absent bits are 0."""
         return self.single(lv for lv, bit in assignment.items() if bit)
+
+    def from_keys(self, levels: Sequence[int], keys: Iterable[int]) -> int:
+        """The union of one bit string per key, built in one bottom-up
+        pass (bit ``p`` of each key is the value at ``levels[p]``)."""
+        for level in levels:
+            if not 0 <= level < self._num_vars:
+                raise BDDError(f"level {level} out of range")
+        return build_from_keys(self.mk, levels, keys, EMPTY, BASE)
 
     # ------------------------------------------------------------------
     # Family algebra

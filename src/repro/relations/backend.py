@@ -116,6 +116,21 @@ class DiagramBackend:
         """Single tuple: a complete assignment of the used levels."""
         raise NotImplementedError
 
+    def from_keys(
+        self,
+        variables: Sequence[int],
+        keys: Iterable[int],
+        leaves: Sequence[int] | None = None,
+    ) -> int:
+        """Many tuples at once: the union of one cube per key, built in
+        one bottom-up pass with no apply work.
+
+        Bit ``p`` of each key is the value of ``variables[p]``.
+        ``leaves`` gives each (distinct) key a terminal of its own; only
+        a backend that :meth:`supports_weights` accepts it.
+        """
+        raise NotImplementedError
+
     # Set algebra (operands must use the same level set) ----------------
     def union(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -274,6 +289,10 @@ class BDDBackend(DiagramBackend):
     def cube(self, assignment: Dict[int, bool]) -> int:
         return self.manager.cube(assignment)
 
+    @_traced("bdd.from_keys", "kernel")
+    def from_keys(self, variables, keys, leaves=None) -> int:
+        return self.manager.from_keys(variables, keys, leaves)
+
     @_traced("bdd.union", "kernel")
     def union(self, a: int, b: int) -> int:
         return self.manager.apply_or(a, b)
@@ -378,6 +397,10 @@ class ZDDBackend(DiagramBackend):
     def cube(self, assignment: Dict[int, bool]) -> int:
         return self.manager.cube(assignment)
 
+    @_traced("zdd.from_keys", "kernel")
+    def from_keys(self, variables, keys) -> int:
+        return self.manager.from_keys(variables, keys)
+
     @_traced("zdd.union", "kernel")
     def union(self, a: int, b: int) -> int:
         return self.manager.union(a, b)
@@ -410,15 +433,10 @@ class ZDDBackend(DiagramBackend):
         return self.manager.replace(a, perm)
 
     def equality(self, levels_a, levels_b, values) -> int:
-        node = EMPTY
-        for value in values:
-            assignment = {}
-            for j, (la, lb) in enumerate(zip(levels_a, levels_b)):
-                bit = bool(value >> j & 1)
-                assignment[la] = bit
-                assignment[lb] = bit
-            node = self.manager.union(node, self.manager.cube(assignment))
-        return node
+        pairs = list(zip(levels_a, levels_b))
+        width = len(pairs)
+        variables = [la for la, _ in pairs] + [lb for _, lb in pairs]
+        return self.from_keys(variables, [v | v << width for v in values])
 
     @_traced("zdd.count", "kernel")
     def count(self, a: int, levels: Sequence[int]) -> int:

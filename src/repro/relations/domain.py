@@ -526,6 +526,11 @@ class Universe:
         self, pd: PhysicalDomain, value: int
     ) -> Dict[int, bool]:
         """``{level: bit}`` assignment storing ``value`` in ``pd``."""
+        self.check_fits(pd, value)
+        return {pd.levels[j]: bool(value >> j & 1) for j in range(pd.bits)}
+
+    def check_fits(self, pd: PhysicalDomain, value: int) -> None:
+        """Raise unless ``pd`` has levels and ``value`` fits its width."""
         if pd.levels is None:
             raise JeddError(f"universe not finalized for {pd.name}")
         if value >= (1 << pd.bits):
@@ -533,7 +538,6 @@ class Universe:
                 f"value {value} does not fit in physical domain "
                 f"{pd.name} ({pd.bits} bits)"
             )
-        return {pd.levels[j]: bool(value >> j & 1) for j in range(pd.bits)}
 
     def decode_bits(
         self, pd: PhysicalDomain, assignment: Dict[int, bool]

@@ -284,6 +284,36 @@ class Schema:
         return f"<{inner}>"
 
 
+def _key_encoder(universe: Universe, schema: Schema):
+    """The row -> key encoding shared by the bulk constructors.
+
+    Returns ``(variables, encode)`` for :meth:`DiagramBackend.from_keys`.
+    ``encode(row)`` interns the row's objects in schema order and packs
+    their indices into one integer, each attribute's bits least
+    significant first, so bit ``p`` of the key is the value of
+    ``variables[p]`` (:meth:`Schema.levels`).  It raises what
+    :meth:`Universe.encode_bits` raises for an index too wide for its
+    physical domain.
+    """
+    fields = []
+    offset = 0
+    for attr, pd in schema.pairs:
+        universe.check_fits(pd, 0)
+        fields.append((attr.domain.intern, pd, offset))
+        offset += pd.bits
+
+    def encode(row: Iterable[Hashable]) -> int:
+        key = 0
+        for (intern, pd, shift), obj in zip(fields, row):
+            value = intern(obj)
+            if value >> pd.bits:
+                universe.check_fits(pd, value)
+            key |= value << shift
+        return key
+
+    return schema.levels(), encode
+
+
 class Relation:
     """An immutable relation value.
 
@@ -452,22 +482,25 @@ class Relation:
         rows: Iterable[Sequence[Hashable]],
         physdoms: Optional[Sequence[PhysicalDomain | str]] = None,
     ) -> "Relation":
-        """Bulk constructor: union of one-tuple literals, but in one pass."""
+        """Bulk constructor: union of one-tuple literals, but in one pass.
+
+        Rows are interned in order and packed into one key each, and the
+        kernel builds the diagram of all keys bottom-up
+        (:meth:`DiagramBackend.from_keys`), with no union per row.
+        """
         schema = cls._make_schema(universe, attributes, physdoms)
         backend = _backend_for(universe.manager)
-        node = backend.empty()
+        variables, encode = _key_encoder(universe, schema)
+        keys = []
         for row in rows:
             if len(row) != len(schema):
                 raise JeddError(
                     f"row {row!r} does not match schema {schema!r}"
                 )
-            assignment: Dict[int, bool] = {}
-            for (attr, pd), obj in zip(schema.pairs, row):
-                assignment.update(
-                    universe.encode_bits(pd, attr.domain.intern(obj))
-                )
-            node = backend.union(node, backend.cube(assignment))
-        return cls(universe, schema, node, backend)
+            keys.append(encode(row))
+        return cls(
+            universe, schema, backend.from_keys(variables, keys), backend
+        )
 
     @classmethod
     def from_csv(
@@ -514,7 +547,8 @@ class Relation:
             close = True
             label = str(source)
         backend = _backend_for(universe.manager)
-        node = backend.empty()
+        variables, encode = _key_encoder(universe, schema)
+        keys: List[int] = []
         errors: List[Tuple[int, str]] = []
         try:
             reader = _csv.reader(fp, delimiter=delimiter)
@@ -549,29 +583,24 @@ class Relation:
                     continue
                 else:
                     fields = list(row)
-                assignment: Dict[int, bool] = {}
                 try:
-                    for (attr, pd), conv, field in zip(
-                        schema.pairs, convs, fields
-                    ):
-                        obj = field.strip()
-                        if conv is not None:
-                            obj = conv(obj)
-                        assignment.update(
-                            universe.encode_bits(
-                                pd, attr.domain.intern(obj)
-                            )
-                        )
+                    # A generator, so each field is converted just
+                    # before it is interned.
+                    keys.append(encode(
+                        field.strip() if conv is None
+                        else conv(field.strip())
+                        for conv, field in zip(convs, fields)
+                    ))
                 except (JeddError, ValueError, TypeError) as exc:
                     errors.append((line_no, str(exc)))
-                    continue
-                node = backend.union(node, backend.cube(assignment))
         finally:
             if close:
                 fp.close()
         if errors and on_malformed == "error":
             raise CsvFormatError(label, errors)
-        return cls(universe, schema, node, backend)
+        return cls(
+            universe, schema, backend.from_keys(variables, keys), backend
+        )
 
     # ------------------------------------------------------------------
     # Physical domain movement
@@ -1209,7 +1238,11 @@ class Relation:
         if attr is not None and agg != "count":
             pd = self.schema.physdom(attr)
             dom = self.schema.attribute(attr).domain
-            values = be.empty()
+            variables, encode = _key_encoder(
+                u, Schema([(self.schema.attribute(attr), pd)])
+            )
+            keys = []
+            leaves = []
             for idx in dom.values():
                 obj = dom.object_of(idx)
                 if not isinstance(obj, (int, float)):
@@ -1217,12 +1250,9 @@ class Relation:
                         f"aggregate {agg!r}: attribute {attr!r} holds "
                         f"non-numeric object {obj!r}"
                     )
-                weighted_cube = be.apply(
-                    "mul",
-                    be.cube(u.encode_bits(pd, idx)),
-                    be.terminal(obj),
-                )
-                values = be.apply("add", values, weighted_cube)
+                keys.append(encode((obj,)))
+                leaves.append(be.terminal(obj))
+            values = be.from_keys(variables, keys, leaves)
             if agg in ("sum", "mean"):
                 masked = be.ite(self.node, values, be.terminal(0))
                 value_node = be.abstract("add", masked, other_levels)
@@ -1390,8 +1420,8 @@ class WeightedRelation:
 
         Repeated tuples sum their weights; tuples whose net weight is 0
         are dropped.  On the multi-terminal backend the result is
-        diagram-backed (built with ``cube * weight`` summed via the
-        ``add`` combinator); elsewhere it is table-backed.
+        diagram-backed (built in one pass, each tuple's leaf its weight
+        terminal); elsewhere it is table-backed.
         """
         schema = Relation._make_schema(universe, attributes, physdoms)
         backend = _backend_for(universe.manager)
@@ -1419,21 +1449,10 @@ class WeightedRelation:
                 for (attr, _), obj in zip(schema.pairs, key):
                     attr.domain.intern(obj)
             return cls(universe, schema, weights=acc, backend=backend)
-        node = backend.empty()
-        for key, weight in acc.items():
-            assignment: Dict[int, bool] = {}
-            for (attr, pd), obj in zip(schema.pairs, key):
-                assignment.update(
-                    universe.encode_bits(pd, attr.domain.intern(obj))
-                )
-            node = backend.apply(
-                "add",
-                node,
-                backend.apply(
-                    "mul", backend.cube(assignment),
-                    backend.terminal(weight),
-                ),
-            )
+        variables, encode = _key_encoder(universe, schema)
+        keys = [encode(key) for key in acc]
+        leaves = [backend.terminal(weight) for weight in acc.values()]
+        node = backend.from_keys(variables, keys, leaves)
         return cls(universe, schema, node=node, backend=backend)
 
     # ------------------------------------------------------------------

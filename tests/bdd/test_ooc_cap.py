@@ -24,10 +24,10 @@ from repro.analyses import AnalysisUniverse, PointsTo, preset
 from repro.bdd.io import dumps_diagram_binary
 from repro.bdd.ooc import OocBDDManager
 
-#: Uncapped, the javac-s points-to solve holds ~4.9 MB of kernel state
-#: resident; 512 KiB forces unique-table flushes, page eviction, and
-#: queue spills while staying fast enough for tier-1.
-CAP_BYTES = 512 * 1024
+#: Uncapped, the javac-s points-to solve holds ~2.0 MB of kernel state
+#: resident at its peak; 448 KiB forces unique-table flushes, page
+#: eviction, and queue spills while staying fast enough for tier-1.
+CAP_BYTES = 448 * 1024
 
 
 class ResidentWatchdog:

@@ -89,9 +89,11 @@ class TestSample:
         m = u.manager
         m.memory_cap_bytes = None  # keep the run deterministic; gauges
         # must exist for capped *and* uncapped managers alike.
-        u.relation_of(
-            ["src", "dst"], [(i, (i * 7) % 50) for i in range(40)],
-            ["P1", "P2"],
+        rows = [(i, (i * 7) % 50) for i in range(40)]
+        # Building from tuples is one bottom-up pass, not a sweep; the
+        # union of the two halves is.
+        u.relation_of(["src", "dst"], rows[:20], ["P1", "P2"]) | (
+            u.relation_of(["src", "dst"], rows[20:], ["P1", "P2"])
         )
         Sampler(session).sample()
         snap = session.metrics_snapshot()
