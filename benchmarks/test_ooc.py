@@ -7,9 +7,16 @@ kernel state is tens of megabytes must complete under a
 bounded by the cap for the entire solve, and produce a final relation
 bit-identical to the reference kernel's.  This file is the benchmark
 version of ``tests/bdd/test_ooc_cap.py``: the ``javac-xl`` preset
-(~43 MB uncapped) under an 8 MiB cap, which saturates all three spill
+(~26 MB uncapped) under a 4 MiB cap, which saturates all three spill
 mechanisms -- unique-table sorted-run flushes, node-page eviction,
 and sweep-queue chunk spills.
+
+The cap was 8 MiB while facts were encoded one cube-and-union per
+tuple (~43 MB uncapped).  Bulk encoding shrank the solve so much that
+at 8 MiB no node page was ever evicted (``pages_evicted == 0``), and
+the eviction path went unexercised; 4 MiB evicts again (127 pages
+measured) while keeping the pressure well above ``MIN_PRESSURE``.
+Every spill counter must still be non-zero.
 
 The measured numbers are exported as ``ooc_benchmark.json`` (uploaded
 by the CI ooc job next to the ``repro.bench`` ``pointsto-xl``

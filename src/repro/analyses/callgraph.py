@@ -27,15 +27,10 @@ class CallGraph:
         au: AnalysisUniverse,
         pt: Relation,
         policy: ExecutionPolicy | str | None = None,
-        *,
-        engine: str | None = None,
-        workers: int | None = None,
     ) -> None:
         self.au = au
         self.pt = pt
-        self.policy = ExecutionPolicy.from_deprecated(
-            policy, "CallGraph", engine=engine, workers=workers
-        )
+        self.policy = ExecutionPolicy.of(policy)
         self.engine = self.policy.engine
         self.workers = self.policy.workers
         self.resolver = VirtualCallResolver(au, self.policy)

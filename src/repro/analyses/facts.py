@@ -230,8 +230,8 @@ PRESETS: Dict[str, Dict[str, int | float]] = {
                   vars_per_method=4.0, assigns_per_method=3.0, seed=105),
     # Scaled past the paper's Table 2 suite: the out-of-core kernel's
     # cap-enforcement workload (``repro.bench`` ``pointsto-xl``).  Its
-    # uncapped points-to solve holds ~43 MB of kernel state resident,
-    # so an 8 MiB ``memory_cap_bytes`` genuinely forces spilling.
+    # uncapped points-to solve holds ~26 MB of kernel state resident,
+    # so a 4 MiB ``memory_cap_bytes`` genuinely forces spilling.
     "javac-xl": dict(n_classes=240, n_signatures=16, methods_per_class=4.0,
                      vars_per_method=4.0, assigns_per_method=3.5, seed=106),
 }

@@ -52,9 +52,6 @@ class PointsTo:
         au: AnalysisUniverse,
         type_filter: bool = False,
         policy: ExecutionPolicy | str | None = None,
-        *,
-        engine: str | None = None,
-        workers: int | None = None,
     ) -> None:
         self.au = au
         self.alloc = au.alloc()
@@ -62,9 +59,7 @@ class PointsTo:
         self.store = au.store()
         self.load = au.load()
         self.type_filter = type_filter
-        self.policy = ExecutionPolicy.from_deprecated(
-            policy, "PointsTo", engine=engine, workers=workers
-        )
+        self.policy = ExecutionPolicy.of(policy)
         self.engine = self.policy.engine
         self.workers = self.policy.workers
         self.fixpoint: FixpointEngine | None = None

@@ -29,16 +29,11 @@ class SideEffects:
         pt: Relation,
         call_edges: Relation,
         policy: ExecutionPolicy | str | None = None,
-        *,
-        engine: str | None = None,
-        workers: int | None = None,
     ) -> None:
         self.au = au
         self.pt = pt
         self.call_edges = call_edges  # (caller, callee)
-        self.policy = ExecutionPolicy.from_deprecated(
-            policy, "SideEffects", engine=engine, workers=workers
-        )
+        self.policy = ExecutionPolicy.of(policy)
         self.engine = self.policy.engine
         self.workers = self.policy.workers
         self.writes: Relation | None = None

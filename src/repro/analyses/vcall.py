@@ -25,16 +25,11 @@ class VirtualCallResolver:
         self,
         au: AnalysisUniverse,
         policy: ExecutionPolicy | str | None = None,
-        *,
-        engine: str | None = None,
-        workers: int | None = None,
     ) -> None:
         self.au = au
         self.declares = au.declares_method()
         self.extend = au.extend()
-        self.policy = ExecutionPolicy.from_deprecated(
-            policy, "VirtualCallResolver", engine=engine, workers=workers
-        )
+        self.policy = ExecutionPolicy.of(policy)
         self.engine = self.policy.engine
         self.workers = self.policy.workers
 

@@ -203,24 +203,14 @@ class Interpreter:
     ) -> None:
         # Attribute relational operations to their Jedd program point
         # (the paper's profiler keys its views by source position).
-        profiler = Relation.profiler
         tel = _telemetry._active
         pos = getattr(stmt, "pos", None)
-        if pos is None or (profiler is None and not tel.enabled):
+        if pos is None or not tel.enabled:
             self._exec_stmt_inner(stmt, func, frame)
             return
         site = f"{func or '<global>'}:{pos}"
-        if profiler is not None:
-            profiler.push_site(site)
-        try:
-            if tel.enabled:
-                with tel.statement_span(site, kind=type(stmt).__name__):
-                    self._exec_stmt_inner(stmt, func, frame)
-            else:
-                self._exec_stmt_inner(stmt, func, frame)
-        finally:
-            if profiler is not None:
-                profiler.pop_site()
+        with tel.statement_span(site, kind=type(stmt).__name__):
+            self._exec_stmt_inner(stmt, func, frame)
 
     def _exec_stmt_inner(
         self, stmt: object, func: Optional[str], frame: Dict

@@ -3,42 +3,35 @@
 In the paper, the runtime library optionally calls a profiler which
 records, for each relational operation, the time taken and the number
 of nodes and shape of the operand and result BDDs.  Here the profiler
-instruments the public :class:`~repro.relations.relation.Relation`
-operations (install/uninstall monkey-patch the methods), accumulating
-:class:`ProfileEvent` records that the SQL and HTML modules persist and
-render.
+is a sink of the telemetry session: every public
+:class:`~repro.relations.relation.Relation` operation already runs
+under a ``traced`` span of category ``relation``, and while a profiler
+is installed on the active session that wrapper hands each call to
+:meth:`Profiler.record`, which appends one :class:`ProfileEvent`.  The
+SQL and HTML modules persist and render the events.
 
-For kernel-level attribution (apply-cache behaviour, GC pauses, the
-span tree under each program point) attach a telemetry session with
-:meth:`Profiler.attach_telemetry`; the profiler keeps working unchanged
-without one.
+Program points come from the session's site stack, which the
+interpreter's statement spans and :meth:`Profiler.site` push; dynamic
+reordering passes arrive through the session's reorder listener on
+each manager passed to :meth:`Profiler.observe_manager`.  Because the
+session is always on while profiling, kernel-level attribution (the
+span tree under each program point, apply-cache behaviour, GC pauses)
+is recorded alongside; :meth:`Profiler.attach_telemetry` returns that
+session.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
+from repro import telemetry as _telemetry
 from repro.bdd.manager import ReorderEvent
 from repro.relations.relation import Relation
 
 __all__ = ["ProfileEvent", "Profiler", "ReorderEvent"]
-
-#: The relational operations the profiler wraps.
-_INSTRUMENTED = [
-    "union",
-    "intersect",
-    "difference",
-    "project_away",
-    "rename",
-    "copy",
-    "join",
-    "compose",
-    "compose_pipeline",
-    "replace",
-]
 
 #: Operations that realise a (possibly planner-reordered) relational
 #: product -- the ops callers should match when looking for "the join
@@ -87,108 +80,100 @@ class Profiler:
         self.events: List[ProfileEvent] = []
         #: Dynamic-reordering passes observed via :meth:`observe_manager`.
         self.reorder_events: List[ReorderEvent] = []
-        self._saved: Dict[str, object] = {}
-        self._installed = False
-        self._site_stack: List[str] = []
-        self._observed_managers: List[object] = []
-        self._telemetry = None
+        #: The telemetry session this profiler records from.
+        self._session: Optional[_telemetry.Telemetry] = None
+        #: The session :meth:`install` enabled itself (and so disables
+        #: again on :meth:`uninstall`), if any.
+        self._owned: Optional[_telemetry.Telemetry] = None
+        #: Managers observed before any session was bound.
+        self._pending: List[object] = []
 
     # -- program point attribution ----------------------------------------
 
-    def push_site(self, site: str) -> None:
-        """Enter a program point; the interpreter pushes the source
-        position of each Jedd statement, host code may push labels."""
-        self._site_stack.append(site)
-        if self._telemetry is not None:
-            self._telemetry.push_site(site)
-
-    def pop_site(self) -> None:
-        """Leave the innermost program point."""
-        if self._site_stack:
-            self._site_stack.pop()
-            if self._telemetry is not None:
-                self._telemetry.pop_site()
-
-    def current_site(self) -> str:
-        """The innermost active program point ("" when outside any)."""
-        return self._site_stack[-1] if self._site_stack else ""
-
+    @contextmanager
     def site(self, label: str):
-        """Context manager labelling a host-code section."""
-        profiler = self
-
-        class _Site:
-            def __enter__(self_inner):
-                profiler.push_site(label)
-                return profiler
-
-            def __exit__(self_inner, *exc):
-                profiler.pop_site()
-
-        return _Site()
+        """Context manager labelling a host-code section: operations
+        inside it are attributed to ``label`` (the innermost label wins,
+        and the interpreter's statement positions nest the same way)."""
+        session = self._session or _telemetry.active()
+        session.push_site(label)
+        try:
+            yield self
+        finally:
+            session.pop_site()
 
     # -- instrumentation ---------------------------------------------------
 
     def install(self) -> "Profiler":
-        """Wrap the Relation operations to report to this profiler.
-
-        Atomic: if wrapping any operation fails part-way, the methods
-        already patched are restored before the exception propagates, so
-        ``Relation`` is never left half-wrapped.
-        """
-        if self._installed:
+        """Start recording from the active telemetry session, enabling
+        one (disabled again by :meth:`uninstall`) when none is active."""
+        if self._session is not None and self._session.profiler is self:
             return self
-        saved: Dict[str, object] = {}
-        try:
-            for name in _INSTRUMENTED:
-                original = getattr(Relation, name)
-                saved[name] = original
-                setattr(Relation, name, self._wrap(name, original))
-        except Exception:
-            for name, original in saved.items():
-                setattr(Relation, name, original)
-            raise
-        self._saved = saved
-        Relation.profiler = self
-        self._installed = True
+        session = _telemetry.active()
+        if not session.enabled:
+            session = self._owned = _telemetry.enable()
+        self._bind(session)
+        session.profiler = self
         return self
 
     def uninstall(self) -> None:
-        """Restore the original methods and detach reorder listeners.
+        """Stop recording; disable the session :meth:`install` enabled
+        (which also detaches its manager listeners)."""
+        session, self._session = self._session, None
+        if session is not None and session.profiler is self:
+            session.profiler = None
+        owned, self._owned = self._owned, None
+        if owned is not None and _telemetry.active() is owned:
+            _telemetry.disable()
 
-        Safe to call in any state: it restores whatever ``install``
-        managed to patch, so it also cleans up after a failed install.
+    def _bind(self, session: "_telemetry.Telemetry") -> None:
+        self._session = session
+        for manager in self._pending:
+            session.instrument_manager(manager)
+        self._pending.clear()
+
+    def record(self, name: str, fn, args: tuple, kwargs: dict):
+        """Run one ``relation.*`` operation under its span and append
+        its :class:`ProfileEvent`; called by the ``traced`` wrapper.
+
+        Operand sizes are measured before the call and the result's
+        after the span closes, so neither is charged to the operation.
+        A raising call is recorded with ``error=`` set (result fields
+        zero) and the exception propagates.
         """
-        for manager in self._observed_managers:
+        tracer = self._session.tracer
+        operands = tuple(a.node_count() for a in args if isinstance(a, Relation))
+        site = tracer.current_site() or ""
+        op = name[len("relation."):]
+        with tracer.span(name, "relation"):
+            start = perf_counter()
             try:
-                manager.reorder_listeners.remove(self._on_reorder)
-            except ValueError:
-                pass
-        self._observed_managers.clear()
-        for name, original in self._saved.items():
-            setattr(Relation, name, original)
-        self._saved = {}
-        if Relation.profiler is self:
-            Relation.profiler = None
-        self._installed = False
+                result = fn(*args, **kwargs)
+            except Exception as err:
+                self.events.append(ProfileEvent(
+                    op, perf_counter() - start, operands, 0, 0,
+                    site=site, error=type(err).__name__,
+                ))
+                raise
+            seconds = perf_counter() - start
+        self.events.append(ProfileEvent(
+            op, seconds, operands, result.node_count(), result.size(),
+            shape=result.shape() if self.record_shapes else None,
+            site=site,
+        ))
+        return result
 
     # -- dynamic reordering ------------------------------------------------
-
-    def _on_reorder(self, event: ReorderEvent) -> None:
-        self.reorder_events.append(event)
 
     def observe_manager(self, manager) -> "Profiler":
         """Record the manager's reordering passes as
         :class:`ReorderEvent` entries (trigger, duration, node counts,
-        resulting order).  The listener is removed by
-        :meth:`uninstall`."""
-        if not hasattr(manager, "reorder_listeners"):
-            return self  # e.g. the ZDD manager: nothing to observe
-        if manager not in self._observed_managers:
-            manager.reorder_listeners.append(self._on_reorder)
-            self._observed_managers.append(manager)
-        if self._telemetry is not None:
-            self._telemetry.instrument_manager(manager)
+        resulting order) and its kernel counters, by instrumenting it
+        in the profiler's telemetry session."""
+        if self._session is not None:
+            self._session.instrument_manager(manager)
+        elif manager not in self._pending:
+            self._pending.append(manager)
         return self
 
     def observe_universe(self, universe) -> "Profiler":
@@ -198,21 +183,24 @@ class Profiler:
     # -- telemetry bridge --------------------------------------------------
 
     def attach_telemetry(self, telemetry=None):
-        """Bind a :class:`repro.telemetry.Telemetry` session (enabling
-        one globally if none is given) and return it.
+        """Return the telemetry session the profiler records from.
 
-        Existing ``Profiler`` users gain the kernel-level data with no
-        API change: sites pushed here also scope telemetry spans, and
-        managers passed to :meth:`observe_manager` are instrumented in
-        the metrics registry.
+        Without an argument this is the installed profiler's session
+        (or, before :meth:`install`, a freshly enabled one); passing a
+        :class:`repro.telemetry.Telemetry` activates that session and
+        moves the profiler onto it.  Managers observed so far are
+        instrumented in the returned session.
         """
         if telemetry is None:
-            from repro import telemetry as _telemetry_mod
-
-            telemetry = _telemetry_mod.enable()
-        self._telemetry = telemetry
-        for manager in self._observed_managers:
-            telemetry.instrument_manager(manager)
+            active = _telemetry.active()
+            telemetry = active if active is self._session else _telemetry.enable()
+        else:
+            _telemetry.enable(telemetry)
+        previous = self._session
+        if previous is not None and previous.profiler is self:
+            previous.profiler = None
+            telemetry.profiler = self
+        self._bind(telemetry)
         return telemetry
 
     def __enter__(self) -> "Profiler":
@@ -220,69 +208,6 @@ class Profiler:
 
     def __exit__(self, *exc) -> None:
         self.uninstall()
-
-    def _wrap(self, name: str, original):
-        profiler = self
-
-        @functools.wraps(original)
-        def wrapper(self_rel, *args, **kwargs):
-            operands = [self_rel.node_count()]
-            for arg in args:
-                if isinstance(arg, Relation):
-                    operands.append(arg.node_count())
-            start = perf_counter()
-            try:
-                result = original(self_rel, *args, **kwargs)
-            except Exception as err:
-                # Record the failed execution too, so a raising operation
-                # neither vanishes from the profile nor corrupts state
-                # (the site stack is managed by the caller's finally).
-                profiler.events.append(
-                    ProfileEvent(
-                        op=name,
-                        seconds=perf_counter() - start,
-                        operand_nodes=tuple(operands),
-                        result_nodes=0,
-                        result_tuples=0,
-                        shape=None,
-                        site=profiler.current_site(),
-                        error=type(err).__name__,
-                    )
-                )
-                raise
-            elapsed = perf_counter() - start
-            profiler.events.append(
-                ProfileEvent(
-                    op=name,
-                    seconds=elapsed,
-                    operand_nodes=tuple(operands),
-                    result_nodes=result.node_count(),
-                    result_tuples=result.size(),
-                    shape=result.shape() if profiler.record_shapes else None,
-                    site=profiler.current_site(),
-                )
-            )
-            return result
-
-        return wrapper
-
-    def record_replace(self, relation: Relation, perm: Dict) -> None:
-        """Hook kept for the runtime's internal replace notifications.
-
-        The wrapped ``replace`` method already records the event; this
-        hook exists so uninstrumented runs with ``Relation.profiler``
-        set still count implicit replaces.
-        """
-        if not self._installed:
-            self.events.append(
-                ProfileEvent(
-                    op="replace",
-                    seconds=0.0,
-                    operand_nodes=(relation.node_count(),),
-                    result_nodes=relation.node_count(),
-                    result_tuples=0,
-                )
-            )
 
     # -- aggregation ---------------------------------------------------------
 

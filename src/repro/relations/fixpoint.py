@@ -360,34 +360,14 @@ class FixpointEngine:
     ``policy.collect_plans=True`` records one :class:`PlanReport` per
     executed rule body on :attr:`plan_reports` (estimated and actual
     per-step costs — the shell's ``explain`` output).
-
-    The individual keyword arguments the policy replaced (``engine=``,
-    ``workers=``, ``task_timeout=``, ``fault_injection=``,
-    ``optimize=``, ``collect_plans=``) still work but are deprecated.
     """
 
     def __init__(
         self,
         universe: Universe,
         policy: Optional["ExecutionPolicy | str"] = None,
-        *,
-        engine: Optional[str] = None,
-        workers: Optional[int] = None,
-        task_timeout: Optional[float] = None,
-        fault_injection: Optional[dict] = None,
-        optimize: Optional[bool] = None,
-        collect_plans: Optional[bool] = None,
     ) -> None:
-        policy = ExecutionPolicy.from_deprecated(
-            policy,
-            "FixpointEngine",
-            engine=engine,
-            workers=workers,
-            task_timeout=task_timeout,
-            fault_injection=fault_injection,
-            optimize=optimize,
-            collect_plans=collect_plans,
-        )
+        policy = ExecutionPolicy.of(policy)
         if policy.engine not in ("seminaive", "parallel"):
             raise JeddError(
                 f"unknown fixpoint engine {policy.engine!r} "

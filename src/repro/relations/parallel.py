@@ -163,40 +163,15 @@ def _sever_inherited_observers() -> None:
     """Detach every coordinator-owned observability hook a forked child
     inherits, so nothing the worker does can fire coordinator callbacks.
 
-    Three pieces of state cross the fork boundary:
-
-    - the active telemetry session — ``disable()`` detaches the
-      GC/reorder listeners it registered on (the child's copies of) the
-      coordinator's managers;
-    - an installed :class:`~repro.profiler.Profiler` — its wrappers are
-      monkey-patched onto the ``Relation`` *class*, so without an
-      explicit ``uninstall()`` every worker relation op would keep
-      recording events into the forked profiler copy and its reorder
-      listeners would stay hooked on inherited managers (this was the
-      gap: clearing ``Relation.profiler`` alone leaves the patched
-      methods live);
-    - as a belt-and-braces backstop, any listener the above didn't own
-      is cleared from managers reachable through the inherited profiler
-      (third-party hooks must not fire in a child either).
+    All of it hangs off the active telemetry session: ``disable()``
+    detaches the GC/reorder listeners it registered on (the child's
+    copies of) the coordinator's managers, and with no session active
+    the ``traced`` wrappers neither open spans nor hand relational
+    operations to an installed profiler.
     """
-    try:
-        from repro import telemetry as _telemetry
+    from repro import telemetry as _telemetry
 
-        _telemetry.disable()
-    except Exception:
-        pass
-    prof = getattr(Relation, "profiler", None)
-    if prof is not None:
-        try:
-            observed = list(getattr(prof, "_observed_managers", ()))
-            prof.uninstall()
-            for manager in observed:
-                for attr in ("gc_listeners", "reorder_listeners"):
-                    listeners = getattr(manager, attr, None)
-                    if listeners:
-                        listeners.clear()
-        except Exception:
-            Relation.profiler = None
+    _telemetry.disable()
 
 
 def _worker_telemetry(trace_spec: Optional[dict], manager):

@@ -1,12 +1,8 @@
 """ExecutionPolicy: one value describing *how* a solve should run.
 
-The solve entry points had grown a parallel set of keyword arguments —
-``engine=``, ``workers=``, ``task_timeout=``, ``fault_injection=``,
-``optimize=``, ``collect_plans=`` — repeated on
 :class:`~repro.relations.fixpoint.FixpointEngine` and all four
-analyses, and threaded through the demo's command line.  This module
-replaces the sprawl with a single frozen dataclass accepted
-everywhere::
+analyses take the engine, parallelism and planning options as this one
+frozen dataclass::
 
     from repro.relations import ExecutionPolicy, FixpointEngine
 
@@ -15,15 +11,12 @@ everywhere::
     pta = PointsTo(au, policy=policy)
 
 Every accepting call site also takes a plain engine name as shorthand
-(``policy="naive"`` means ``ExecutionPolicy(engine="naive")``).  The
-old keyword arguments still work but emit a :class:`DeprecationWarning`
-and will be removed; see the migration table in ``docs/FIXPOINT.md``.
+(``policy="naive"`` means ``ExecutionPolicy(engine="naive")``).
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Union
 
 __all__ = ["ExecutionPolicy", "POLICY_ENGINES"]
@@ -39,7 +32,7 @@ POLICY_ENGINES = ("seminaive", "parallel", "naive")
 class ExecutionPolicy:
     """How rule bodies are evaluated: engine, parallelism, planning.
 
-    Fields map one-to-one onto the keyword arguments they replace:
+    Fields:
 
     - ``engine`` — ``"seminaive"`` (default), ``"parallel"``, or (for
       the analyses only) ``"naive"``;
@@ -101,42 +94,6 @@ class ExecutionPolicy:
     def with_options(self, **changes: object) -> "ExecutionPolicy":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
-
-    @classmethod
-    def from_deprecated(
-        cls,
-        policy: Union["ExecutionPolicy", str, None],
-        owner: str,
-        **legacy: object,
-    ) -> "ExecutionPolicy":
-        """Fold deprecated per-kwarg spellings into one policy.
-
-        ``legacy`` maps field name -> the value the caller passed (None
-        meaning "not given").  Any non-None legacy value emits a
-        :class:`DeprecationWarning` naming ``owner`` and overrides the
-        corresponding policy field — the old kwargs win so existing
-        call sites keep their exact behaviour during migration.
-        """
-        supplied = {k: v for k, v in legacy.items() if v is not None}
-        if supplied:
-            names = ", ".join(f"{k}=" for k in sorted(supplied))
-            warnings.warn(
-                f"{owner}: the {names} keyword argument(s) are "
-                "deprecated; pass an ExecutionPolicy instead "
-                "(see docs/FIXPOINT.md)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        base = cls.of(policy)
-        valid = {f.name for f in fields(cls)}
-        unknown = set(supplied) - valid
-        if unknown:
-            from repro.relations.domain import JeddError
-
-            raise JeddError(
-                f"{owner}: unknown execution options {sorted(unknown)}"
-            )
-        return replace(base, **supplied) if supplied else base
 
     def __str__(self) -> str:
         parts = [self.engine]

@@ -328,10 +328,6 @@ class Relation:
 
     __slots__ = ("universe", "backend", "schema", "node", "_released")
 
-    #: Optional profiler hook, set by ``repro.profiler``; receives
-    #: (operation name, relation, elapsed seconds) for each operation.
-    profiler = None
-
     def __init__(
         self,
         universe: Universe,
@@ -632,8 +628,6 @@ class Relation:
             return self
         perm = self.universe.move_permutation(moves)
         node = self.backend.replace(self.node, perm)
-        if Relation.profiler is not None:
-            Relation.profiler.record_replace(self, perm)
         return self._wrap(Schema(new_pairs), node)
 
     def ordered(self, names: Sequence[str]) -> "Relation":
@@ -707,8 +701,8 @@ class Relation:
             self.schema, self.backend.diff(self.node, aligned.node)
         )
 
-    # Operators delegate through the attribute lookup (rather than
-    # aliasing the functions) so profiler instrumentation sees them.
+    # Operators delegate to the named methods, so each shows up as that
+    # method's ``relation.*`` span (and profiler event).
     def __or__(self, other: "Relation") -> "Relation":
         return self.union(other)
 
@@ -1541,6 +1535,12 @@ class WeightedRelation:
         if self.node is None:
             return 0
         return self.backend.node_count(self.node)
+
+    def shape(self) -> List[int]:
+        """Per-level node counts (empty for table-backed relations)."""
+        if self.node is None:
+            return []
+        return self.backend.shape(self.node)
 
     def __str__(self) -> str:
         """Tabular rendering with a trailing weight column."""

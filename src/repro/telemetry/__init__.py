@@ -131,7 +131,12 @@ def traced(name: str, cat: str = "host"):
     attribute test before tail-calling the original, which stays
     reachable as ``__wrapped__`` (the overhead benchmark compares the
     two).  Used by ``relations/relation.py`` and the backend adapters.
+
+    Calls in the ``relation`` category are also the section 4.3
+    profiler's events: while a :class:`~repro.profiler.Profiler` is
+    installed on the session, it opens the span and records the call.
     """
+    profiled = cat == "relation"
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -139,6 +144,8 @@ def traced(name: str, cat: str = "host"):
             tel = _active
             if not tel.enabled:
                 return fn(*args, **kwargs)
+            if profiled and tel.profiler is not None:
+                return tel.profiler.record(name, fn, args, kwargs)
             with tel.tracer.span(name, cat):
                 return fn(*args, **kwargs)
 

@@ -7,6 +7,9 @@ A ``Telemetry`` object owns a :class:`MetricsRegistry` and a
   reorder listeners and remembers the manager so snapshots can pull its
   raw ``KernelStats`` counters (the kernels never call the registry on
   their hot paths — see ``repro.bdd.stats``);
+- ``profiler`` is the installed section 4.3 profiler, if any: the
+  ``traced`` wrapper hands it every relational operation and the
+  reorder listener hands it every reordering pass;
 - ``record_sat`` folds a solver's per-solve stat deltas into counters;
 - ``metrics_snapshot`` / ``text_report`` / ``write_chrome_trace`` are
   the read side.
@@ -98,6 +101,9 @@ class Telemetry:
         )
         self._managers: List[Tuple[str, object]] = []
         self._listeners: List[Tuple[list, object]] = []
+        #: The :class:`~repro.profiler.Profiler` recording this
+        #: session's relational operations; set by its ``install()``.
+        self.profiler = None
         #: Span lanes shipped back from worker processes (see
         #: :meth:`add_worker_spans`), keyed by (pid, tid).
         self._worker_lanes: Dict[Tuple[int, int], dict] = {}
@@ -167,6 +173,8 @@ class Telemetry:
                     nodes_before=before, nodes_after=after,
                     trigger=getattr(event, "trigger", "?"),
                 )
+                if self.profiler is not None:
+                    self.profiler.reorder_events.append(event)
 
             reorder_listeners.append(on_reorder)
             self._listeners.append((reorder_listeners, on_reorder))

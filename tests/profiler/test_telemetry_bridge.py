@@ -17,7 +17,6 @@ from repro.profiler import (
     save_events,
     save_spans,
 )
-from repro.profiler.recorder import _INSTRUMENTED
 from repro.relations import JeddError, Relation, Universe
 from tests.jedd.helpers import FIGURE4_DATA
 
@@ -79,6 +78,70 @@ class TestSiteAttributionBothBackends:
         assert any(site.startswith("resolve:") for site in positioned)
 
 
+class TestOnePipeline:
+    """Profiler events and ``relation.*`` spans come from the same
+    ``traced`` call, so they agree one for one."""
+
+    @staticmethod
+    def _by_op(pairs):
+        out = {}
+        for op, site in pairs:
+            out.setdefault(op, []).append(site)
+        return out
+
+    @pytest.mark.parametrize("backend", ["bdd", "zdd"])
+    def test_events_match_relation_spans(self, backend):
+        with Profiler(record_shapes=False) as prof:
+            session = prof.attach_telemetry()
+            _figure4_run(backend)
+        spans = [
+            s for s in session.tracer.spans
+            if s.cat == "relation" and s.name.startswith("relation.")
+        ]
+        assert session.tracer.dropped == 0
+        assert len(spans) == len(prof.events) > 0
+        span_sites = self._by_op(
+            (s.name[len("relation."):], s.site or "") for s in spans
+        )
+        event_sites = self._by_op((e.op, e.site) for e in prof.events)
+        assert {op: len(v) for op, v in event_sites.items()} == {
+            op: len(v) for op, v in span_sites.items()
+        }
+        for op, sites in event_sites.items():
+            assert sorted(sites) == sorted(span_sites[op]), op
+        assert any(e.site.startswith("resolve:") for e in prof.events)
+
+    def test_aggregate_is_profiled_on_mtbdd(self):
+        u = Universe(backend="mtbdd")
+        d = u.domain("D", 6)
+        for n in range(6):
+            d.intern(n)
+        for name in ("a", "b"):
+            u.attribute(name, d)
+        for pd in ("P1", "P2"):
+            u.physical_domain(pd, d.bits)
+        u.finalize()
+        rel = Relation.from_tuples(
+            u, ["a", "b"], [(0, 1), (1, 1), (2, 3)], ["P1", "P2"]
+        )
+        with Profiler() as prof:
+            session = prof.attach_telemetry()
+            with prof.site("agg"):
+                weighted = rel.aggregate("count", group_by=["b"])
+        aggs = [e for e in prof.events if e.op == "aggregate"]
+        spans = [
+            s for s in session.tracer.spans if s.name == "relation.aggregate"
+        ]
+        assert len(aggs) == len(spans) == 1
+        event = aggs[0]
+        assert event.site == spans[0].site == "agg"
+        assert event.operand_nodes == (rel.node_count(),)
+        assert event.result_nodes == weighted.node_count()
+        assert event.result_tuples == weighted.size() == 2
+        assert event.shape == weighted.shape()
+        assert weighted.as_dict() == {(1,): 2, (3,): 1}
+
+
 class TestRobustness:
     def test_clear_drops_reorder_events(self, u):
         from repro.profiler import ReorderEvent
@@ -106,37 +169,43 @@ class TestRobustness:
         assert errors[0].result_nodes == 0
 
     def test_exit_uninstalls_after_body_raises(self, u):
-        original = Relation.union
+        before = dict(Relation.__dict__)
         with pytest.raises(RuntimeError):
-            with Profiler():
-                assert Relation.union is not original
+            with Profiler() as prof:
+                assert telemetry.active().profiler is prof
                 raise RuntimeError("body failure")
-        assert Relation.union is original
-        assert Relation.profiler is None
+        assert dict(Relation.__dict__) == before
+        assert not telemetry.is_enabled()
 
-    def test_failed_install_rolls_back(self, u, monkeypatch):
-        originals = {
-            name: getattr(Relation, name) for name in _INSTRUMENTED
-        }
-        monkeypatch.setattr(
-            "repro.profiler.recorder._INSTRUMENTED",
-            _INSTRUMENTED + ["no_such_operation"],
-        )
-        prof = Profiler()
-        with pytest.raises(AttributeError):
-            prof.install()
-        for name, original in originals.items():
-            assert getattr(Relation, name) is original, name
-        assert Relation.profiler is None
-        assert not prof._installed
+    def test_failed_install_rolls_back(self, u):
+        # Installing patches nothing, so there is nothing to roll back:
+        # the class is untouched before, during and after, and the
+        # session active before install is the one active after.
+        for prior in (None, telemetry.enable()):
+            before = dict(Relation.__dict__)
+            active = telemetry.active()
+            with Profiler(record_shapes=False) as prof:
+                assert dict(Relation.__dict__) == before
+                a = Relation.from_tuples(u, ["x"], [("a",)], ["P1"])
+                (a | a).size()
+            assert dict(Relation.__dict__) == before
+            assert telemetry.active() is active
+            assert prof.events
+            if prior is not None:
+                assert prior.profiler is None
+            telemetry.disable()
 
     def test_double_install_is_noop(self, u):
         prof = Profiler()
         prof.install()
-        wrapped = Relation.union
+        session = telemetry.active()
         assert prof.install() is prof
-        assert Relation.union is wrapped
+        assert telemetry.active() is session
+        a = Relation.from_tuples(u, ["x"], [("a",)], ["P1"])
+        a | a
+        assert [e.op for e in prof.events].count("union") == 1
         prof.uninstall()
+        assert not telemetry.is_enabled()
 
 
 class TestTelemetryBridge:

@@ -1,9 +1,9 @@
 """ExecutionPolicy: the one value describing how a solve runs.
 
 Covers the dataclass itself (validation, coercion, derivation) and the
-deprecation shims: every entry point that used to take ``engine=`` /
-``workers=`` keyword sprawl must still accept them, emit a
-``DeprecationWarning``, and behave identically.
+entry points that accept it: ``FixpointEngine`` and the four analyses
+take a policy (or an engine-name shorthand) and nothing else — the
+per-option keyword arguments the policy replaced are gone.
 """
 
 import warnings
@@ -110,25 +110,20 @@ class TestFixpointEngineShims:
         eng, _ = solve_with(policy="seminaive")
         assert eng.policy == ExecutionPolicy()
 
-    def test_legacy_engine_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="engine="):
-            eng, path = solve_with(engine="seminaive")
-        assert path.size() == 3
+    REMOVED_KWARGS = {
+        "engine": "seminaive",
+        "workers": 2,
+        "task_timeout": 30.0,
+        "fault_injection": {},
+        "optimize": False,
+        "collect_plans": True,
+    }
 
-    def test_legacy_optimize_kwarg_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning, match="optimize="):
-            eng, _ = solve_with(optimize=False)
-        assert eng.policy.optimize is False
-        assert eng.optimize is False
-
-    def test_legacy_kwargs_override_policy(self):
-        # During migration the explicit old kwarg wins over the policy
-        # value, so half-migrated call sites keep their behaviour.
-        with pytest.warns(DeprecationWarning):
-            eng, _ = solve_with(
-                policy=ExecutionPolicy(optimize=True), optimize=False
-            )
-        assert eng.policy.optimize is False
+    @pytest.mark.parametrize("kwarg", sorted(REMOVED_KWARGS))
+    def test_removed_kwargs_rejected(self, kwarg):
+        u, _ = tc_universe()
+        with pytest.raises(TypeError, match=kwarg):
+            FixpointEngine(u, **{kwarg: self.REMOVED_KWARGS[kwarg]})
 
     def test_policy_only_is_warning_free(self):
         with warnings.catch_warnings():
@@ -153,28 +148,44 @@ class TestAnalysisShims:
         assert pta.engine == "seminaive"
         assert pta.solve().size() > 0
 
+    # The engine= keyword each analysis used to take is gone; the engine
+    # now comes only from the policy (or its engine-name shorthand).
     def test_pointsto_legacy_engine_warns(self, au):
-        with pytest.warns(DeprecationWarning, match="PointsTo"):
-            pta = PointsTo(au, engine="naive")
-        assert pta.policy.engine == "naive"
+        with pytest.raises(TypeError, match="engine"):
+            PointsTo(au, engine="naive")
+        assert PointsTo(au, policy="naive").policy.engine == "naive"
 
     def test_vcall_legacy_engine_warns(self, au):
-        with pytest.warns(DeprecationWarning, match="VirtualCallResolver"):
-            resolver = VirtualCallResolver(au, engine="naive")
+        with pytest.raises(TypeError, match="engine"):
+            VirtualCallResolver(au, engine="naive")
+        resolver = VirtualCallResolver(au, policy="naive")
         assert resolver.policy.engine == "naive"
 
     def test_callgraph_legacy_engine_warns(self, au):
         pt = PointsTo(au).solve()
-        with pytest.warns(DeprecationWarning, match="CallGraph"):
-            cg = CallGraph(au, pt, engine="seminaive")
-        assert cg.policy.engine == "seminaive"
+        with pytest.raises(TypeError, match="engine"):
+            CallGraph(au, pt, engine="seminaive")
+        assert CallGraph(au, pt, "seminaive").policy.engine == "seminaive"
 
     def test_sideeffects_legacy_engine_warns(self, au):
         pt = PointsTo(au).solve()
         edges = CallGraph(au, pt).build()
-        with pytest.warns(DeprecationWarning, match="SideEffects"):
-            se = SideEffects(au, pt, edges, engine="seminaive")
+        with pytest.raises(TypeError, match="engine"):
+            SideEffects(au, pt, edges, engine="seminaive")
+        se = SideEffects(au, pt, edges, "seminaive")
         assert se.policy.engine == "seminaive"
+
+    def test_removed_workers_kwarg_rejected(self, au):
+        pt = PointsTo(au).solve()
+        edges = CallGraph(au, pt).build()
+        for make in (
+            lambda **kw: PointsTo(au, **kw),
+            lambda **kw: VirtualCallResolver(au, **kw),
+            lambda **kw: CallGraph(au, pt, **kw),
+            lambda **kw: SideEffects(au, pt, edges, **kw),
+        ):
+            with pytest.raises(TypeError, match="workers"):
+                make(workers=2)
 
     def test_analyses_policy_only_warning_free(self, au):
         with warnings.catch_warnings():
