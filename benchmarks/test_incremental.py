@@ -6,8 +6,7 @@ must each produce relations **bit-identical** to a cold re-solve over
 the updated fact base -- same canonical diagrams, byte for byte on the
 wire -- while doing at least **10x less kernel work**, measured on the
 always-on :class:`KernelStats` counters (nodes created plus
-operation-cache misses), the same metric ``repro.bench``'s
-``pointsto-warm-update`` workload reports.
+operation-cache misses).
 
 Bit-identity across two universes relies on identical interning:
 :class:`AnalysisUniverse` interns every domain object from the fact
@@ -16,10 +15,12 @@ remove ``assigns`` edges between existing variables leave the integer
 codes -- and therefore the canonical diagrams -- unchanged.
 """
 
-from repro.analyses import AnalysisUniverse, PointsTo, preset
+from repro.analyses import AnalysisUniverse, PointsTo
 from repro.bdd.io import dumps_diagram_binary
 
-#: Length of the copy chain appended to the javac preset (deep def-use
+from benchmarks.chain import chained_facts
+
+#: Length of the copy chain appended to the javac-s preset (deep def-use
 #: chains are what make the cold fixpoint iterate).
 CHAIN_DEPTH = 40
 #: The acceptance bar: a one-fact update must cost at most a tenth of
@@ -27,26 +28,9 @@ CHAIN_DEPTH = 40
 SPEEDUP_FLOOR = 10.0
 
 
-def chained_facts(extra_assign=None, drop_assign=None):
-    """The javac-s preset plus a copy chain, with one optional edit.
-
-    Rebuilt fresh for every call so the warm and cold universes start
-    from byte-identical declarations and interning.
-    """
-    facts = preset("javac-s")
-    method = facts.methods[0]
-    prev = None
-    for i in range(CHAIN_DEPTH):
-        var = f"chain{i}"
-        facts.variables.append(var)
-        facts.method_vars.append((method, var))
-        facts.var_types.append((var, facts.classes[0]))
-        if prev is None:
-            facts.allocs.append((var, "chainsite"))
-            facts.alloc_types.append(("chainsite", facts.classes[-1]))
-        else:
-            facts.assigns.append((var, prev))
-        prev = var
+def edited_facts(extra_assign=None, drop_assign=None):
+    """The javac-s preset plus a copy chain, with one optional edit."""
+    facts = chained_facts("javac-s", CHAIN_DEPTH)
     if drop_assign is not None:
         facts.assigns.remove(drop_assign)
     if extra_assign is not None:
@@ -62,7 +46,7 @@ def kernel_work(au):
 def cold_solve(**edit):
     """Fresh universe, fresh solve over the edited facts; returns the
     solver and the kernel work the solve cost."""
-    au = AnalysisUniverse(chained_facts(**edit))
+    au = AnalysisUniverse(edited_facts(**edit))
     before = kernel_work(au)
     solver = PointsTo(au)
     solver.solve()

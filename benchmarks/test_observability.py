@@ -27,10 +27,12 @@ import time
 import pytest
 
 from repro import telemetry
-from repro.analyses import AnalysisUniverse, PointsTo, preset
+from repro.analyses import AnalysisUniverse, PointsTo
 from repro.relations import ExecutionPolicy
 from repro.telemetry.sampler import Sampler
 from repro.telemetry.session import Telemetry
+
+from benchmarks.chain import chained_facts
 
 CHAIN_DEPTH = 60
 REPEATS = 3
@@ -39,27 +41,9 @@ OVERHEAD = 0.05
 SLACK_SECONDS = 0.15
 
 
-def chained_facts(depth=CHAIN_DEPTH):
-    facts = preset("javac")
-    method = facts.methods[0]
-    prev = None
-    for i in range(depth):
-        var = f"chain{i}"
-        facts.variables.append(var)
-        facts.method_vars.append((method, var))
-        facts.var_types.append((var, facts.classes[0]))
-        if prev is None:
-            facts.allocs.append((var, "chainsite"))
-            facts.alloc_types.append(("chainsite", facts.classes[-1]))
-        else:
-            facts.assigns.append((var, prev))
-        prev = var
-    return facts
-
-
 @pytest.fixture(scope="module")
 def facts():
-    return chained_facts()
+    return chained_facts("javac", CHAIN_DEPTH)
 
 
 @pytest.fixture(autouse=True)

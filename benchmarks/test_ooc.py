@@ -19,8 +19,7 @@ measured) while keeping the pressure well above ``MIN_PRESSURE``.
 Every spill counter must still be non-zero.
 
 The measured numbers are exported as ``ooc_benchmark.json`` (uploaded
-by the CI ooc job next to the ``repro.bench`` ``pointsto-xl``
-artifact).
+by the CI ooc job).
 """
 
 import json
@@ -28,12 +27,15 @@ import time
 
 from repro.analyses import AnalysisUniverse, PointsTo, preset
 from repro.bdd.io import dumps_diagram_binary
-from repro.bench import XL_CAP_BYTES
 from repro.telemetry.sampler import process_rss_bytes
 
 from tests.bdd.test_ooc_cap import ResidentWatchdog, _solve_pointsto
 
 ARTIFACT = "ooc_benchmark.json"
+
+#: Memory cap for the javac-xl solve (the module docstring says why
+#: 4 MiB: it forces every spill mechanism, and 8 MiB evicts no page).
+XL_CAP_BYTES = 4 << 20
 
 #: The cap must undercut the uncapped footprint by at least this
 #: factor for the run to prove anything.

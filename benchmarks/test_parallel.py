@@ -21,36 +21,19 @@ import time
 
 import pytest
 
-from repro.analyses import AnalysisUniverse, PointsTo, preset
+from repro.analyses import AnalysisUniverse, PointsTo
 from repro.relations import ExecutionPolicy
 from repro.bdd.io import dumps_diagram, dumps_diagram_binary
+
+from benchmarks.chain import chained_facts
 
 #: Length of the copy chain appended to the javac preset.
 CHAIN_DEPTH = 80
 
 
-def chained_facts(depth=CHAIN_DEPTH):
-    """The demo's javac program plus one deep copy chain."""
-    facts = preset("javac")
-    method = facts.methods[0]
-    prev = None
-    for i in range(depth):
-        var = f"chain{i}"
-        facts.variables.append(var)
-        facts.method_vars.append((method, var))
-        facts.var_types.append((var, facts.classes[0]))
-        if prev is None:
-            facts.allocs.append((var, "chainsite"))
-            facts.alloc_types.append(("chainsite", facts.classes[-1]))
-        else:
-            facts.assigns.append((var, prev))
-        prev = var
-    return facts
-
-
 @pytest.fixture(scope="module")
 def facts():
-    return chained_facts()
+    return chained_facts("javac", CHAIN_DEPTH)
 
 
 def timed_solve(facts, engine, workers=None):

@@ -24,31 +24,14 @@ Two regimes matter, and the benchmark shows both:
 
 import pytest
 
-from repro.analyses import AnalysisUniverse, PointsTo, preset
+from repro.analyses import AnalysisUniverse, PointsTo
+
+from benchmarks.chain import chained_facts
 
 #: Entries per operation cache in the bounded (BuDDy/CUDD-like) regime.
 CACHE_LIMIT = 4096
 #: Length of the copy chain appended to the javac preset.
 CHAIN_DEPTH = 80
-
-
-def chained_facts(depth=CHAIN_DEPTH):
-    """The demo's javac program plus one deep copy chain."""
-    facts = preset("javac")
-    method = facts.methods[0]
-    prev = None
-    for i in range(depth):
-        var = f"chain{i}"
-        facts.variables.append(var)
-        facts.method_vars.append((method, var))
-        facts.var_types.append((var, facts.classes[0]))
-        if prev is None:
-            facts.allocs.append((var, "chainsite"))
-            facts.alloc_types.append(("chainsite", facts.classes[-1]))
-        else:
-            facts.assigns.append((var, prev))
-        prev = var
-    return facts
 
 
 def kernel_cost(facts, engine, cache_limit=None):
@@ -71,7 +54,7 @@ def kernel_cost(facts, engine, cache_limit=None):
 
 @pytest.fixture(scope="module")
 def facts():
-    return chained_facts()
+    return chained_facts("javac", CHAIN_DEPTH)
 
 
 def _report(label, naive, semi):
@@ -113,7 +96,7 @@ def test_unbounded_cache_parity_documented(facts):
 def test_engines_agree_tuple_for_tuple():
     """Correctness guard for the workload itself (cache eviction must
     never change results, only costs)."""
-    facts = chained_facts(depth=12)
+    facts = chained_facts("javac", 12)
     au_sn = AnalysisUniverse(facts)
     au_sn.universe.manager.cache_limit = 256
     au_nv = AnalysisUniverse(facts)

@@ -229,7 +229,7 @@ PRESETS: Dict[str, Dict[str, int | float]] = {
     "jedit": dict(n_classes=220, n_signatures=16, methods_per_class=4.0,
                   vars_per_method=4.0, assigns_per_method=3.0, seed=105),
     # Scaled past the paper's Table 2 suite: the out-of-core kernel's
-    # cap-enforcement workload (``repro.bench`` ``pointsto-xl``).  Its
+    # cap-enforcement workload (``benchmarks/test_ooc.py``).  Its
     # uncapped points-to solve holds ~26 MB of kernel state resident,
     # so a 4 MiB ``memory_cap_bytes`` genuinely forces spilling.
     "javac-xl": dict(n_classes=240, n_signatures=16, methods_per_class=4.0,

@@ -273,7 +273,8 @@ class Telemetry:
     # -- read side -----------------------------------------------------
 
     def _kernel_counters(self) -> Dict[str, float]:
-        """Cheap flat view of raw kernel counters, used for span deltas."""
+        """Cheap flat view of raw kernel counters, used for span deltas;
+        per-op and per-cache misses are named as :meth:`collect` names them."""
         out: Dict[str, float] = {}
         for prefix, manager in self._managers:
             stats = getattr(manager, "stats", None)
@@ -282,6 +283,10 @@ class Telemetry:
             hits, misses = stats.op_totals()
             out[f"{prefix}.apply.hits"] = hits
             out[f"{prefix}.apply.misses"] = misses
+            for op, _, op_misses in stats.per_op():
+                out[f"{prefix}.apply_cache.misses{{op={op}}}"] = op_misses
+            for cache, _, cache_misses in stats.scalar_caches():
+                out[f"{prefix}.{cache}.misses"] = cache_misses
             out[f"{prefix}.nodes_created"] = stats.nodes_created
             out[f"{prefix}.gc.runs"] = stats.gc_runs
         return out

@@ -8,8 +8,9 @@ tree: ``<global>:12,1 -> relation.join -> bdd.match``.
 Spans are recorded with strict stack discipline (the runtime is single
 threaded), which the Chrome-trace exporter relies on to emit balanced
 B/E event pairs.  Each span optionally snapshots a flat dict of raw
-kernel counters on entry and stores the non-zero deltas on exit, so a
-trace answers "this join cost 40k apply-cache misses" directly.
+kernel counters on entry and stores the non-zero deltas on exit as
+``args["kdelta"]`` (beside, never over, the caller's own arguments), so
+a trace answers "this join cost 40k apply-cache misses" directly.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class SpanTracer:
                 if value != before.get(key, 0.0)
             }
             if delta:
-                span.args["delta"] = delta
+                span.args["kdelta"] = delta
             span._snap = None
 
     def add_complete(

@@ -314,6 +314,39 @@ class TestTelemetry:
         rule_spans = [s for s in spans if s.name == "fixpoint.rule"]
         assert len(rule_spans) == eng.rule_evaluations
 
+    def test_rule_spans_keep_delta_beside_kernel_deltas(self, u):
+        """Kernel-counter deltas must not overwrite a rule span's own
+        ``delta`` argument (the name of the delta relation it joins)."""
+        edge = u.relation_of(["src", "dst"], EDGES, ["N1", "N2"])
+        tel = telemetry.enable()
+        try:
+            tel.instrument_universe(u)
+            eng = FixpointEngine(u)
+            eng.fact("edge", edge)
+            eng.relation("path", edge)
+            eng.rule(
+                "path",
+                ("a", "c"),
+                [("path", ("a", "b")), ("edge", {"src": "b", "dst": "c"})],
+            )
+            eng.solve()
+            spans = list(tel.tracer.spans)
+        finally:
+            telemetry.disable()
+        rule_spans = [
+            s for s in spans
+            if s.name == "fixpoint.rule" and s.args["iteration"] >= 1
+        ]
+        assert rule_spans
+        assert all(s.args["delta"] == "path" for s in rule_spans)
+        kdeltas = [s.args["kdelta"] for s in rule_spans if "kdelta" in s.args]
+        assert kdeltas
+        # Per-op attribution: the rule's kernel work is split by op tag.
+        assert any(
+            any(".apply_cache.misses{op=" in key for key in kd)
+            for kd in kdeltas
+        )
+
     def test_intermediates_are_disposed(self, u):
         edge = u.relation_of(["src", "dst"], EDGES, ["N1", "N2"])
         eng = FixpointEngine(u)

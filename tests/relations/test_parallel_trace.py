@@ -95,8 +95,8 @@ class TestWorkerLanes:
         tel, eng, _ = traced_solve(workers=2)
         spans = [s for l in tel.worker_lanes() for s in l["spans"]]
         deltas = [
-            s["args"]["delta"] for s in spans
-            if "delta" in (s.get("args") or {})
+            s["args"]["kdelta"] for s in spans
+            if "kdelta" in (s.get("args") or {})
         ]
         assert deltas, "no per-span kernel-counter deltas in worker lanes"
         assert any(

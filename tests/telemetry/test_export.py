@@ -136,7 +136,7 @@ def _lane_spans(t0):
          "end": t0 + 0.05, "index": 0, "parent": -1, "depth": 0},
         {"name": "bdd.match", "cat": "kernel", "start": t0 + 0.02,
          "end": t0 + 0.04, "index": 1, "parent": 0, "depth": 1,
-         "args": {"delta": {"bdd.nodes_created": 17}}},
+         "args": {"kdelta": {"bdd.nodes_created": 17}}},
     ]
 
 
@@ -182,7 +182,7 @@ class TestWorkerLanes:
         ]
         assert len(kernel_b) == 2
         assert all(
-            e["args"]["delta"] == {"bdd.nodes_created": 17} for e in kernel_b
+            e["args"]["kdelta"] == {"bdd.nodes_created": 17} for e in kernel_b
         )
 
     def test_lane_timestamps_relative_to_coordinator_t0(self):

@@ -90,13 +90,13 @@ class TestDeltas:
         with tracer.span("op"):
             state["bdd.apply.misses"] = 7.0
         span = tracer.spans[0]
-        assert span.args["delta"] == {"bdd.apply.misses": 7.0}
+        assert span.args["kdelta"] == {"bdd.apply.misses": 7.0}
 
     def test_no_delta_key_when_nothing_changed(self):
         tracer = SpanTracer(delta_source=lambda: {"x": 1.0})
         with tracer.span("op"):
             pass
-        assert "delta" not in tracer.spans[0].args
+        assert "kdelta" not in tracer.spans[0].args
 
 
 class TestCompleteAndLimits:
