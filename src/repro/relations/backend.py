@@ -41,16 +41,16 @@ class PipelineStep:
     """One conjunct of a fused relational product (see
     :meth:`DiagramBackend.relprod_pipeline`).
 
-    ``b`` is the operand diagram; ``b_perm`` aligns it to the running
-    result before the conjunction (attribute -> shared physical domain
-    moves, as a variable permutation).  ``cmp_levels`` /
-    ``a_only_levels`` / ``b_only_levels`` describe the post-alignment
-    level sets exactly as for :meth:`DiagramBackend.match`.
-    ``exist_levels`` are quantified away after the conjunction: the
-    variables dead after this step — not automatically the compared
-    ones, which later conjuncts may still need.  ``perm`` optionally
-    permutes the step's result (e.g. a final move into the consumer's
-    physical domains).
+    ``b`` is the operand diagram.  Before the conjunction the two sides
+    are aligned (attribute -> shared physical domain moves, as variable
+    permutations): ``b_perm`` moves the operand, ``a_perm`` the running
+    result; the planner sets whichever moves fewer bits, so usually
+    only one is non-empty.  ``cmp_levels`` / ``a_only_levels`` /
+    ``b_only_levels`` describe the post-alignment level sets exactly as
+    for :meth:`DiagramBackend.match`.  ``exist_levels`` are quantified
+    away after the conjunction: the variables dead after this step —
+    not automatically the compared ones, which later conjuncts may
+    still need.
     """
 
     b: int
@@ -59,7 +59,7 @@ class PipelineStep:
     b_only_levels: Sequence[int] = ()
     exist_levels: Sequence[int] = ()
     b_perm: Dict[int, int] = field(default_factory=dict)
-    perm: Dict[int, int] = field(default_factory=dict)
+    a_perm: Dict[int, int] = field(default_factory=dict)
 
 
 class UnsupportedByBackend(Exception):
@@ -253,6 +253,8 @@ class DiagramBackend:
         node = a
         with self.disable_reorder():
             for step in steps:
+                if step.a_perm:
+                    node = self.replace(node, step.a_perm)
                 b = step.b
                 if step.b_perm:
                     b = self.replace(b, step.b_perm)
@@ -266,8 +268,6 @@ class DiagramBackend:
                 )
                 if step.exist_levels:
                     node = self.project(node, step.exist_levels)
-                if step.perm:
-                    node = self.replace(node, step.perm)
         return node
 
 
@@ -368,6 +368,8 @@ class BDDBackend(DiagramBackend):
         node = a
         with self.disable_reorder():
             for step in steps:
+                if step.a_perm:
+                    node = m.replace(node, step.a_perm)
                 b = step.b
                 if step.b_perm:
                     b = m.replace(b, step.b_perm)
@@ -375,8 +377,6 @@ class BDDBackend(DiagramBackend):
                     node = m.and_exist(node, b, step.exist_levels)
                 else:
                     node = m.apply_and(node, b)
-                if step.perm:
-                    node = m.replace(node, step.perm)
         return node
 
 

@@ -112,13 +112,13 @@ from repro.relations.ir.execute import (
     PlanReport,
     _schema_sig,
     default_weight,
+    reporting,
     run_product_plan,
 )
 from repro.relations.ir.planner import (
     Estimate,
     Planner,
     RulePlan,
-    plan_rule,
 )
 from repro.relations.relation import Relation
 
@@ -158,7 +158,8 @@ class Atom:
 class Rule:
     """``head ← positive atoms ∧ negated atoms``."""
 
-    __slots__ = ("head", "positive", "negated", "recursive_positions")
+    __slots__ = ("head", "positive", "negated", "recursive_positions",
+                 "label")
 
     def __init__(
         self,
@@ -173,11 +174,9 @@ class Rule:
         #: Indices into ``positive`` of atoms over recursive relations;
         #: the semi-naive loop evaluates the rule once per entry.
         self.recursive_positions = tuple(recursive_positions)
-
-    @property
-    def label(self) -> str:
         body = ", ".join(repr(a) for a in self.positive + self.negated)
-        return f"{self.head!r} :- {body}"
+        #: ``head :- body`` text, for spans, reports and errors.
+        self.label = f"{self.head!r} :- {body}"
 
     def __repr__(self) -> str:
         return f"Rule({self.label})"
@@ -211,11 +210,15 @@ def _run_rule_plan(
     label: str = "",
     collect: Optional[List[PlanReport]] = None,
     memo: Optional[dict] = None,
+    place: Optional[Mapping[str, object]] = None,
 ) -> Relation:
     """Execute a planned rule body against its bound atom relations.
 
-    ``memo`` (when given) is a common-subexpression cache shared across
-    rule bodies: the planned product is keyed by (plan, the input
+    ``place`` (rule variable -> the head relation's declared physical
+    domain, as a domain or its name) steers the product's last
+    alignment so the body lands in the head's domains.  ``memo`` (when
+    given) is a common-subexpression cache shared across rule bodies:
+    the planned product is keyed by (plan, placement, the input
     relations' diagram nodes and physical-domain placements), so two
     rules — or two delta bindings — computing the same product over the
     same inputs evaluate it once.
@@ -225,6 +228,7 @@ def _run_rule_plan(
     if memo is not None:
         mkey = (
             plan.product,
+            tuple(place.items()) if place else (),
             tuple((r.node, _schema_sig(r)) for r in rels),
         )
         cur = memo.get(mkey)
@@ -235,6 +239,7 @@ def _run_rule_plan(
             label=label,
             part_labels=[repr(a) for a in rule.positive],
             collect=collect,
+            place=place,
         )
         if memo is not None:
             memo[mkey] = cur
@@ -255,6 +260,7 @@ def execute_rule_plan(
     label: str = "",
     collect: Optional[List[PlanReport]] = None,
     memo: Optional[dict] = None,
+    place: Optional[Mapping[str, object]] = None,
 ) -> Relation:
     """Evaluate one rule body under a precomputed :class:`RulePlan`; the
     shared core of the serial engine and the parallel workers
@@ -264,7 +270,8 @@ def execute_rule_plan(
     ``atom_value(atom, use_delta)`` supplies each positive atom's
     relation renamed to the atom's rule variables (the atom at
     ``plan.delta_idx`` bound to its delta), ``neg_value(atom)`` likewise
-    for negated atoms.
+    for negated atoms; ``place`` is the head placement (see
+    :func:`_run_rule_plan`).
     """
     rels = [
         atom_value(atom, plan.delta_idx == i)
@@ -272,7 +279,7 @@ def execute_rule_plan(
     ]
     return _run_rule_plan(
         rule, plan, rels, neg_value,
-        label=label, collect=collect, memo=memo,
+        label=label, collect=collect, memo=memo, place=place,
     )
 
 
@@ -286,6 +293,7 @@ def eval_rule_body(
     label: str = "",
     collect: Optional[List[PlanReport]] = None,
     memo: Optional[dict] = None,
+    place: Optional[Mapping[str, object]] = None,
 ) -> Relation:
     """Plan and evaluate one rule body in a single call.
 
@@ -295,46 +303,33 @@ def eval_rule_body(
     The body is lowered through the query planner
     (:func:`repro.relations.ir.plan_rule`); pass a shared
     :class:`~repro.relations.ir.Planner` to cache plans across calls,
-    or none to plan from scratch each time.
+    or none to plan from scratch each time.  ``place`` is the head
+    placement (see :func:`_run_rule_plan`).
     """
     rels = [
         atom_value(atom, delta_idx == i)
         for i, atom in enumerate(rule.positive)
     ]
     universe = rels[0].universe
-    weight = default_weight(universe)
-    atom_vars = [a.vars for a in rule.positive]
-
-    def estimates() -> List[Estimate]:
-        return [
+    if planner is None:
+        planner = Planner()
+    plan = planner.rule_plan(
+        rule_shape(rule, head_names),
+        universe.plan_generation,
+        [a.vars for a in rule.positive],
+        rule.head.vars,
+        _neg_vars(rule),
+        head_names,
+        lambda: [
             Estimate(float(r.size()), float(r.node_count())) for r in rels
-        ]
-
-    if planner is not None:
-        plan = planner.rule_plan(
-            rule_shape(rule, head_names),
-            universe.plan_generation,
-            atom_vars,
-            rule.head.vars,
-            _neg_vars(rule),
-            head_names,
-            estimates,
-            weight,
-            delta_idx,
-        )
-    else:
-        plan = plan_rule(
-            atom_vars,
-            rule.head.vars,
-            _neg_vars(rule),
-            head_names,
-            estimates(),
-            weight,
-            delta_idx,
-        )
+        ],
+        default_weight(universe),
+        delta_idx,
+        report=reporting(collect),
+    )
     return _run_rule_plan(
         rule, plan, rels, neg_value,
-        label=label or rule.label, collect=collect, memo=memo,
+        label=label or rule.label, collect=collect, memo=memo, place=place,
     )
 
 
@@ -569,7 +564,8 @@ class FixpointEngine:
         """The (cached) plan for one rule body with the given delta
         binding; estimates are taken from the current delta/full/fact
         values (or the supplied ``atom_value`` binding), but only when
-        the plan cache misses."""
+        the plan cache misses and the plan has a choice or will be
+        reported."""
         head_names = self._schema_of(rule.head.name).schema.names()
         value = atom_value if atom_value is not None else self._atom_value
 
@@ -592,6 +588,7 @@ class FixpointEngine:
             estimates,
             self._weight,
             delta_idx,
+            report=self.collect_plans or reporting(),
         )
 
     def _eval_rule(
@@ -607,7 +604,12 @@ class FixpointEngine:
             label=rule.label,
             collect=self.plan_reports if self.collect_plans else None,
             memo=self._memo,
+            place=self._head_place(rule),
         )
+
+    def _head_place(self, rule: Rule) -> Dict[str, object]:
+        head = self._schema_of(rule.head.name).schema.pairs
+        return {v: pd for v, (_, pd) in zip(rule.head.vars, head)}
 
     def _apply_filter(self, name: str, rel: Relation) -> Relation:
         flt = self._filters.get(name)
@@ -866,6 +868,7 @@ class FixpointEngine:
             label=label or rule.label,
             collect=self.plan_reports if self.collect_plans else None,
             memo=self._memo,
+            place=self._head_place(rule),
         )
 
     def _neg_trigger_eval(

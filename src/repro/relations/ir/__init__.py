@@ -25,6 +25,7 @@ from repro.relations.ir.execute import (
     PlanReport,
     default_weight,
     evaluate,
+    reporting,
     run_product_plan,
 )
 from repro.relations.ir.explain import format_reports, static_reports
@@ -65,6 +66,8 @@ from repro.relations.ir.planner import (
     ProductPlan,
     RulePlan,
     estimate_aggregate,
+    estimate_plan,
+    has_choice,
     plan_product,
     plan_rule,
 )
@@ -96,9 +99,11 @@ __all__ = [
     "default_weight",
     "diff",
     "estimate_aggregate",
+    "estimate_plan",
     "evaluate",
     "filter",
     "format_reports",
+    "has_choice",
     "intersect",
     "leaf",
     "match",
@@ -108,6 +113,7 @@ __all__ = [
     "product",
     "project",
     "rename",
+    "reporting",
     "replace",
     "run_product_plan",
     "static_reports",

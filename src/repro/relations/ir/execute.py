@@ -51,6 +51,7 @@ from repro.relations.ir.planner import (
     Planner,
     ProductPlan,
     estimate_aggregate,
+    estimate_plan,
 )
 from repro.relations.relation import Relation
 
@@ -59,6 +60,7 @@ __all__ = [
     "PlanReport",
     "default_weight",
     "evaluate",
+    "reporting",
     "run_product_plan",
 ]
 
@@ -204,35 +206,55 @@ def _part_label(part: Node) -> str:
     return f"<{type(part).__name__.lower()}>"
 
 
+def reporting(collect: Optional[List[PlanReport]] = None) -> bool:
+    """Whether :func:`run_product_plan` reports the plan it runs:
+    telemetry is on, or an EXPLAIN collector is given.  Planners give
+    such plans estimates even when they have no choice."""
+    return collect is not None or _telemetry._active.enabled
+
+
 def run_product_plan(
     parts: Sequence[Relation],
     plan: ProductPlan,
     label: str = "",
     part_labels: Optional[Sequence[str]] = None,
     collect: Optional[List[PlanReport]] = None,
+    place: Optional[Dict[str, object]] = None,
 ) -> Relation:
     """Execute a :class:`ProductPlan` against its part relations.
 
     With telemetry off and no EXPLAIN collector this is a single
-    :meth:`Relation.compose_pipeline` call; otherwise the steps run one
-    at a time so the actual per-step node counts can be recorded, and a
-    ``plan.explain`` span (category ``"planner"``) is emitted with the
-    estimates next to the actuals.
+    :meth:`Relation.compose_pipeline` call (``place`` steers its last
+    step); otherwise the steps run one at a time so the actual per-step
+    node counts can be recorded, and a ``plan.explain`` span (category
+    ``"planner"``) is emitted with the estimates next to the actuals.
+    A plan built without estimates (no choice, planned for an
+    unreported run) gets them here, from the parts under the planner's
+    own cost model and :func:`default_weight`.
     """
-    tel = _telemetry._active
     base = parts[plan.order[0]]
     if plan.base_drop:
         base = base.project_away(*plan.base_drop)
     steps = [
         (parts[s.part], list(s.on), list(s.drop)) for s in plan.steps
     ]
-    if not tel.enabled and collect is None:
-        return base.compose_pipeline(steps) if steps else base
+    if not reporting(collect):
+        return base.compose_pipeline(steps, place) if steps else base
+    tel = _telemetry._active
+    if plan.est_nodes is None:
+        plan = estimate_plan(
+            plan,
+            [r.schema.name_set() for r in parts],
+            [Estimate(float(r.size()), float(r.node_count())) for r in parts],
+            default_weight(base.universe),
+        )
     start = perf_counter()
     cur = base
     rows: List[dict] = []
-    for s, triple in zip(plan.steps, steps):
-        cur = cur.compose_pipeline([triple])
+    for i, (s, triple) in enumerate(zip(plan.steps, steps)):
+        cur = cur.compose_pipeline(
+            [triple], place if i == len(steps) - 1 else None
+        )
         rows.append(
             {
                 "part": s.part,
@@ -319,6 +341,7 @@ def _eval(node: Node, ctx: EvalContext) -> Relation:
                 for r in parts
             ],
             ctx.weight,
+            report=reporting(ctx.collect),
         )
         return run_product_plan(
             parts,

@@ -52,6 +52,8 @@ __all__ = [
     "RulePlan",
     "Planner",
     "estimate_aggregate",
+    "estimate_plan",
+    "has_choice",
     "plan_product",
     "plan_rule",
 ]
@@ -73,26 +75,28 @@ class Estimate:
 @dataclass(frozen=True)
 class PlanStep:
     """One pipeline step: match the running result with part ``part``
-    on the attributes ``on``, then quantify ``drop`` out."""
+    on the attributes ``on``, then quantify ``drop`` out.  The
+    estimates are None on a plan without a choice (:func:`has_choice`)."""
 
     part: int
     on: Tuple[str, ...]
     drop: Tuple[str, ...]
-    est_card: float
-    est_nodes: float
+    est_card: Optional[float] = None
+    est_nodes: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class ProductPlan:
     """A scheduled n-ary product.  ``order[0]`` is the base relation;
-    ``steps`` has one entry per remaining part, in execution order."""
+    ``steps`` has one entry per remaining part, in execution order.
+    The estimates are None on a plan without a choice."""
 
     order: Tuple[int, ...]
     base_drop: Tuple[str, ...]
     steps: Tuple[PlanStep, ...]
-    est_card: float
-    est_nodes: float
-    optimized: bool
+    est_card: Optional[float] = None
+    est_nodes: Optional[float] = None
+    optimized: bool = True
 
     def pipeline(self) -> Tuple[Tuple[int, Tuple[str, ...], Tuple[str, ...]], ...]:
         """The ``(part, on, drop)`` triples, for callers that execute
@@ -167,10 +171,19 @@ def estimate_aggregate(
     return Estimate(card, nodes)
 
 
+def has_choice(
+    n_parts: int, anchor: Optional[int] = None, optimize: bool = True
+) -> bool:
+    """Whether estimates can change a product's plan: only an optimizing
+    planner with at least two parts to order (besides the anchor, when
+    one is forced first).  Every other plan is fixed by its shape."""
+    return optimize and n_parts - (anchor is not None) >= 2
+
+
 def plan_product(
     part_attrs: Sequence[frozenset],
     quantify: frozenset,
-    estimates: Sequence[Estimate],
+    estimates: Optional[Sequence[Estimate]],
     weight: Callable[[str], float],
     anchor: Optional[int] = None,
     optimize: bool = True,
@@ -184,35 +197,41 @@ def plan_product(
     ``optimize=False`` the identity order is kept and all
     quantification happens at the very last step — the unoptimized
     left-to-right baseline the differential suite compares against.
+
+    A plan without a choice (see :func:`has_choice`) may be built with
+    ``estimates=None``; its estimate fields are then None until
+    :func:`estimate_plan` fills them in.
     """
     n = len(part_attrs)
     part_attrs = [frozenset(a) for a in part_attrs]
     quantify = frozenset(quantify)
+    if estimates is None:
+        if has_choice(n, anchor, optimize):
+            raise ValueError("plan_product: this plan needs estimates")
+        # Nothing to rank: plan on stand-in estimates and drop them.
+        plan = plan_product(
+            part_attrs, quantify, [Estimate(0.0, 0.0)] * n, weight,
+            anchor=anchor, optimize=optimize,
+        )
+        return ProductPlan(
+            plan.order, plan.base_drop,
+            tuple(PlanStep(s.part, s.on, s.drop) for s in plan.steps),
+            optimized=plan.optimized,
+        )
 
     if not optimize:
         steps: List[PlanStep] = []
         cur_attrs = part_attrs[0]
-        card, nodes = estimates[0].card, estimates[0].nodes
-        total_nodes = 0.0
         for i in range(1, n):
-            last = i == n - 1
-            drop = quantify if last else frozenset()
+            drop = quantify if i == n - 1 else frozenset()
             on = tuple(sorted(cur_attrs & part_attrs[i]))
-            card, step_nodes, cur_attrs = _join_est(
-                card, nodes, cur_attrs,
-                estimates[i].card, estimates[i].nodes, part_attrs[i],
-                drop, weight,
-            )
-            nodes = step_nodes
-            total_nodes = min(total_nodes + step_nodes, _CAP)
-            steps.append(PlanStep(i, on, tuple(sorted(drop)), card, step_nodes))
+            steps.append(PlanStep(i, on, tuple(sorted(drop))))
+            cur_attrs = (cur_attrs | part_attrs[i]) - drop
         base_drop = tuple(sorted(quantify)) if n == 1 else ()
-        if n == 1:
-            cur_attrs = part_attrs[0] - quantify
-            card = _cap_card(card, cur_attrs, weight)
-        return ProductPlan(
-            tuple(range(n)), base_drop, tuple(steps), card, total_nodes, False
+        plan = ProductPlan(
+            tuple(range(n)), base_drop, tuple(steps), optimized=False
         )
+        return estimate_plan(plan, part_attrs, estimates, weight)
 
     # How many not-yet-absorbed parts still mention each quantified
     # attribute; when the count hits zero the attribute is dead and can
@@ -273,12 +292,42 @@ def plan_product(
     )
 
 
+def estimate_plan(
+    plan: ProductPlan,
+    part_attrs: Sequence[frozenset],
+    estimates: Sequence[Estimate],
+    weight: Callable[[str], float],
+) -> ProductPlan:
+    """``plan`` with every estimate computed from ``estimates`` by the
+    same cost model the planner ranks with: the base part capped to its
+    surviving attributes, then :func:`_join_est` once per step."""
+    part_attrs = [frozenset(a) for a in part_attrs]
+    base = plan.order[0]
+    cur_attrs = part_attrs[base] - frozenset(plan.base_drop)
+    card = _cap_card(estimates[base].card, cur_attrs, weight)
+    nodes = estimates[base].nodes
+    total_nodes = 0.0
+    steps = []
+    for s in plan.steps:
+        card, nodes, cur_attrs = _join_est(
+            card, nodes, cur_attrs,
+            estimates[s.part].card, estimates[s.part].nodes,
+            part_attrs[s.part], frozenset(s.drop), weight,
+        )
+        total_nodes = min(total_nodes + nodes, _CAP)
+        steps.append(PlanStep(s.part, s.on, s.drop, card, nodes))
+    return ProductPlan(
+        plan.order, plan.base_drop, tuple(steps), card, total_nodes,
+        plan.optimized,
+    )
+
+
 def plan_rule(
     atom_vars: Sequence[Sequence[str]],
     head_vars: Sequence[str],
     neg_vars: Sequence[str],
     head_names: Sequence[str],
-    estimates: Sequence[Estimate],
+    estimates: Optional[Sequence[Estimate]],
     weight: Callable[[str], float],
     delta_idx: Optional[int],
     optimize: bool = True,
@@ -314,12 +363,15 @@ def plan_rule(
 class Planner:
     """A bounded plan cache.
 
-    Keys are ``(shape, generation, anchor, optimize)``: the structural
-    key of the product (or any caller-chosen hashable shape), the
-    universe's plan generation (bumped by dynamic variable reordering
-    and :meth:`Universe.invalidate_plans`), and the anchored part.  The
-    estimate thunk is only invoked on a miss, so cached evaluation pays
-    no ``satcount`` cost.
+    Keys are ``(shape, generation, anchor, optimize, report)``: the
+    structural key of the product (or any caller-chosen hashable shape),
+    the universe's plan generation (bumped by dynamic variable
+    reordering and :meth:`Universe.invalidate_plans`), the anchored
+    part, and whether the caller reports the plan (EXPLAIN or
+    telemetry).  The estimate thunk is only invoked on a miss, and only
+    for a plan with a choice (:func:`has_choice`) or one to be
+    reported, so cached evaluation — and every unreported plan fixed by
+    its shape — pays no ``satcount`` cost.
     """
 
     def __init__(self, optimize: bool = True, max_entries: int = 512) -> None:
@@ -328,6 +380,13 @@ class Planner:
         self.hits = 0
         self.misses = 0
         self._cache: "OrderedDict[tuple, object]" = OrderedDict()
+
+    def _estimates(self, n_parts, anchor, estimate_fn, report):
+        # The satcount/node-count walks only pay off when they can
+        # change the plan, or when the plan will be reported.
+        if report or has_choice(n_parts, anchor, self.optimize):
+            return estimate_fn()
+        return None
 
     def _get(self, key: tuple, build: Callable[[], object]):
         cached = self._cache.get(key)
@@ -351,13 +410,15 @@ class Planner:
         estimate_fn: Callable[[], Sequence[Estimate]],
         weight: Callable[[str], float],
         anchor: Optional[int] = None,
+        report: bool = False,
     ) -> ProductPlan:
-        key = ("product", shape, generation, anchor, self.optimize)
+        key = ("product", shape, generation, anchor, self.optimize, report)
         return self._get(
             key,
             lambda: plan_product(
-                part_attrs, quantify, estimate_fn(), weight,
-                anchor=anchor, optimize=self.optimize,
+                part_attrs, quantify,
+                self._estimates(len(part_attrs), anchor, estimate_fn, report),
+                weight, anchor=anchor, optimize=self.optimize,
             ),
         )
 
@@ -372,13 +433,16 @@ class Planner:
         estimate_fn: Callable[[], Sequence[Estimate]],
         weight: Callable[[str], float],
         delta_idx: Optional[int],
+        report: bool = False,
     ) -> RulePlan:
-        key = ("rule", shape, generation, delta_idx, self.optimize)
+        key = ("rule", shape, generation, delta_idx, self.optimize, report)
         return self._get(
             key,
             lambda: plan_rule(
                 atom_vars, head_vars, neg_vars, head_names,
-                estimate_fn(), weight, delta_idx, optimize=self.optimize,
+                self._estimates(len(atom_vars), delta_idx, estimate_fn,
+                                report),
+                weight, delta_idx, optimize=self.optimize,
             ),
         )
 

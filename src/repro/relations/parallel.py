@@ -303,6 +303,9 @@ def _worker_main(worker_id: int, init_bytes: bytes, task_q, result_q) -> None:
                     return rel.rename(mapping) if mapping else rel
 
                 head_spec = rel_schemas[rule.head.name]
+                place = {
+                    v: p for v, (_, p) in zip(rule.head.vars, head_spec)
+                }
                 if plan is not None:
                     # Execute the coordinator's plan verbatim.
                     out = execute_rule_plan(
@@ -311,6 +314,7 @@ def _worker_main(worker_id: int, init_bytes: bytes, task_q, result_q) -> None:
                         atom_value,
                         lambda atom: atom_value(atom, False),
                         label=rule.label,
+                        place=place,
                     )
                 else:
                     out = eval_rule_body(
@@ -319,6 +323,7 @@ def _worker_main(worker_id: int, init_bytes: bytes, task_q, result_q) -> None:
                         atom_value,
                         lambda atom: atom_value(atom, False),
                         [a for a, _ in head_spec],
+                        place=place,
                     )
                 # Contributions ship in the declared head schema so the
                 # coordinator (and any other worker) can place them

@@ -37,6 +37,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -140,21 +141,45 @@ class _MatchPlan:
         self.b_only = b_only
 
 
+def _evict_physdom(
+    universe: Universe,
+    name: str,
+    pd: PhysicalDomain,
+    used: List[PhysicalDomain],
+    place: Optional[Mapping[str, PhysicalDomain]],
+) -> PhysicalDomain:
+    """A domain for attribute ``name`` that must leave ``pd``: its
+    ``place`` domain when that is free, else a free one near ``pd``."""
+    want = place.get(name) if place else None
+    if (
+        want is not None
+        and want.bits == pd.bits
+        and all(u.name != want.name for u in used)
+    ):
+        return want
+    return _free_physdom(universe, pd.bits, used, near=pd)
+
+
 def _plan_match(
     universe: Universe,
     self_pairs: Sequence[Tuple[Attribute, PhysicalDomain]],
-    other: "Relation",
+    other_pairs: Sequence[Tuple[Attribute, PhysicalDomain]],
     self_attrs: Sequence[str],
     other_attrs: Sequence[str],
     op: str,
+    place: Optional[Mapping[str, PhysicalDomain]] = None,
 ) -> _MatchPlan:
     """Validate a match and plan the other operand's alignment.
 
-    The left side is given as schema pairs rather than a relation so
-    the fused pipeline can thread its evolving intermediate schema
-    through without wrapping nodes in relations.
+    Both sides are given as schema pairs rather than relations so the
+    fused pipeline can thread its evolving intermediate schema through
+    without wrapping nodes in relations, and can plan the mirror image
+    (the left side moving) by swapping them.  ``place`` (attribute
+    name -> physical domain) is where an evicted private attribute
+    would rather go.
     """
     by_name = {attr.name: (attr, pd) for attr, pd in self_pairs}
+    other_by_name = {attr.name: attr for attr, _ in other_pairs}
     if len(self_attrs) != len(other_attrs):
         raise JeddError(f"{op}: attribute lists differ in length")
     if len(set(self_attrs)) != len(self_attrs) or len(
@@ -165,11 +190,11 @@ def _plan_match(
         if name not in by_name:
             raise JeddError(f"{op}: {name!r} not in left schema")
     for name in other_attrs:
-        if name not in other.schema:
+        if name not in other_by_name:
             raise JeddError(f"{op}: {name!r} not in right schema")
     for a, b in zip(self_attrs, other_attrs):
         da = by_name[a][0].domain
-        db = other.schema.attribute(b).domain
+        db = other_by_name[b].domain
         if da is not db:
             raise JeddError(
                 f"{op}: cannot compare {a} ({da.name}) with "
@@ -183,18 +208,18 @@ def _plan_match(
         targets[b] = by_name[a][1]
     self_pds = {pd.name for _, pd in self_pairs}
     used = [pd for _, pd in self_pairs]
-    used.extend(pd for _, pd in other.schema.pairs)
+    used.extend(pd for _, pd in other_pairs)
     used.extend(targets.values())
-    for attr, pd in other.schema.pairs:
+    for attr, pd in other_pairs:
         if attr.name in targets:
             continue
         if pd.name in self_pds:
-            fresh = _free_physdom(universe, pd.bits, used, near=pd)
+            fresh = _evict_physdom(universe, attr.name, pd, used, place)
             targets[attr.name] = fresh
             used.append(fresh)
     moves = []
     aligned_pairs: List[Tuple[Attribute, PhysicalDomain]] = []
-    for attr, pd in other.schema.pairs:
+    for attr, pd in other_pairs:
         tgt = targets.get(attr.name, pd)
         aligned_pairs.append((attr, tgt))
         if tgt is not pd:
@@ -211,6 +236,38 @@ def _plan_match(
     ]
     return _MatchPlan(targets, moves, aligned_pairs,
                       cmp_levels, a_only, b_only)
+
+
+def _moved_bits(moves) -> int:
+    return sum(src.bits for src, _ in moves)
+
+
+def _combined(
+    left: Sequence[Tuple[Attribute, PhysicalDomain]],
+    right: Sequence[Tuple[Attribute, PhysicalDomain]],
+    on: Sequence[str],
+) -> List[Tuple[Attribute, PhysicalDomain]]:
+    """The schema pairs of a match on ``on`` before any projection."""
+    return list(left) + [
+        (attr, pd) for attr, pd in right if attr.name not in on
+    ]
+
+
+def _misplaced_bits(
+    pairs: Sequence[Tuple[Attribute, PhysicalDomain]],
+    drop: Iterable[str],
+    place: Optional[Mapping[str, PhysicalDomain]],
+) -> int:
+    """Bits of the kept ``pairs`` that sit outside their ``place``
+    domain."""
+    if not place:
+        return 0
+    bits = 0
+    for attr, pd in pairs:
+        want = place.get(attr.name)
+        if want is not None and want is not pd and attr.name not in drop:
+            bits += pd.bits
+    return bits
 
 
 class Schema:
@@ -891,7 +948,7 @@ class Relation:
         op: str,
     ) -> Tuple["Relation", List[int], List[int], List[int]]:
         plan = _plan_match(
-            self.universe, self.schema.pairs, other,
+            self.universe, self.schema.pairs, other.schema.pairs,
             self_attrs, other_attrs, op,
         )
         aligned = other.replace(plan.targets)
@@ -972,6 +1029,7 @@ class Relation:
     def compose_pipeline(
         self,
         steps: Sequence[Tuple["Relation", Sequence[str], Sequence[str]]],
+        place: Optional[Mapping[str, PhysicalDomain | str]] = None,
     ) -> "Relation":
         """Fused multi-way relational product.
 
@@ -983,22 +1041,40 @@ class Relation:
         dropped — shared attributes are *not* quantified automatically
         the way :meth:`compose` does.
 
+        Before each step one side is moved so the compared attributes
+        share physical domains: either ``other`` into the running
+        result's domains (what :meth:`compose` does) or the running
+        result into ``other``'s.  The one that moves fewer bits wins,
+        ties going to ``other``.  ``place`` (attribute name -> physical
+        domain, e.g. the consumer's declared schema) steers the last
+        step: its count includes the bits the result would still need
+        to reach ``place``, and an attribute evicted from a taken domain
+        goes to its ``place`` domain when that is free.  The result is
+        not moved further; callers align it as they need.
+
         On the BDD backend each step lowers to a single fused
-        ``and_exist`` kernel call plus at most one variable permutation
-        (:meth:`DiagramBackend.relprod_pipeline`); no intermediate
-        relations are materialised.  This is the workhorse of the
-        semi-naive fixpoint engine's rule bodies.
+        ``and_exist`` kernel call plus at most the alignment's variable
+        permutations (:meth:`DiagramBackend.relprod_pipeline`); no
+        intermediate relations are materialised.  This is the workhorse
+        of the semi-naive fixpoint engine's rule bodies.
         """
+        universe = self.universe
+        if place:
+            place = {
+                name: universe.get_physdom(pd) if isinstance(pd, str) else pd
+                for name, pd in place.items()
+            }
         cur_pairs: List[Tuple[Attribute, PhysicalDomain]] = list(
             self.schema.pairs
         )
         plan_steps: List[PipelineStep] = []
-        for other, on, drop in steps:
+        last = len(steps) - 1
+        for i, (other, on, drop) in enumerate(steps):
             if not isinstance(other, Relation):
                 raise TypeError(
                     f"compose_pipeline: not a relation: {other!r}"
                 )
-            if other.universe is not self.universe or type(
+            if other.universe is not universe or type(
                 other.backend
             ) is not type(self.backend):
                 raise JeddError(
@@ -1006,7 +1082,6 @@ class Relation:
                     "universes/backends"
                 )
             on = list(on)
-            drop = list(drop)
             cur_names = {attr.name for attr, _ in cur_pairs}
             overlap = (
                 other.schema.name_set() - frozenset(on)
@@ -1016,23 +1091,39 @@ class Relation:
                     f"compose_pipeline: attributes {sorted(overlap)} "
                     "appear on both sides"
                 )
+            goal = place if i == last else None
+            other_pairs = other.schema.pairs
             plan = _plan_match(
-                self.universe, cur_pairs, other, on, on,
-                "compose_pipeline",
+                universe, cur_pairs, other_pairs, on, on,
+                "compose_pipeline", goal,
             )
-            on_set = set(on)
-            combined = cur_pairs + [
-                (attr, pd)
-                for attr, pd in plan.aligned_pairs
-                if attr.name not in on_set
-            ]
             drop_set = set(drop)
+            combined = _combined(cur_pairs, plan.aligned_pairs, on)
             missing = drop_set - {attr.name for attr, _ in combined}
             if missing:
                 raise JeddError(
                     f"compose_pipeline: cannot drop {sorted(missing)}: "
                     "not in the combined schema"
                 )
+            a_only, b_only = plan.a_only, plan.b_only
+            a_moves, b_moves = [], plan.moves
+            cost = _moved_bits(b_moves) + _misplaced_bits(
+                combined, drop_set, goal
+            )
+            if cost:
+                # The mirror image: the running result moves into the
+                # operand's domains (the same plan with sides swapped).
+                mirror = _plan_match(
+                    universe, other_pairs, cur_pairs, on, on,
+                    "compose_pipeline", goal,
+                )
+                mirrored = _combined(mirror.aligned_pairs, other_pairs, on)
+                if _moved_bits(mirror.moves) + _misplaced_bits(
+                    mirrored, drop_set, goal
+                ) < cost:
+                    plan, combined = mirror, mirrored
+                    a_only, b_only = mirror.b_only, mirror.a_only
+                    a_moves, b_moves = mirror.moves, []
             exist_levels = [
                 l
                 for attr, pd in combined
@@ -1043,10 +1134,11 @@ class Relation:
                 PipelineStep(
                     b=other.node,
                     cmp_levels=plan.cmp_levels,
-                    a_only_levels=plan.a_only,
-                    b_only_levels=plan.b_only,
+                    a_only_levels=a_only,
+                    b_only_levels=b_only,
                     exist_levels=exist_levels,
-                    b_perm=self.universe.move_permutation(plan.moves),
+                    b_perm=universe.move_permutation(b_moves),
+                    a_perm=universe.move_permutation(a_moves),
                 )
             )
             cur_pairs = [

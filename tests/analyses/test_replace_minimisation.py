@@ -5,7 +5,9 @@ Deterministic kernel counters, no timing:
 - every semi-naive delta sits in its relation's declared physical
   domains, so the static facts a rule joins it with are moved under the
   same permutation each round and the replace cache hits;
-- on ``jedit`` the default semi-naive ``PointsTo`` does at most 1.5x
+- rule bodies move the delta, never the static ``assign``/``store``/
+  ``load`` fact it joins (the hand-coded solver's placement);
+- on ``jedit`` the default semi-naive ``PointsTo`` does at most 1.15x
   the ``replace`` misses of the whole-relation loop, and that loop does
   no more than the hand-coded ``LowLevelPointsTo``.
 """
@@ -64,6 +66,29 @@ def test_warm_update_deltas_keep_declared_domains(checked_iterations):
     assert eng["pt"] == solver.pt
 
 
+@pytest.mark.parametrize("name", ["javac-s", "jedit"])
+def test_rule_bodies_never_move_static_facts(monkeypatch, name):
+    au = AnalysisUniverse(preset(name))
+    solver = PointsTo(au)
+    m = au.universe.manager
+    moved = []
+    replace = m.replace
+
+    def spy(node, perm):
+        moved.append(node)
+        return replace(node, perm)
+
+    monkeypatch.setattr(m, "replace", spy)
+    solver.solve()
+    facts = {
+        solver.assign.node: "assign",
+        solver.store.node: "store",
+        solver.load.node: "load",
+    }
+    assert moved, "the solve moved no delta at all"
+    assert [facts[n] for n in moved if n in facts] == []
+
+
 def test_jedit_replace_misses():
     facts = preset("jedit")
 
@@ -85,4 +110,4 @@ def test_jedit_replace_misses():
     print(f"\njedit replace misses: seminaive {seminaive}, "
           f"naive {naive}, low-level {lowlevel}")
     assert naive <= lowlevel
-    assert seminaive <= 1.5 * naive
+    assert seminaive <= 1.15 * naive

@@ -4,7 +4,7 @@ The ooc kernel's contract is that ``memory_cap_bytes`` bounds its
 *accounted* resident state -- node-table pages, unique-table delta,
 operation caches, and in-flight sweep queues -- for the whole solve,
 not just at quiet points.  These tests run the smallest whole-program
-points-to preset (``javac-s``) under a cap roughly a tenth of its
+points-to preset (``javac-s``) under a cap of about a fifth of its
 uncapped footprint and watch ``resident_bytes()`` from a sampler
 thread throughout; the big-preset version of the same proof (tens of
 megabytes, every spill path saturated) lives in
@@ -24,10 +24,10 @@ from repro.analyses import AnalysisUniverse, PointsTo, preset
 from repro.bdd.io import dumps_diagram_binary
 from repro.bdd.ooc import OocBDDManager
 
-#: Uncapped, the javac-s points-to solve holds ~2.0 MB of kernel state
-#: resident at its peak; 448 KiB forces unique-table flushes, page
+#: Uncapped, the javac-s points-to solve holds ~1.8 MB of kernel state
+#: resident at its peak; 384 KiB forces unique-table flushes, page
 #: eviction, and queue spills while staying fast enough for tier-1.
-CAP_BYTES = 448 * 1024
+CAP_BYTES = 384 * 1024
 
 
 class ResidentWatchdog:

@@ -279,6 +279,34 @@ class TestEvaluation:
         assert report.estimate_error() >= 1.0
         assert "plan site" in report.format()
 
+    def test_reported_forced_plan_gets_estimates(self, u):
+        r = rel(u, ["a", "b"], [("o0", "o1"), ("o2", "o1")])
+        s = rel(u, ["b", "c"], [("o1", "o2")], ["P2", "P3"])
+        shape = ([r.schema.name_set(), s.schema.name_set()], frozenset("b"))
+        weight = ir.default_weight(u)
+
+        def measured():
+            return [ir.Estimate(float(x.size()), float(x.node_count()))
+                    for x in (r, s)]
+
+        # Planned for an unreported run, the anchored plan has no
+        # estimates; reporting it fills them in from the same model.
+        plan = ir.Planner().product_plan(
+            ("fwd",), 0, *shape, lambda: 1 / 0, weight, anchor=0
+        )
+        assert plan.est_nodes is None
+        reports = []
+        ir.run_product_plan([r, s], plan, collect=reports)
+        (report,) = reports
+        expected = ir.estimate_plan(plan, shape[0], measured(), weight)
+        assert report.est_nodes == expected.est_nodes
+        assert report.steps[0]["est_card"] == expected.steps[0].est_card
+        # Planned for a reported run, it carries them from the start.
+        planned = ir.Planner().product_plan(
+            ("fwd",), 0, *shape, measured, weight, anchor=0, report=True
+        )
+        assert planned == expected
+
 
 class TestPlanner:
     WEIGHT = staticmethod(lambda a: 6.0)
@@ -360,6 +388,28 @@ class TestPlanner:
         planner.product_plan(("shape",), 1, *args)  # generation moved
         assert planner.misses == 2
 
+    def test_forced_plans_skip_the_estimate_thunk(self):
+        planner = ir.Planner()
+        calls = []
+
+        def estimates():
+            calls.append(1)
+            return [ir.Estimate(1.0, 1.0), ir.Estimate(2.0, 2.0)]
+
+        two = ([frozenset("ab"), frozenset("bc")], frozenset("b"))
+        plan = planner.product_plan(
+            ("anchored",), 0, *two, estimates, self.WEIGHT, anchor=1
+        )
+        assert calls == []
+        assert plan.est_nodes is None and plan.steps[0].est_card is None
+        # Two unanchored parts: which one is the base is a choice.
+        planner.product_plan(("free",), 0, *two, estimates, self.WEIGHT)
+        assert calls == [1]
+        # Filled in later, the estimates are the planner's own.
+        assert ir.estimate_plan(
+            plan, two[0], estimates(), self.WEIGHT
+        ) == ir.plan_product(*two, estimates(), self.WEIGHT, anchor=1)
+
     def test_reorder_bumps_plan_generation(self, u):
         before = u.plan_generation
         u.invalidate_plans()
@@ -394,3 +444,36 @@ class TestStaticReports:
         est, reports = ir.static_reports(node, weight, label="agg")
         assert 0 < est.card <= weight("a")
         assert len(reports) == 1  # the child product's plan
+
+
+def test_forced_rule_plans_walk_no_diagrams(monkeypatch):
+    """Every points-to rule body is an anchored delta and one other
+    atom: an untraced solve never counts a diagram, while a collected
+    plan report still shows estimates next to the actuals."""
+    from repro.analyses import AnalysisUniverse, PointsTo, preset
+    from repro.relations import ExecutionPolicy
+
+    au = AnalysisUniverse(preset("javac-s"))
+    m = au.universe.manager
+    walks = []
+    for name in ("sat_count", "node_count"):
+        def counted(*args, _walk=getattr(m, name), _name=name):
+            walks.append(_name)
+            return _walk(*args)
+
+        monkeypatch.setattr(m, name, counted)
+    PointsTo(au).solve()
+    assert walks == []
+
+    solver = PointsTo(
+        AnalysisUniverse(preset("javac-s")),
+        policy=ExecutionPolicy(collect_plans=True),
+    )
+    solver.solve()
+    reports = solver.fixpoint.plan_reports
+    assert reports
+    for report in reports:
+        assert report.est_nodes is not None
+        for row in report.steps:
+            assert row["est_card"] is not None
+            assert row["est_nodes"] is not None
