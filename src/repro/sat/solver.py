@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro import telemetry as _telemetry
 from repro.sat.cnf import CNF
@@ -89,31 +89,48 @@ def _luby(i: int) -> int:
 
 
 class Solver:
-    """One-shot CDCL solver over a :class:`~repro.sat.cnf.CNF` formula."""
+    """One-shot CDCL solver over a :class:`~repro.sat.cnf.CNF` formula.
+
+    Truth values live in ``lval``, indexed by literal: ``lval[lit]`` is
+    ``True``, ``False`` or ``None`` (unassigned), and a negative literal
+    ``-v`` lands, by Python's negative indexing, at ``2*nv + 1 - v``.
+    Assigning a variable writes both of its slots.  Watch lists are
+    indexed the same way: ``watches[lit]`` holds the clauses to visit
+    when ``lit`` becomes true (those watching ``-lit``).
+    """
 
     def __init__(self, cnf: CNF) -> None:
         self.cnf = cnf
-        self.nv = cnf.num_vars
+        nv = self.nv = cnf.num_vars
         # Clause database: original (non-tautological) clauses first,
-        # learned clauses appended.  ``origins[cid]`` is the set of
-        # original clause indices at the leaves of cid's derivation.
-        self.clauses: List[List[int]] = []
-        self.origins: List[FrozenSet[int]] = []
-        self.watches: Dict[int, List[int]] = {}
+        # learned clauses appended.  ``origins[cid]`` holds the original
+        # clause indices at the leaves of cid's derivation: the 1-tuple
+        # ``(idx,)`` for an input clause, a frozenset for a learned one.
+        self.clauses: List[Optional[List[int]]] = []
+        self.origins: List[Collection[int]] = []
+        self.watches: List[List[int]] = [[] for _ in range(2 * nv + 1)]
         # Assignment state.
-        self.value: List[Optional[bool]] = [None] * (self.nv + 1)
-        self.reason: List[Optional[int]] = [None] * (self.nv + 1)
-        self.level: List[int] = [0] * (self.nv + 1)
-        self.zero_origins: List[FrozenSet[int]] = [frozenset()] * (self.nv + 1)
+        self.lval: List[Optional[bool]] = [None] * (2 * nv + 1)
+        self.reason: List[Optional[int]] = [None] * (nv + 1)
+        self.level: List[int] = [0] * (nv + 1)
+        self.zero_origins: List[FrozenSet[int]] = [frozenset()] * (nv + 1)
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.prop_head = 0
-        # VSIDS.
-        self.activity: List[float] = [0.0] * (self.nv + 1)
+        # VSIDS.  ``order`` is a heap of ``(-activity, var)`` entries, some
+        # of them stale; ``queued[v]`` is the activity of v's freshest
+        # entry still in the heap, or None when it has none.  Activities
+        # only grow between rescales, so an unassigned variable's freshest
+        # entry is also its smallest key, and a variable needs a new
+        # entry on backtrack only when its activity moved since.
+        self.activity: List[float] = [0.0] * (nv + 1)
         self.var_inc = 1.0
         self.var_decay = 0.95
-        self.order: List[Tuple[float, int]] = []
-        self.saved_phase: List[bool] = [False] * (self.nv + 1)
+        self.order: List[Tuple[float, int]] = [
+            (0.0, v) for v in range(1, nv + 1)
+        ]  # sorted, hence already a heap
+        self.queued: List[Optional[float]] = [0.0] * (nv + 1)
+        self.saved_phase: List[bool] = [False] * (nv + 1)
         # Learned-clause database management.
         self.learned_cids: List[int] = []
         self.clause_activity: Dict[int, float] = {}
@@ -138,23 +155,31 @@ class Solver:
     # ------------------------------------------------------------------
 
     def _load(self) -> None:
+        clauses, origins, watches = self.clauses, self.origins, self.watches
         for idx, clause in enumerate(self.cnf.clauses):
-            lits = list(clause)
-            if not lits:
+            n = len(clause)
+            # A tautology (a variable in both polarities) is always
+            # satisfied and never in a core: it has fewer distinct
+            # variables than distinct literals.
+            if n == 2:
+                a, b = clause
+                if a == -b:
+                    continue
+            elif n > 2:
+                if len(set(map(abs, clause))) != len(set(clause)):
+                    continue
+                a, b = clause[0], clause[1]
+            elif n == 1:
+                self._unit_inputs.append((clause[0], idx))
+                continue
+            else:
                 self._empty_clause_idx = idx
                 continue
-            if any(-lit in clause for lit in clause):
-                continue  # tautology: always satisfied, never in a core
-            if len(lits) == 1:
-                self._unit_inputs.append((lits[0], idx))
-                continue
-            cid = len(self.clauses)
-            self.clauses.append(lits)
-            self.origins.append(frozenset((idx,)))
-            for lit in lits[:2]:
-                self.watches.setdefault(-lit, []).append(cid)
-        for v in range(1, self.nv + 1):
-            heapq.heappush(self.order, (0.0, v))
+            cid = len(clauses)
+            clauses.append(list(clause))
+            origins.append((idx,))
+            watches[-a].append(cid)
+            watches[-b].append(cid)
 
     # ------------------------------------------------------------------
     # Assignment primitives
@@ -166,90 +191,110 @@ class Solver:
     def _assign(
         self, lit: int, reason_cid: Optional[int], unit_origin: Optional[int]
     ) -> None:
-        var = abs(lit)
-        self.value[var] = lit > 0
+        var = lit if lit > 0 else -lit
+        self.lval[lit] = True
+        self.lval[-lit] = False
         self.reason[var] = reason_cid
-        self.level[var] = self._decision_level()
+        level = self.level[var] = len(self.trail_lim)
         self.saved_phase[var] = lit > 0
-        if self.level[var] == 0:
+        if level == 0:
             acc: Set[int] = set()
             if unit_origin is not None:
                 acc.add(unit_origin)
             if reason_cid is not None:
-                acc |= self.origins[reason_cid]
+                acc.update(self.origins[reason_cid])
                 for other in self.clauses[reason_cid]:
                     if other != lit:
-                        acc |= self.zero_origins[abs(other)]
+                        acc.update(self.zero_origins[abs(other)])
             self.zero_origins[var] = frozenset(acc)
         self.trail.append(lit)
 
-    def _lit_value(self, lit: int) -> Optional[bool]:
-        v = self.value[abs(lit)]
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
     def _backtrack(self, target_level: int) -> None:
-        while self.trail_lim and len(self.trail_lim) > target_level:
-            boundary = self.trail_lim.pop()
-            while len(self.trail) > boundary:
-                lit = self.trail.pop()
-                var = abs(lit)
-                self.value[var] = None
-                self.reason[var] = None
-                heapq.heappush(self.order, (-self.activity[var], var))
-        self.prop_head = len(self.trail)
+        trail, trail_lim = self.trail, self.trail_lim
+        if len(trail_lim) > target_level:
+            boundary = trail_lim[target_level]
+            del trail_lim[target_level:]
+            undone = trail[boundary:]
+            del trail[boundary:]
+            lval, reason = self.lval, self.reason
+            activity, queued, order = self.activity, self.queued, self.order
+            for lit in undone:
+                lval[lit] = lval[-lit] = None
+                var = lit if lit > 0 else -lit
+                reason[var] = None
+                a = activity[var]
+                if queued[var] != a:
+                    queued[var] = a
+                    heapq.heappush(order, (-a, var))
+        self.prop_head = len(trail)
 
     # ------------------------------------------------------------------
     # Propagation (two watched literals)
     # ------------------------------------------------------------------
 
     def _propagate(self) -> Optional[int]:
-        """Propagate pending assignments; returns a conflicting cid or None."""
-        while self.prop_head < len(self.trail):
-            lit = self.trail[self.prop_head]
-            self.prop_head += 1
-            self.n_propagations += 1
-            watching = self.watches.get(lit)
+        """Propagate pending assignments; returns a conflicting cid or None.
+
+        Above level 0 the implied assignments are made inline; at level 0
+        they go through :meth:`_assign`, which builds origin closures.
+        """
+        trail, lval = self.trail, self.lval
+        clauses, watches = self.clauses, self.watches
+        reason, level, phase = self.reason, self.level, self.saved_phase
+        dl = len(self.trail_lim)
+        head = start = self.prop_head
+        conflict = None
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            watching = watches[lit]
             if not watching:
                 continue
+            false_lit = -lit
             survivors: List[int] = []
-            i = 0
-            conflict = None
-            while i < len(watching):
-                cid = watching[i]
-                i += 1
-                clause = self.clauses[cid]
+            keep = survivors.append
+            for i, cid in enumerate(watching):
+                clause = clauses[cid]
                 if clause is None:  # deleted by a database reduction
                     continue
                 # Ensure the falsified literal is in position 1.
-                if clause[0] == -lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+                if clause[0] == false_lit:
+                    clause[0], clause[1] = clause[1], false_lit
                 first = clause[0]
-                if self._lit_value(first) is True:
-                    survivors.append(cid)
+                first_val = lval[first]
+                if first_val is True:
+                    keep(cid)
                     continue
                 # Find a new literal to watch.
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._lit_value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(-clause[1], []).append(cid)
-                        moved = True
+                    other = clause[k]
+                    if lval[other] is not False:
+                        clause[1], clause[k] = other, clause[1]
+                        watches[-other].append(cid)
                         break
-                if moved:
-                    continue
-                survivors.append(cid)
-                if self._lit_value(first) is False:
-                    # Conflict: keep remaining watchers, stop.
-                    survivors.extend(watching[i:])
-                    conflict = cid
-                    break
-                self._assign(first, cid, None)
-            self.watches[lit] = survivors
+                else:
+                    keep(cid)
+                    if first_val is False:
+                        # Conflict: keep remaining watchers, stop.
+                        survivors.extend(watching[i + 1:])
+                        conflict = cid
+                        break
+                    if dl == 0:
+                        self._assign(first, cid, None)
+                    else:
+                        lval[first] = True
+                        lval[-first] = False
+                        var = first if first > 0 else -first
+                        reason[var] = cid
+                        level[var] = dl
+                        phase[var] = first > 0
+                        trail.append(first)
+            watches[lit] = survivors
             if conflict is not None:
-                return conflict
-        return None
+                break
+        self.n_propagations += head - start
+        self.prop_head = head
+        return conflict
 
     # ------------------------------------------------------------------
     # Conflict analysis (first UIP)
@@ -258,67 +303,83 @@ class Solver:
     def _bump(self, var: int) -> None:
         self.activity[var] += self.var_inc
         if self.activity[var] > 1e100:
-            for v in range(1, self.nv + 1):
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
+            self._rescale()
+
+    def _rescale(self) -> None:
+        """Scale every activity and ``var_inc`` by 1e-100.
+
+        The heap keys are activities too, so the heap is rebuilt from the
+        unassigned variables' scaled activities; an entry left at the old
+        scale would outrank every later push, whatever its activity.
+        Assigned variables lose their entries and get fresh ones when
+        backtracking unassigns them.
+        """
+        nv, lval = self.nv, self.lval
+        self.activity = activity = [a * 1e-100 for a in self.activity]
+        self.var_inc *= 1e-100
+        self.queued = queued = [None] * (nv + 1)
+        order = []
+        for v in range(1, nv + 1):
+            if lval[v] is None:
+                queued[v] = activity[v]
+                order.append((-activity[v], v))
+        order.sort()
+        self.order = order
 
     def _analyze(self, conflict_cid: int) -> Tuple[List[int], int, FrozenSet[int]]:
         """Derive a 1UIP clause; returns (learnt, backjump_level, origins)."""
+        clauses, origins, zero = self.clauses, self.origins, self.zero_origins
+        level, trail = self.level, self.trail
+        bump = self._bump
         learnt: List[int] = []
         seen = [False] * (self.nv + 1)
-        origins_acc: Set[int] = set(self.origins[conflict_cid])
+        origins_acc: Set[int] = set(origins[conflict_cid])
         self._bump_clause(conflict_cid)
         counter = 0
-        lits = list(self.clauses[conflict_cid])
-        trail_idx = len(self.trail) - 1
+        lits = clauses[conflict_cid]
+        trail_idx = len(trail) - 1
         p: Optional[int] = None
-        current = self._decision_level()
+        current = len(self.trail_lim)
         while True:
             for q in lits:
-                if p is not None and q == p:
+                if q == p:
                     continue
-                var = abs(q)
-                if self.level[var] == 0:
-                    origins_acc |= self.zero_origins[var]
+                var = q if q > 0 else -q
+                q_level = level[var]
+                if q_level == 0:
+                    origins_acc.update(zero[var])
                     continue
                 if not seen[var]:
                     seen[var] = True
-                    self._bump(var)
-                    if self.level[var] == current:
+                    bump(var)
+                    if q_level == current:
                         counter += 1
                     else:
                         learnt.append(q)
             # Walk the trail back to the next marked literal.
-            while not seen[abs(self.trail[trail_idx])]:
+            while not seen[abs(trail[trail_idx])]:
                 trail_idx -= 1
-            p_lit = self.trail[trail_idx]
-            p_var = abs(p_lit)
+            p = trail[trail_idx]
+            p_var = abs(p)
             trail_idx -= 1
             seen[p_var] = False
             counter -= 1
             if counter == 0:
-                learnt.append(-p_lit)
+                learnt.append(-p)
                 break
             reason_cid = self.reason[p_var]
             assert reason_cid is not None, "UIP literal must be implied"
             self._bump_clause(reason_cid)
-            origins_acc |= self.origins[reason_cid]
-            lits = list(self.clauses[reason_cid])
-            p = p_lit
-        # Asserting literal last; compute backjump level.
-        if len(learnt) == 1:
-            backjump = 0
-        else:
-            levels = sorted(
-                (self.level[abs(l)] for l in learnt[:-1]), reverse=True
-            )
-            backjump = levels[0]
+            origins_acc.update(origins[reason_cid])
+            lits = clauses[reason_cid]
+        # Asserting literal last; the backjump level is the highest other.
+        backjump = max((level[abs(l)] for l in learnt[:-1]), default=0)
         return learnt, backjump, frozenset(origins_acc)
 
     def _conflict_core_at_zero(self, conflict_cid: int) -> List[int]:
         acc: Set[int] = set(self.origins[conflict_cid])
         for lit in self.clauses[conflict_cid]:
-            acc |= self.zero_origins[abs(lit)]
+            acc.update(self.zero_origins[abs(lit)])
         return sorted(acc)
 
     # ------------------------------------------------------------------
@@ -353,7 +414,7 @@ class Solver:
             return SATResult(False, core=[self._empty_clause_idx])
         # Level-0 unit clauses.
         for lit, idx in self._unit_inputs:
-            val = self._lit_value(lit)
+            val = self.lval[lit]
             if val is True:
                 continue
             if val is False:
@@ -399,9 +460,8 @@ class Solver:
                 continue
             var = self._pick_branch_var()
             if var is None:
-                model = {
-                    v: bool(self.value[v]) for v in range(1, self.nv + 1)
-                }
+                lval = self.lval
+                model = {v: bool(lval[v]) for v in range(1, self.nv + 1)}
                 return SATResult(
                     True,
                     model=model,
@@ -422,7 +482,8 @@ class Solver:
             # derivation's origin set.
             var = abs(asserting)
             self.zero_origins[var] = origins
-            self.value[var] = asserting > 0
+            self.lval[asserting] = True
+            self.lval[-asserting] = False
             self.reason[var] = None
             self.level[var] = 0
             self.trail.append(asserting)
@@ -437,7 +498,7 @@ class Solver:
         self.clauses.append(lits)
         self.origins.append(origins)
         for lit in lits[:2]:
-            self.watches.setdefault(-lit, []).append(cid)
+            self.watches[-lit].append(cid)
         self.learned_cids.append(cid)
         self.clause_activity[cid] = self.cla_inc
         self._assign(asserting, cid, None)
@@ -483,9 +544,12 @@ class Solver:
         self.n_reductions += 1
 
     def _pick_branch_var(self) -> Optional[int]:
-        while self.order:
-            _, var = heapq.heappop(self.order)
-            if self.value[var] is None:
+        order, lval, queued = self.order, self.lval, self.queued
+        while order:
+            key, var = heapq.heappop(order)
+            if queued[var] == -key:  # popped var's freshest entry
+                queued[var] = None
+            if lval[var] is None:
                 return var
         return None
 

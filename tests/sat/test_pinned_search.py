@@ -1,0 +1,70 @@
+"""Pinned CDCL search on the Table 1 combined domain-assignment CNF.
+
+The counters and the model below were measured at commit ``0f0a5a9``
+(the solver before its literal-indexed rewrite), which passes this test
+by construction.  The rewrite must make exactly the same search: the
+same decisions in the same order, hence the same counters and model.
+A deliberate heuristic change (branching, restarts, phase, clause
+deletion) updates these pins in the same commit and says so.
+
+Both sources yield the same CNF today (``examples/jedd/combined.jedd``
+is the combined Table 1 program at the default bit widths); each is
+pinned on its own so that a change to either one shows.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from repro.analyses.jedd_sources import ANALYSIS_SOURCES
+from repro.jedd.assignment import DomainAssigner
+from repro.jedd.constraints import build_constraints
+from repro.jedd.parser import parse_program
+from repro.jedd.typecheck import check
+from repro.sat import solve
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def _table1_combined():
+    return ANALYSIS_SOURCES["All 5 combined"]()
+
+
+def _example_combined():
+    path = os.path.join(ROOT, "examples", "jedd", "combined.jedd")
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+#: (vars, clauses, literals, conflicts, decisions, propagations,
+#: SHA-256 of the model as space-separated signed literals in variable
+#: order).
+COMBINED_PIN = (
+    12378, 80945, 169656, 150, 26258, 214768,
+    "434eacf753c4d5edbcfd10b2bb72145398e401a2326548c9227fcb3ef9d81578",
+)
+
+
+def _model_digest(model):
+    text = " ".join(str(v if model[v] else -v) for v in sorted(model))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "source", [_table1_combined, _example_combined],
+    ids=["table1-all-5-combined", "example-combined"],
+)
+def test_combined_search_is_pinned(source):
+    tp = check(parse_program(source()))
+    graph = build_constraints(tp)
+    bits = {d: tp.domain_bits(d) for d in tp.domains}
+    cnf, _, _ = DomainAssigner(graph, tp.physdoms, bits).encode()
+    result = solve(cnf)
+    assert result.satisfiable
+    measured = (
+        cnf.num_vars, len(cnf), cnf.num_literals,
+        result.conflicts, result.decisions, result.propagations,
+        _model_digest(result.model),
+    )
+    assert measured == COMBINED_PIN

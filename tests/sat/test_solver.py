@@ -92,6 +92,19 @@ class TestSolverSAT:
         res = solve(cnf_of(2, [[1, -1], [2]]))
         assert res.satisfiable and res.model[2] is True
 
+    def test_raw_duplicate_literal_clause_still_constrains(self):
+        # (1 1 2) bypasses add_clause's dedupe; it is not a tautology and
+        # must still force 2 once 1 is false.
+        cnf = cnf_of(2, [[-1]])
+        cnf.clauses.append((1, 1, 2))
+        res = solve(cnf)
+        assert res.satisfiable
+        assert res.model == {1: False, 2: True}
+        cnf.add_clause([-2])
+        res = solve(cnf)
+        assert not res.satisfiable
+        assert res.core == [0, 1, 2]
+
     def test_requires_search(self):
         # A formula with no unit clauses, forcing decisions + backtracking.
         cnf = cnf_of(
@@ -123,6 +136,20 @@ class TestSolverUNSAT:
         res = solve(cnf)
         assert not res.satisfiable
         assert res.core == [1]
+
+    def test_raw_tautology_never_in_core(self):
+        # (1 -1 2) appended raw is skipped: 2 stays free, and the
+        # contradiction's core leaves the tautology out.
+        cnf = CNF(2)
+        cnf.clauses.append((1, -1, 2))
+        cnf.add_clause([-2])
+        res = solve(cnf)
+        assert res.satisfiable and res.model[2] is False
+        cnf.add_clause([1])
+        cnf.add_clause([-1])
+        res = solve(cnf)
+        assert not res.satisfiable
+        assert res.core == [2, 3]
 
     def test_pigeonhole_2_into_1(self):
         # Two pigeons, one hole: p1 in h, p2 in h, not both.
@@ -223,11 +250,79 @@ def test_unsat_cores_are_unsat(clauses):
     assert brute_force_solve(sub) is None
 
 
-@given(clauses=random_cnfs, seed_clause=st.integers(0, 3))
+@given(clauses=random_cnfs)
 @settings(max_examples=100, deadline=None)
-def test_solver_deterministic(clauses, seed_clause):
+def test_solver_deterministic(clauses):
+    """Two fresh solvers on one CNF return the same result, field by
+    field: answer, model, core and search counters."""
     cnf = cnf_of(N, clauses)
-    assert solve(cnf).satisfiable == solve(cnf).satisfiable
+    first, second = solve(cnf), solve(cnf)
+    # SATResult is a dataclass: == compares satisfiable, model, core,
+    # conflicts, decisions and propagations.
+    assert first == second
+
+
+class TestVSIDSRescale:
+    """Activities past 1e100 are scaled down by 1e-100; the branching
+    heap must be rescaled with them."""
+
+    @staticmethod
+    def _decide(solver, lit):
+        solver.trail_lim.append(len(solver.trail))
+        solver._assign(lit, None, None)
+
+    def test_next_decision_is_most_active_after_rescale(self):
+        from repro.sat.solver import Solver
+
+        solver = Solver(CNF(3))
+        solver.var_inc = 0.99e100
+        # Variable 1 is bumped once, unassigned, and re-queued under its
+        # pre-rescale activity.
+        self._decide(solver, 1)
+        solver._bump(1)
+        solver._backtrack(0)
+        # Variable 2's second bump crosses 1e100 and rescales.
+        self._decide(solver, 2)
+        solver._bump(2)
+        solver._bump(2)
+        assert solver.var_inc < 1.0
+        solver._backtrack(0)
+        activity = solver.activity
+        assert activity[2] > activity[1] > activity[3] == 0.0
+        assert solver._pick_branch_var() == 2
+        self._decide(solver, 2)
+        assert solver._pick_branch_var() == 1
+
+    def test_solve_across_rescales_stays_correct(self):
+        from repro.sat.solver import Solver
+
+        # Start var_inc just below the threshold so that the first bumps
+        # already rescale, then keep rescaling through a real search.
+        holes = 5
+
+        def v(i, j):
+            return i * holes + j + 1
+
+        cnf = CNF(6 * holes)
+        for i in range(6):
+            cnf.add_clause([v(i, j) for j in range(holes)])
+        for j in range(holes):
+            for i1 in range(6):
+                for i2 in range(i1 + 1, 6):
+                    cnf.add_clause([-v(i1, j), -v(i2, j)])
+        solver = Solver(cnf)
+        solver.var_inc = 0.99e100
+        solver.var_decay = 0.01
+        rescales = []
+        rescale = solver._rescale
+        solver._rescale = lambda: (rescales.append(1), rescale())
+        result = solver.solve()
+        assert len(rescales) >= 2
+        assert not result.satisfiable
+        sub = CNF(cnf.num_vars)
+        for idx in result.core:
+            sub.add_clause(cnf.clauses[idx])
+        assert not solve(sub).satisfiable
 
 
 class TestClauseDatabaseReduction:
