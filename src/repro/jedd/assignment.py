@@ -132,78 +132,88 @@ class DomainAssigner:
     # Encoding
     # ------------------------------------------------------------------
 
-    def encode(self) -> Tuple[CNF, Dict[int, Dict[str, int]], List[tuple]]:
-        """Build the CNF; returns (cnf, node->pd->var, clause metadata)."""
+    def encode(
+        self,
+    ) -> Tuple[CNF, Dict[int, Dict[str, int]], Dict[int, Tuple[int, int, str]]]:
+        """Build the CNF; returns (cnf, node->pd->var, conflict clauses).
+
+        The third value maps the index of each type-4 clause to its
+        conflict edge and physical domain ``(a, b, pd)``: the clauses
+        :meth:`_conflict_message` reports from an unsatisfiable core.
+
+        Variables are numbered arithmetically: node by node, the
+        candidate domains' ``e_a:p`` in candidate order, then the path
+        variables node by node and path by path.  Each clause family is
+        built in bulk, straight into ``cnf.clauses`` (see below).
+        """
         graph = self.graph
         self._check_specified_known()
         paths = self.enumerate_flow_paths()
-        cnf = CNF()
-        meta: List[tuple] = []
+        nodes, candidates = graph.nodes, self.candidates
+        specified = graph.specified
+        var_range: Dict[int, range] = {}
         pd_var: Dict[int, Dict[str, int]] = {}
-        for node in graph.nodes:
-            pd_var[node.node_id] = {
-                p: cnf.new_var() for p in self.candidates[node.node_id]
-            }
+        nv = 0
+        for node in nodes:
+            cands = candidates[node.node_id]
+            r = var_range[node.node_id] = range(nv + 1, nv + 1 + len(cands))
+            pd_var[node.node_id] = dict(zip(cands, r))
+            nv += len(cands)
+        cnf = CNF(nv + sum(map(len, paths.values())))
+        # The hand-over: clauses skip ``add_clause``'s dedupe and range
+        # checks.  By construction each clause is a tuple of distinct
+        # non-zero literals over variables 1..cnf.num_vars: the e_a:p of
+        # one node are distinct, conflict edges join distinct nodes, an
+        # equality clause pairs opposite polarities, and a path clause
+        # pairs a path variable with an e_a:p.
+        clauses = cnf.clauses
         # 1. Each attribute gets some physical domain.
-        for node in graph.nodes:
-            cands = self.candidates[node.node_id]
-            if not cands:
+        for node in nodes:
+            r = var_range[node.node_id]
+            if not r:
                 raise AssignmentError(
                     f"No physical domain is wide enough for attribute "
                     f"{node.attr} of {node.desc} at {node.pos} "
                     f"(domain {node.domain} needs "
                     f"{self.domain_bits[node.domain]} bits)"
                 )
-            cnf.add_clause([pd_var[node.node_id][p] for p in cands])
-            meta.append(("some-domain", node.node_id))
+            clauses.append(tuple(r))
         # 2. No attribute gets two physical domains.
-        for node in graph.nodes:
-            cands = self.candidates[node.node_id]
-            for i in range(len(cands)):
-                for j in range(i + 1, len(cands)):
-                    cnf.add_clause(
-                        [
-                            -pd_var[node.node_id][cands[i]],
-                            -pd_var[node.node_id][cands[j]],
-                        ]
-                    )
-                    meta.append(("at-most-one", node.node_id))
+        for node in nodes:
+            r = var_range[node.node_id]
+            clauses += [(-x, -y) for i, x in enumerate(r, 1) for y in r[i:]]
         # 3. Specified attributes get their specified domain.
-        for node_id, pd in graph.specified.items():
+        for node_id, pd in specified.items():
             if pd not in pd_var[node_id]:
-                node = graph.nodes[node_id]
+                node = nodes[node_id]
                 raise AssignmentError(
                     f"Physical domain {pd} ({self.physdoms[pd]} bits) is "
                     f"too small for attribute {node.attr} of {node.desc} "
                     f"at {node.pos}"
                 )
-            cnf.add_clause([pd_var[node_id][pd]])
-            meta.append(("specified", node_id, pd))
+            clauses.append((pd_var[node_id][pd],))
         # 4. Conflict edges: endpoints never share a domain.
+        conflicts: Dict[int, Tuple[int, int, str]] = {}
         for a, b in graph.conflict_edges:
-            shared = set(pd_var[a]) & set(pd_var[b])
-            for p in sorted(shared):
-                cnf.add_clause([-pd_var[a][p], -pd_var[b][p]])
-                meta.append(("conflict", a, b, p))
+            va, vb = pd_var[a], pd_var[b]
+            for p in sorted(va.keys() & vb.keys()):
+                conflicts[len(clauses)] = (a, b, p)
+                clauses.append((-va[p], -vb[p]))
         # 5. Equality edges: endpoints share every domain decision.
         for a, b in graph.equality_edges:
-            all_pds = sorted(set(pd_var[a]) | set(pd_var[b]))
-            for p in all_pds:
-                va = pd_var[a].get(p)
-                vb = pd_var[b].get(p)
-                if va is None:
-                    cnf.add_clause([-vb])
-                    meta.append(("equality", a, b, p))
-                elif vb is None:
-                    cnf.add_clause([-va])
-                    meta.append(("equality", a, b, p))
+            va, vb = pd_var[a], pd_var[b]
+            for p in sorted(va.keys() | vb.keys()):
+                x = va.get(p)
+                y = vb.get(p)
+                if x is None:
+                    clauses.append((-y,))
+                elif y is None:
+                    clauses.append((-x,))
                 else:
-                    cnf.add_clause([-va, vb])
-                    meta.append(("equality", a, b, p))
-                    cnf.add_clause([va, -vb])
-                    meta.append(("equality", a, b, p))
+                    clauses += ((-x, y), (x, -y))
         # 6 & 7. Flow paths.
-        for node in graph.nodes:
+        pv = nv
+        for node in nodes:
             node_paths = paths[node.node_id]
             if not node_paths:
                 raise AssignmentError(
@@ -211,24 +221,20 @@ class DomainAssigner:
                     f"{node.attr} of {node.desc} at {node.pos}; "
                     "assign a physical domain explicitly"
                 )
-            path_vars = []
+            first = pv + 1
             for path in node_paths:
-                origin_pd = self.graph.specified[path[0]]
-                pv = cnf.new_var()
-                path_vars.append(pv)
+                pv += 1
+                origin_pd = specified[path[0]]
                 for member in path:
                     target = pd_var[member].get(origin_pd)
                     if target is None:
                         # Path forces a domain too narrow for a member:
                         # the path can never be active.
-                        cnf.add_clause([-pv])
-                        meta.append(("path-impossible", node.node_id))
+                        clauses.append((-pv,))
                         break
-                    cnf.add_clause([-pv, target])
-                    meta.append(("path-forces", node.node_id, member))
-            cnf.add_clause(path_vars)
-            meta.append(("some-path", node.node_id))
-        return cnf, pd_var, meta
+                    clauses.append((-pv, target))
+            clauses.append(tuple(range(first, pv + 1)))
+        return cnf, pd_var, conflicts
 
     def _check_specified_known(self) -> None:
         for node_id, pd in self.graph.specified.items():
@@ -246,13 +252,13 @@ class DomainAssigner:
     def solve(self) -> AssignmentResult:
         """Encode, solve, and decode; raises AssignmentError on failure."""
         t0 = perf_counter()
-        cnf, pd_var, meta = self.encode()
+        cnf, pd_var, conflicts = self.encode()
         t_encode = perf_counter() - t0
         t0 = perf_counter()
         result = solve(cnf)
         t_solve = perf_counter() - t0
         if not result.satisfiable:
-            raise AssignmentError(self._conflict_message(result.core, meta))
+            raise AssignmentError(self._conflict_message(result.core, conflicts))
         node_domains: Dict[int, str] = {}
         for node in self.graph.nodes:
             for p, var in pd_var[node.node_id].items():
@@ -292,7 +298,9 @@ class DomainAssigner:
         return AssignmentResult(node_domains, owner_domains, stats)
 
     def _conflict_message(
-        self, core: Optional[Sequence[int]], meta: List[tuple]
+        self,
+        core: Optional[Sequence[int]],
+        conflicts: Dict[int, Tuple[int, int, str]],
     ) -> str:
         """Format the section 3.3.3 error from the unsatisfiable core.
 
@@ -301,9 +309,9 @@ class DomainAssigner:
         """
         if core:
             for idx in core:
-                entry = meta[idx]
-                if entry[0] == "conflict":
-                    _, a, b, pd = entry
+                entry = conflicts.get(idx)
+                if entry is not None:
+                    a, b, pd = entry
                     na, nb = self.graph.nodes[a], self.graph.nodes[b]
                     return (
                         f"Conflict between {na.desc}:{na.attr} at {na.pos} "

@@ -26,6 +26,12 @@ class CNF:
     clauses (containing both ``v`` and ``-v``) are kept as written --
     the solver treats them as trivially satisfied -- so that clause
     indices reported in unsat cores always match what the encoder added.
+
+    :meth:`add_clause` deduplicates and range-checks each clause, for
+    DIMACS input and hand-built formulas.  An encoder that builds clause
+    families in bulk may instead append to :attr:`clauses` directly,
+    provided each clause is a tuple of distinct non-zero literals over
+    variables ``1..num_vars``.
     """
 
     def __init__(self, num_vars: int = 0) -> None:
@@ -33,11 +39,6 @@ class CNF:
             raise CNFError("num_vars must be non-negative")
         self.num_vars = num_vars
         self.clauses: List[Tuple[int, ...]] = []
-
-    def new_var(self) -> int:
-        """Allocate and return a fresh variable."""
-        self.num_vars += 1
-        return self.num_vars
 
     def add_clause(self, literals: Iterable[int]) -> int:
         """Add a clause; returns its index (for unsat-core reporting)."""
@@ -59,7 +60,7 @@ class CNF:
     @property
     def num_literals(self) -> int:
         """Total literal occurrences (the "Literals" column of Table 1)."""
-        return sum(len(c) for c in self.clauses)
+        return sum(map(len, self.clauses))
 
     def evaluate(self, model: Sequence[bool]) -> bool:
         """Check a model given as ``model[var - 1]`` truth values."""

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Collection, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro import telemetry as _telemetry
 from repro.sat.cnf import CNF
@@ -102,12 +104,18 @@ class Solver:
     def __init__(self, cnf: CNF) -> None:
         self.cnf = cnf
         nv = self.nv = cnf.num_vars
-        # Clause database: original (non-tautological) clauses first,
-        # learned clauses appended.  ``origins[cid]`` holds the original
-        # clause indices at the leaves of cid's derivation: the 1-tuple
-        # ``(idx,)`` for an input clause, a frozenset for a learned one.
-        self.clauses: List[Optional[List[int]]] = []
-        self.origins: List[Collection[int]] = []
+        # Clause database, indexed by clause id.  An input clause's id is
+        # its index in ``cnf.clauses``; learned clauses are appended.  A
+        # unit, empty or tautological input leaves a None slot, as does a
+        # learned clause deleted by a database reduction.  Binary input
+        # clauses are the CNF's own tuples, which propagation never
+        # reorders; longer clauses are lists whose first two literals are
+        # the watched ones.  An input clause's origin (the input clauses
+        # at the leaves of its derivation) is its own id;
+        # ``learned_origins`` holds the origin set of each learned clause.
+        self.n_input = len(cnf.clauses)
+        self.clauses: List[Optional[Sequence[int]]] = []
+        self.learned_origins: Dict[int, FrozenSet[int]] = {}
         self.watches: List[List[int]] = [[] for _ in range(2 * nv + 1)]
         # Assignment state.
         self.lval: List[Optional[bool]] = [None] * (2 * nv + 1)
@@ -148,15 +156,21 @@ class Solver:
         # Input bookkeeping.
         self._empty_clause_idx: Optional[int] = None
         self._unit_inputs: List[Tuple[int, int]] = []  # (literal, orig idx)
-        self._load()
+        tel = _telemetry.active()
+        if tel.enabled:
+            with tel.span("sat.load", cat="sat", vars=nv, clauses=self.n_input):
+                self._load()
+        else:
+            self._load()
 
     # ------------------------------------------------------------------
     # Loading
     # ------------------------------------------------------------------
 
     def _load(self) -> None:
-        clauses, origins, watches = self.clauses, self.origins, self.watches
-        for idx, clause in enumerate(self.cnf.clauses):
+        self.clauses = clauses = list(self.cnf.clauses)
+        watches = self.watches
+        for idx, clause in enumerate(clauses):
             n = len(clause)
             # A tautology (a variable in both polarities) is always
             # satisfied and never in a core: it has fewer distinct
@@ -164,22 +178,27 @@ class Solver:
             if n == 2:
                 a, b = clause
                 if a == -b:
+                    clauses[idx] = None
                     continue
             elif n > 2:
                 if len(set(map(abs, clause))) != len(set(clause)):
+                    clauses[idx] = None
                     continue
+                clauses[idx] = list(clause)
                 a, b = clause[0], clause[1]
-            elif n == 1:
-                self._unit_inputs.append((clause[0], idx))
-                continue
             else:
-                self._empty_clause_idx = idx
+                clauses[idx] = None
+                if n == 1:
+                    self._unit_inputs.append((clause[0], idx))
+                else:
+                    self._empty_clause_idx = idx
                 continue
-            cid = len(clauses)
-            clauses.append(list(clause))
-            origins.append((idx,))
-            watches[-a].append(cid)
-            watches[-b].append(cid)
+            watches[-a].append(idx)
+            watches[-b].append(idx)
+
+    def _origins(self, cid: int) -> Collection[int]:
+        """The input clauses at the leaves of clause ``cid``'s derivation."""
+        return (cid,) if cid < self.n_input else self.learned_origins[cid]
 
     # ------------------------------------------------------------------
     # Assignment primitives
@@ -202,7 +221,7 @@ class Solver:
             if unit_origin is not None:
                 acc.add(unit_origin)
             if reason_cid is not None:
-                acc.update(self.origins[reason_cid])
+                acc.update(self._origins(reason_cid))
                 for other in self.clauses[reason_cid]:
                     if other != lit:
                         acc.update(self.zero_origins[abs(other)])
@@ -237,6 +256,12 @@ class Solver:
 
         Above level 0 the implied assignments are made inline; at level 0
         they go through :meth:`_assign`, which builds origin closures.
+
+        A binary clause never moves its watches: its implied literal is
+        the one that is not ``false_lit``.  A watch list is compacted in
+        place, and only from the first watcher it drops (a long clause
+        that moved its watch, or a deleted clause); ``w`` is the next
+        write position from then on, -1 while nothing was dropped.
         """
         trail, lval = self.trail, self.lval
         clauses, watches = self.clauses, self.watches
@@ -251,34 +276,42 @@ class Solver:
             if not watching:
                 continue
             false_lit = -lit
-            survivors: List[int] = []
-            keep = survivors.append
+            w = -1
             for i, cid in enumerate(watching):
                 clause = clauses[cid]
                 if clause is None:  # deleted by a database reduction
+                    if w < 0:
+                        w = i
                     continue
-                # Ensure the falsified literal is in position 1.
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], false_lit
-                first = clause[0]
-                first_val = lval[first]
-                if first_val is True:
-                    keep(cid)
-                    continue
-                # Find a new literal to watch.
-                for k in range(2, len(clause)):
-                    other = clause[k]
-                    if lval[other] is not False:
-                        clause[1], clause[k] = other, clause[1]
-                        watches[-other].append(cid)
-                        break
+                if len(clause) == 2:
+                    first = clause[0]
+                    if first == false_lit:
+                        first = clause[1]
+                    first_val = lval[first]
                 else:
-                    keep(cid)
-                    if first_val is False:
-                        # Conflict: keep remaining watchers, stop.
-                        survivors.extend(watching[i + 1:])
-                        conflict = cid
-                        break
+                    # Ensure the falsified literal is in position 1.
+                    if clause[0] == false_lit:
+                        clause[0], clause[1] = clause[1], false_lit
+                    first = clause[0]
+                    first_val = lval[first]
+                    if first_val is not True:
+                        # Find a new literal to watch.
+                        for k in range(2, len(clause)):
+                            other = clause[k]
+                            if lval[other] is not False:
+                                clause[1], clause[k] = other, false_lit
+                                watches[-other].append(cid)
+                                break
+                        else:
+                            other = None
+                        if other is not None:
+                            if w < 0:
+                                w = i
+                            continue
+                if w >= 0:
+                    watching[w] = cid
+                    w += 1
+                if first_val is None:
                     if dl == 0:
                         self._assign(first, cid, None)
                     else:
@@ -289,7 +322,15 @@ class Solver:
                         level[var] = dl
                         phase[var] = first > 0
                         trail.append(first)
-            watches[lit] = survivors
+                elif first_val is False:
+                    # Conflict: keep the remaining watchers, stop.
+                    if w >= 0:
+                        del watching[w:i + 1]
+                    conflict = cid
+                    break
+            else:
+                if w >= 0:
+                    del watching[w:]
             if conflict is not None:
                 break
         self.n_propagations += head - start
@@ -328,12 +369,12 @@ class Solver:
 
     def _analyze(self, conflict_cid: int) -> Tuple[List[int], int, FrozenSet[int]]:
         """Derive a 1UIP clause; returns (learnt, backjump_level, origins)."""
-        clauses, origins, zero = self.clauses, self.origins, self.zero_origins
+        clauses, zero = self.clauses, self.zero_origins
         level, trail = self.level, self.trail
         bump = self._bump
         learnt: List[int] = []
         seen = [False] * (self.nv + 1)
-        origins_acc: Set[int] = set(origins[conflict_cid])
+        origins_acc: Set[int] = set(self._origins(conflict_cid))
         self._bump_clause(conflict_cid)
         counter = 0
         lits = clauses[conflict_cid]
@@ -370,14 +411,14 @@ class Solver:
             reason_cid = self.reason[p_var]
             assert reason_cid is not None, "UIP literal must be implied"
             self._bump_clause(reason_cid)
-            origins_acc.update(origins[reason_cid])
+            origins_acc.update(self._origins(reason_cid))
             lits = clauses[reason_cid]
         # Asserting literal last; the backjump level is the highest other.
         backjump = max((level[abs(l)] for l in learnt[:-1]), default=0)
         return learnt, backjump, frozenset(origins_acc)
 
     def _conflict_core_at_zero(self, conflict_cid: int) -> List[int]:
-        acc: Set[int] = set(self.origins[conflict_cid])
+        acc: Set[int] = set(self._origins(conflict_cid))
         for lit in self.clauses[conflict_cid]:
             acc.update(self.zero_origins[abs(lit)])
         return sorted(acc)
@@ -496,7 +537,7 @@ class Solver:
             lits[1:], key=lambda l: -self.level[abs(l)]
         )
         self.clauses.append(lits)
-        self.origins.append(origins)
+        self.learned_origins[cid] = origins
         for lit in lits[:2]:
             self.watches[-lit].append(cid)
         self.learned_cids.append(cid)
@@ -536,6 +577,7 @@ class Solver:
         for cid in candidates[: len(candidates) // 2]:
             self.clauses[cid] = None
             self.clause_activity.pop(cid, None)
+            del self.learned_origins[cid]
             self.n_deleted += 1
         self.learned_cids = [
             cid for cid in self.learned_cids if self.clauses[cid] is not None

@@ -1,7 +1,11 @@
 """Tests for the SAT-based physical domain assignment (3.3.2 / 3.3.3)."""
 
+import glob
+import os
+
 import pytest
 
+from repro.analyses.jedd_sources import ANALYSIS_SOURCES
 from repro.jedd.assignment import (
     AssignmentError,
     DomainAssigner,
@@ -127,6 +131,59 @@ class TestFlowPaths:
                 for j in range(len(sets)):
                     if i != j:
                         assert not sets[i] < sets[j]
+
+
+def _paper_programs():
+    """The six Table 1 sources and the seven ``examples/jedd`` programs."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    programs = [(name, build()) for name, build in ANALYSIS_SOURCES.items()]
+    for path in sorted(glob.glob(os.path.join(root, "examples", "jedd", "*.jedd"))):
+        with open(path, "r", encoding="utf-8") as fh:
+            programs.append((os.path.basename(path), fh.read()))
+    return programs
+
+
+class TestFlowPathCap:
+    def test_no_node_reaches_the_cap(self):
+        """``max_paths_per_node`` is far above what real programs need:
+        a node at the cap may have lost paths silently."""
+        programs = _paper_programs()
+        assert len(programs) == 13
+        for name, src in programs:
+            tp, graph, assigner = solve_src(src)
+            paths = assigner.enumerate_flow_paths()
+            most = max(len(node_paths) for node_paths in paths.values())
+            assert most < assigner.max_paths_per_node, (name, most)
+
+
+class TestConflictClauses:
+    """``encode()``'s third value maps the index of every type-4 clause,
+    and nothing else, to its conflict edge and physical domain."""
+
+    @pytest.mark.parametrize(
+        "src", [FIGURE4, UNSAT_333, ANALYSIS_SOURCES["All 5 combined"]()],
+        ids=["figure4", "unsat-333", "all-5-combined"],
+    )
+    def test_keys_index_conflict_clauses(self, src):
+        tp, graph, assigner = solve_src(src)
+        cnf, pd_var, conflicts = assigner.encode()
+        edges = set(graph.conflict_edges)
+        for idx, (a, b, pd) in conflicts.items():
+            assert (a, b) in edges
+            assert cnf.clauses[idx] == (-pd_var[a][pd], -pd_var[b][pd])
+        assert len(conflicts) == sum(
+            len(pd_var[a].keys() & pd_var[b].keys())
+            for a, b in graph.conflict_edges
+        )
+
+    def test_unsat_still_reports_the_conflict(self):
+        tp, graph, assigner = solve_src(UNSAT_333)
+        with pytest.raises(AssignmentError) as err:
+            assigner.solve()
+        assert str(err.value) == (
+            "Conflict between Compose_expression:rectype at 18,21 and "
+            "Compose_expression:supertype at 18,21 over physical domain T1"
+        )
 
 
 class TestErrors:

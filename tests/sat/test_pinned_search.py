@@ -7,6 +7,12 @@ same decisions in the same order, hence the same counters and model.
 A deliberate heuristic change (branching, restarts, phase, clause
 deletion) updates these pins in the same commit and says so.
 
+The CNF itself is pinned too, by the SHA-256 of its DIMACS text, as
+measured at commit ``ffeb0f8`` (the encoder before it built clause
+families in bulk).  The encoder must hand the solver the same clauses
+in the same order: the search pins above depend on it, and so does
+Table 1.
+
 Both sources yield the same CNF today (``examples/jedd/combined.jedd``
 is the combined Table 1 program at the default bit widths); each is
 pinned on its own so that a change to either one shows.
@@ -45,21 +51,40 @@ COMBINED_PIN = (
     "434eacf753c4d5edbcfd10b2bb72145398e401a2326548c9227fcb3ef9d81578",
 )
 
+#: SHA-256 of ``cnf.to_dimacs()`` for the combined program.
+COMBINED_DIMACS_SHA256 = (
+    "e821d933bbf319762c26946bf9825abd3969cfefc4ef189a87596fb1ce99ba46"
+)
+
 
 def _model_digest(model):
     text = " ".join(str(v if model[v] else -v) for v in sorted(model))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "source", [_table1_combined, _example_combined],
-    ids=["table1-all-5-combined", "example-combined"],
-)
-def test_combined_search_is_pinned(source):
+def _combined_cnf(source):
     tp = check(parse_program(source()))
     graph = build_constraints(tp)
     bits = {d: tp.domain_bits(d) for d in tp.domains}
     cnf, _, _ = DomainAssigner(graph, tp.physdoms, bits).encode()
+    return cnf
+
+
+SOURCES = pytest.mark.parametrize(
+    "source", [_table1_combined, _example_combined],
+    ids=["table1-all-5-combined", "example-combined"],
+)
+
+
+@SOURCES
+def test_combined_cnf_is_pinned(source):
+    dimacs = _combined_cnf(source).to_dimacs()
+    assert hashlib.sha256(dimacs.encode()).hexdigest() == COMBINED_DIMACS_SHA256
+
+
+@SOURCES
+def test_combined_search_is_pinned(source):
+    cnf = _combined_cnf(source)
     result = solve(cnf)
     assert result.satisfiable
     measured = (

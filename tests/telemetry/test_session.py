@@ -209,6 +209,16 @@ class TestSatIntegration:
         assert any(s.name == "sat.solve" and s.cat == "sat"
                    for s in session.tracer.spans)
 
+    def test_load_span_ends_before_solve_span_starts(self):
+        session = telemetry.enable()
+        cnf = CNF(2)
+        for clause in ([1, 2], [-1, 2], [1, -2]):
+            cnf.add_clause(clause)
+        Solver(cnf).solve()
+        spans = {s.name: s for s in session.tracer.spans if s.cat == "sat"}
+        load, solve = spans["sat.load"], spans["sat.solve"]
+        assert load.end <= solve.start
+
     def test_repeated_solves_count_deltas_not_totals(self):
         session = telemetry.enable()
         cnf = CNF(2)
