@@ -4,26 +4,42 @@ The assignment problem -- partition the constraint graph into connected
 components (breaking only assignment edges) such that each component
 carries one programmer-specified physical domain and no conflict edge
 joins two components of equal domain -- is NP-complete.  Following the
-paper, it is encoded as CNF and handed to the SAT solver:
+paper, it is encoded as CNF and handed to the SAT solver, with one
+change: the CNF is built over the graph's *equality quotient*.
 
-- variables ``e_a:p`` ("attribute node a is assigned physical domain p")
-  and ``pi(path)`` ("this flow path is active");
-- clause types 1-7 exactly as listed in section 3.3.2: some-domain,
-  at-most-one-domain, specified-domain, conflict, equality,
-  some-path-active, path-forces-domain.
+The paper gives every attribute node ``a`` its own variables ``e_a:p``
+and ties the two ends of each equality edge together with type-5
+clauses.  Here a union-find over the equality edges does that work
+before encoding (the equivalent-literal substitution a SAT preprocessor
+would perform): each equality component ``c`` gets one variable
+``e_c:p`` per physical domain that is wide enough for every member, and
+the clause types of section 3.3.2 are emitted per component:
 
-*Flow paths* are enumerated by breadth-first search from the specified
-attributes over equality and assignment edges, recording only paths
-whose attribute sets are subset-minimal among paths with the same
-endpoint (the paper's minimality condition).  Enumeration is capped
-(``max_paths_per_node``); the cap is far above what the tree-shaped
-expression graphs of real programs produce.
+1. some domain, 2. at most one domain, 3. specified domain (once per
+   distinct specified domain of a component);
+4. conflict: one clause per distinct component pair and shared domain;
+   a conflict edge inside one component forbids each of its domains;
+5. equality: none -- the union-find is the equality constraint;
+6. & 7. some flow path active, and an active path forces its origin's
+   domain on each component it visits.
+
+*Flow paths* are enumerated by breadth-first search from the components
+holding a specified attribute over the quotient's assignment edges,
+never entering a second such component, and recording only paths whose
+component sets are subset-minimal among paths with the same endpoint
+(the paper's minimality condition).  Enumeration is capped
+(``max_paths_per_node``, per component); the cap is far above what the
+tree-shaped expression graphs of real programs produce.  A model
+decodes each component's domain to all of its members.
 
 Error reporting follows section 3.3.3: an attribute unreachable from any
 specified attribute is detected while building clause 6; on UNSAT, the
 solver's unsatisfiable core necessarily contains a conflict clause
 (type 4), from which the offending expression, attributes, and physical
-domain are reported with their source position.
+domain are reported with their source position.  A core without one --
+for instance the empty clause of a component whose members share no
+candidate domain -- is reported as "No valid physical domain assignment
+exists".
 """
 
 from __future__ import annotations
@@ -32,14 +48,16 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.jedd.constraints import AttrNode, ConstraintGraph
+from repro.jedd.constraints import ConstraintGraph
 from repro.sat import CNF, solve
 
 __all__ = [
     "AssignmentError",
     "AssignmentResult",
     "DomainAssigner",
+    "EqualityQuotient",
     "assign_domains",
+    "equality_quotient",
     "validate_assignment",
 ]
 
@@ -57,6 +75,45 @@ class AssignmentResult:
     #: owner key -> {attribute: physical domain}, mirrors graph.owner_maps
     owner_domains: Dict[Tuple[str, object], Dict[str, str]]
     stats: Dict[str, float] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class EqualityQuotient:
+    """The constraint graph's nodes grouped by its equality edges.
+
+    Components are numbered in order of their first node.
+    """
+
+    #: node_id -> component index
+    comp_of: List[int]
+    #: component index -> its node ids, ascending
+    members: List[List[int]]
+
+
+def equality_quotient(graph: ConstraintGraph) -> EqualityQuotient:
+    """Union-find over ``graph.equality_edges``."""
+    parent = list(range(len(graph.nodes)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in graph.equality_edges:
+        parent[find(a)] = find(b)
+    comp_of: List[int] = []
+    members: List[List[int]] = []
+    index: Dict[int, int] = {}
+    for node_id in range(len(graph.nodes)):
+        root = find(node_id)
+        c = index.get(root)
+        if c is None:
+            c = index[root] = len(members)
+            members.append([])
+        members[c].append(node_id)
+        comp_of.append(c)
+    return EqualityQuotient(comp_of, members)
 
 
 class DomainAssigner:
@@ -83,24 +140,53 @@ class DomainAssigner:
             needed = domain_bits[node.domain]
             cands = [p for p in self.pd_names if physdoms[p] >= needed]
             self.candidates[node.node_id] = cands
+        self.quotient = equality_quotient(graph)
+        # Per component: the candidates every member shares, in
+        # ``pd_names`` order.
+        self.comp_candidates: List[List[str]] = []
+        for nodes in self.quotient.members:
+            shared = set(self.candidates[nodes[0]])
+            for n in nodes[1:]:
+                shared.intersection_update(self.candidates[n])
+            self.comp_candidates.append(
+                [p for p in self.candidates[nodes[0]] if p in shared]
+            )
 
     # ------------------------------------------------------------------
     # Flow path enumeration
     # ------------------------------------------------------------------
 
-    def enumerate_flow_paths(self) -> Dict[int, List[Tuple[int, ...]]]:
-        """Minimal flow paths ending at each node, as node-id tuples.
+    def _origins(self) -> Dict[int, str]:
+        """Component -> the domain its flow paths carry: that of its
+        lowest specified node (a component specified twice over with
+        different domains fails clauses 2 and 3 anyway)."""
+        comp_of = self.quotient.comp_of
+        origins: Dict[int, str] = {}
+        for node_id in sorted(self.graph.specified):
+            origins.setdefault(comp_of[node_id], self.graph.specified[node_id])
+        return origins
 
-        A flow path starts at a specified attribute (its only specified
-        one), follows equality/assignment edges without repeating nodes,
-        and is subset-minimal among recorded paths with the same
-        endpoint.
+    def enumerate_flow_paths(self) -> List[List[Tuple[int, ...]]]:
+        """Minimal flow paths ending at each component, as tuples of
+        component indices.
+
+        A flow path starts at a component holding a specified attribute
+        (its only such component), follows assignment edges between
+        components without repeating one, and is subset-minimal among
+        recorded paths with the same endpoint.
         """
-        adj = self.graph.adjacency()
-        specified = set(self.graph.specified)
-        recorded: Dict[int, List[Tuple[int, ...]]] = {
-            n.node_id: [] for n in self.graph.nodes
-        }
+        comp_of = self.quotient.comp_of
+        n = len(self.quotient.members)
+        # Assignment adjacency of the quotient: no self loops, no
+        # repeated neighbours, in edge order.
+        adj: List[Dict[int, None]] = [{} for _ in range(n)]
+        for a, b in self.graph.assignment_edges:
+            ca, cb = comp_of[a], comp_of[b]
+            if ca != cb:
+                adj[ca][cb] = None
+                adj[cb][ca] = None
+        specified = self._origins()
+        recorded: List[List[Tuple[int, ...]]] = [[] for _ in range(n)]
         queue: List[Tuple[int, ...]] = []
         for s in sorted(specified):
             path = (s,)
@@ -121,7 +207,7 @@ class DomainAssigner:
                 new_set = path_set | {nxt}
                 # Subset-minimality: BFS order guarantees any strictly
                 # smaller path was recorded earlier.
-                if any(set(p) <= new_set for p in existing):
+                if any(new_set.issuperset(p) for p in existing):
                     continue
                 new_path = path + (nxt,)
                 existing.append(new_path)
@@ -134,97 +220,108 @@ class DomainAssigner:
 
     def encode(
         self,
-    ) -> Tuple[CNF, Dict[int, Dict[str, int]], Dict[int, Tuple[int, int, str]]]:
-        """Build the CNF; returns (cnf, node->pd->var, conflict clauses).
+    ) -> Tuple[CNF, List[Dict[str, int]], Dict[int, Tuple[int, int, str]]]:
+        """Build the CNF; returns (cnf, component->pd->var, conflict
+        clauses).
 
-        The third value maps the index of each type-4 clause to its
+        The third value maps the index of each type-4 clause to a
         conflict edge and physical domain ``(a, b, pd)``: the clauses
         :meth:`_conflict_message` reports from an unsatisfiable core.
+        A clause stands for every conflict edge between its two
+        components and names the first of them in
+        ``graph.conflict_edges`` order.
 
-        Variables are numbered arithmetically: node by node, the
-        candidate domains' ``e_a:p`` in candidate order, then the path
-        variables node by node and path by path.  Each clause family is
-        built in bulk, straight into ``cnf.clauses`` (see below).
+        Variables are numbered arithmetically: component by component,
+        the candidate domains' ``e_c:p`` in candidate order, then the
+        path variables component by component and path by path.  Each
+        clause family is built in bulk, straight into ``cnf.clauses``
+        (see below).
         """
         graph = self.graph
         self._check_specified_known()
         paths = self.enumerate_flow_paths()
         nodes, candidates = graph.nodes, self.candidates
-        specified = graph.specified
-        var_range: Dict[int, range] = {}
-        pd_var: Dict[int, Dict[str, int]] = {}
+        comp_of = self.quotient.comp_of
+        var_range: List[range] = []
+        pd_var: List[Dict[str, int]] = []
         nv = 0
-        for node in nodes:
-            cands = candidates[node.node_id]
-            r = var_range[node.node_id] = range(nv + 1, nv + 1 + len(cands))
-            pd_var[node.node_id] = dict(zip(cands, r))
+        for cands in self.comp_candidates:
+            r = range(nv + 1, nv + 1 + len(cands))
+            var_range.append(r)
+            pd_var.append(dict(zip(cands, r)))
             nv += len(cands)
-        cnf = CNF(nv + sum(map(len, paths.values())))
+        cnf = CNF(nv + sum(map(len, paths)))
         # The hand-over: clauses skip ``add_clause``'s dedupe and range
         # checks.  By construction each clause is a tuple of distinct
-        # non-zero literals over variables 1..cnf.num_vars: the e_a:p of
-        # one node are distinct, conflict edges join distinct nodes, an
-        # equality clause pairs opposite polarities, and a path clause
-        # pairs a path variable with an e_a:p.
+        # non-zero literals over variables 1..cnf.num_vars: the e_c:p of
+        # one component are distinct, a conflict clause joins two
+        # components or is a unit, and a path clause pairs a path
+        # variable with an e_c:p.  A component that can take no domain
+        # (its members share no candidate, or not the specified one)
+        # gets an empty clause, which the solver reports as UNSAT.
         clauses = cnf.clauses
-        # 1. Each attribute gets some physical domain.
         for node in nodes:
-            r = var_range[node.node_id]
-            if not r:
+            if not candidates[node.node_id]:
                 raise AssignmentError(
                     f"No physical domain is wide enough for attribute "
                     f"{node.attr} of {node.desc} at {node.pos} "
                     f"(domain {node.domain} needs "
                     f"{self.domain_bits[node.domain]} bits)"
                 )
-            clauses.append(tuple(r))
-        # 2. No attribute gets two physical domains.
-        for node in nodes:
-            r = var_range[node.node_id]
+        # 1. Each component gets some physical domain.
+        clauses += map(tuple, var_range)
+        # 2. No component gets two physical domains.
+        for r in var_range:
             clauses += [(-x, -y) for i, x in enumerate(r, 1) for y in r[i:]]
-        # 3. Specified attributes get their specified domain.
-        for node_id, pd in specified.items():
-            if pd not in pd_var[node_id]:
+        # 3. Specified components get their specified domains.
+        required = set()
+        for node_id, pd in graph.specified.items():
+            if pd not in candidates[node_id]:
                 node = nodes[node_id]
                 raise AssignmentError(
                     f"Physical domain {pd} ({self.physdoms[pd]} bits) is "
                     f"too small for attribute {node.attr} of {node.desc} "
                     f"at {node.pos}"
                 )
-            clauses.append((pd_var[node_id][pd],))
-        # 4. Conflict edges: endpoints never share a domain.
+            c = comp_of[node_id]
+            if (c, pd) not in required:
+                required.add((c, pd))
+                var = pd_var[c].get(pd)
+                clauses.append(() if var is None else (var,))
+        # 4. Conflict edges: the components at their ends never share a
+        # domain; a component holding both ends can take none.
         conflicts: Dict[int, Tuple[int, int, str]] = {}
+        joined = set()
         for a, b in graph.conflict_edges:
-            va, vb = pd_var[a], pd_var[b]
-            for p in sorted(va.keys() & vb.keys()):
-                conflicts[len(clauses)] = (a, b, p)
-                clauses.append((-va[p], -vb[p]))
-        # 5. Equality edges: endpoints share every domain decision.
-        for a, b in graph.equality_edges:
-            va, vb = pd_var[a], pd_var[b]
-            for p in sorted(va.keys() | vb.keys()):
-                x = va.get(p)
-                y = vb.get(p)
-                if x is None:
-                    clauses.append((-y,))
-                elif y is None:
+            ca, cb = comp_of[a], comp_of[b]
+            pair = (ca, cb) if ca <= cb else (cb, ca)
+            if pair in joined:
+                continue
+            joined.add(pair)
+            va, vb = pd_var[ca], pd_var[cb]
+            for p, x in va.items():
+                if ca == cb:
+                    conflicts[len(clauses)] = (a, b, p)
                     clauses.append((-x,))
-                else:
-                    clauses += ((-x, y), (x, -y))
+                elif p in vb:
+                    conflicts[len(clauses)] = (a, b, p)
+                    clauses.append((-x, -vb[p]))
+        # 5. Equality edges: none; the quotient merged their endpoints.
         # 6 & 7. Flow paths.
-        pv = nv
         for node in nodes:
-            node_paths = paths[node.node_id]
-            if not node_paths:
+            if not paths[comp_of[node.node_id]]:
                 raise AssignmentError(
                     f"No specified physical domain reaches attribute "
                     f"{node.attr} of {node.desc} at {node.pos}; "
                     "assign a physical domain explicitly"
                 )
+        origins = self._origins()
+        pv = nv
+        for comp_paths in paths:
             first = pv + 1
-            for path in node_paths:
+            for path in comp_paths:
                 pv += 1
-                origin_pd = specified[path[0]]
+                origin_pd = origins[path[0]]
                 for member in path:
                     target = pd_var[member].get(origin_pd)
                     if target is None:
@@ -259,31 +356,36 @@ class DomainAssigner:
         t_solve = perf_counter() - t0
         if not result.satisfiable:
             raise AssignmentError(self._conflict_message(result.core, conflicts))
-        node_domains: Dict[int, str] = {}
-        for node in self.graph.nodes:
-            for p, var in pd_var[node.node_id].items():
-                if result.model[var]:
-                    node_domains[node.node_id] = p
-                    break
+        model = result.model
+        comp_domains = [
+            next(p for p, var in comp_vars.items() if model[var])
+            for comp_vars in pd_var
+        ]
+        comp_of = self.quotient.comp_of
 
-        def broken(domains: Dict[int, str]) -> int:
+        def broken(domains: List[str]) -> int:
             return sum(
                 1
                 for a, b in self.graph.assignment_edges
-                if domains[a] != domains[b]
+                if domains[comp_of[a]] != domains[comp_of[b]]
             )
 
-        replaces_raw = broken(node_domains)
+        replaces_raw = broken(comp_domains)
         if self.minimize:
-            node_domains = minimize_replaces(
-                self.graph, node_domains, self.candidates
+            comp_domains = minimize_replaces(
+                self.graph, self.quotient, self.comp_candidates, comp_domains
             )
-        replaces_final = broken(node_domains)
+        replaces_final = broken(comp_domains)
+        node_domains = {
+            node.node_id: comp_domains[comp_of[node.node_id]]
+            for node in self.graph.nodes
+        }
         owner_domains = {
             key: {attr: node_domains[nid] for attr, nid in mapping.items()}
             for key, mapping in self.graph.owner_maps.items()
         }
         stats = {
+            "sat_components": len(pd_var),
             "sat_vars": cnf.num_vars,
             "sat_clauses": len(cnf),
             "sat_literals": cnf.num_literals,
@@ -332,86 +434,66 @@ def assign_domains(
 
 def minimize_replaces(
     graph: ConstraintGraph,
-    node_domains: Dict[int, str],
-    candidates: Dict[int, List[str]],
-) -> Dict[int, str]:
+    quotient: EqualityQuotient,
+    comp_candidates: List[List[str]],
+    comp_domains: List[str],
+) -> List[str]:
     """Greedy post-pass reducing the number of replace operations.
 
-    The SAT solver returns *some* valid assignment; it has no objective,
-    so it may break more assignment edges (=> insert more replaces) than
-    necessary.  The paper's formulation already rules out replaces
-    "without reason"; this pass goes further, hill-climbing over
-    equality-edge components: a component without a specified attribute
-    may switch to any physical domain that stays conflict-free and wide
-    enough, if doing so strictly reduces the number of assignment edges
-    whose endpoints differ.  Constraints 1-5 are preserved by
-    construction (``validate_assignment`` is re-checked in tests).
+    The SAT solver returns *some* valid assignment, one domain per
+    equality component; it has no objective, so it may break more
+    assignment edges (=> insert more replaces) than necessary.  The
+    paper's formulation already rules out replaces "without reason";
+    this pass goes further, hill-climbing over the components: a
+    component without a specified attribute may switch to any of its
+    candidate domains that stays conflict-free, if doing so strictly
+    reduces the number of assignment edges whose endpoints differ.
+    Constraints 1-5 are preserved by construction
+    (``validate_assignment`` is re-checked in tests).
     """
-    # Union-find over equality edges.
-    parent = {n.node_id: n.node_id for n in graph.nodes}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in graph.equality_edges:
-        parent[find(a)] = find(b)
-    members: Dict[int, List[int]] = {}
-    for node in graph.nodes:
-        members.setdefault(find(node.node_id), []).append(node.node_id)
-    fixed = {find(n) for n in graph.specified}
-    # Candidate domains per component: intersection of node candidates.
-    comp_candidates: Dict[int, set] = {}
-    for root, nodes in members.items():
-        cands = set(candidates[nodes[0]])
-        for n in nodes[1:]:
-            cands &= set(candidates[n])
-        comp_candidates[root] = cands
+    comp_of = quotient.comp_of
+    fixed = {comp_of[n] for n in graph.specified}
     # Conflict and assignment adjacency at component level.
     conflicts: Dict[int, List[int]] = {}
     for a, b in graph.conflict_edges:
-        ra, rb = find(a), find(b)
-        conflicts.setdefault(ra, []).append(rb)
-        conflicts.setdefault(rb, []).append(ra)
+        ca, cb = comp_of[a], comp_of[b]
+        conflicts.setdefault(ca, []).append(cb)
+        conflicts.setdefault(cb, []).append(ca)
     assign_neighbors: Dict[int, List[int]] = {}
     for a, b in graph.assignment_edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            assign_neighbors.setdefault(ra, []).append(rb)
-            assign_neighbors.setdefault(rb, []).append(ra)
+        ca, cb = comp_of[a], comp_of[b]
+        if ca != cb:
+            assign_neighbors.setdefault(ca, []).append(cb)
+            assign_neighbors.setdefault(cb, []).append(ca)
 
-    comp_pd = {root: node_domains[nodes[0]] for root, nodes in members.items()}
+    comp_pd = list(comp_domains)
 
-    def broken_for(root: int, pd: str) -> int:
+    def broken_for(comp: int, pd: str) -> int:
         return sum(
             1
-            for other in assign_neighbors.get(root, [])
+            for other in assign_neighbors.get(comp, [])
             if comp_pd[other] != pd
         )
 
     changed = True
     while changed:
         changed = False
-        for root in members:
-            if root in fixed:
+        for comp in range(len(comp_pd)):
+            if comp in fixed:
                 continue
-            current = comp_pd[root]
-            banned = {comp_pd[c] for c in conflicts.get(root, [])}
-            best_pd, best_cost = current, broken_for(root, current)
-            for pd in sorted(comp_candidates[root]):
+            current = comp_pd[comp]
+            banned = {comp_pd[c] for c in conflicts.get(comp, [])}
+            best_pd, best_cost = current, broken_for(comp, current)
+            for pd in comp_candidates[comp]:
                 if pd in banned or pd == current:
                     continue
-                cost = broken_for(root, pd)
+                cost = broken_for(comp, pd)
                 if cost < best_cost:
                     best_pd, best_cost = pd, cost
             if best_pd != current:
-                comp_pd[root] = best_pd
+                comp_pd[comp] = best_pd
                 changed = True
-    return {
-        node.node_id: comp_pd[find(node.node_id)] for node in graph.nodes
-    }
+    return comp_pd
 
 
 def validate_assignment(

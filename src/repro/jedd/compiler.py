@@ -75,11 +75,7 @@ class CompiledProgram:
         return merged
 
 
-def compile_source(
-    source: str,
-    liveness: bool = True,
-    max_paths_per_node: int = 64,
-) -> CompiledProgram:
+def compile_source(source: str, liveness: bool = True) -> CompiledProgram:
     """Run the full jeddc pipeline on Jedd source text.
 
     Raises :class:`~repro.jedd.parser.ParseError`,
@@ -96,7 +92,6 @@ def compile_source(
         graph,
         tp.physdoms,
         {d: tp.domain_bits(d) for d in tp.domains},
-        max_paths_per_node=max_paths_per_node,
     )
     assignment = assigner.solve()
     return CompiledProgram(source, tp, graph, assignment)

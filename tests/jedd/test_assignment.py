@@ -59,6 +59,7 @@ class TestSolvable:
         tp, graph, assigner = solve_src(FIGURE4)
         result = assigner.solve()
         assert result.stats["sat_vars"] > 0
+        assert 0 < result.stats["sat_components"] < len(graph.nodes)
         assert result.stats["sat_clauses"] > 0
         assert result.stats["solve_seconds"] >= 0
 
@@ -82,55 +83,66 @@ def f() {
         assert pds == {"rectype": "T1", "signature": "S1"}
 
 
+def _specified_components(graph, assigner):
+    comp_of = assigner.quotient.comp_of
+    return {comp_of[n] for n in graph.specified}
+
+
 class TestFlowPaths:
+    """Flow paths run over the equality quotient: tuples of component
+    indices, linked by assignment edges."""
+
     def test_specified_nodes_have_self_paths(self):
         tp, graph, assigner = solve_src(PRELUDE + "<rectype:T1> r;")
         paths = assigner.enumerate_flow_paths()
-        for node_id in graph.specified:
-            assert (node_id,) in paths[node_id]
+        assert graph.specified
+        for c in _specified_components(graph, assigner):
+            assert (c,) in paths[c]
 
     def test_paths_never_contain_second_specified(self):
         tp, graph, assigner = solve_src(FIGURE4)
         paths = assigner.enumerate_flow_paths()
-        specified = set(graph.specified)
-        for node_paths in paths.values():
-            for path in node_paths:
+        specified = _specified_components(graph, assigner)
+        for comp_paths in paths:
+            for path in comp_paths:
+                assert path[0] in specified
                 assert not (set(path[1:]) & specified)
 
     def test_paths_are_simple(self):
         tp, graph, assigner = solve_src(FIGURE4)
         paths = assigner.enumerate_flow_paths()
-        for node_paths in paths.values():
-            for path in node_paths:
+        for comp_paths in paths:
+            for path in comp_paths:
                 assert len(set(path)) == len(path)
 
     def test_paths_follow_edges(self):
         tp, graph, assigner = solve_src(FIGURE4)
-        adj = graph.adjacency()
+        comp_of = assigner.quotient.comp_of
+        links = {
+            frozenset((comp_of[a], comp_of[b]))
+            for a, b in graph.assignment_edges
+        }
         paths = assigner.enumerate_flow_paths()
-        for node_paths in paths.values():
-            for path in node_paths:
+        followed = 0
+        for c, comp_paths in enumerate(paths):
+            for path in comp_paths:
+                assert path[-1] == c
                 for a, b in zip(path, path[1:]):
-                    assert b in adj[a]
+                    assert a != b and frozenset((a, b)) in links
+                    followed += 1
+        assert followed > 0
 
     def test_minimality(self):
+        """Recorded paths to one component are pairwise
+        subset-incomparable."""
         tp, graph, assigner = solve_src(FIGURE4)
         paths = assigner.enumerate_flow_paths()
-        for node_paths in paths.values():
-            sets = [set(p) for p in node_paths]
-            for i, s in enumerate(sets):
-                for j, t in enumerate(sets):
-                    if i != j:
-                        assert not s < t or True  # no recorded proper superset
-                        # recorded paths must be pairwise subset-incomparable
-                        assert not (s < t and True) or s == t
-        # Stronger check: no recorded path strictly contains another.
-        for node_paths in paths.values():
-            sets = [frozenset(p) for p in node_paths]
+        for comp_paths in paths:
+            sets = [frozenset(p) for p in comp_paths]
             for i in range(len(sets)):
                 for j in range(len(sets)):
                     if i != j:
-                        assert not sets[i] < sets[j]
+                        assert not sets[i] <= sets[j]
 
 
 def _paper_programs():
@@ -146,19 +158,21 @@ def _paper_programs():
 class TestFlowPathCap:
     def test_no_node_reaches_the_cap(self):
         """``max_paths_per_node`` is far above what real programs need:
-        a node at the cap may have lost paths silently."""
+        a component at the cap may have lost paths silently."""
         programs = _paper_programs()
         assert len(programs) == 13
         for name, src in programs:
             tp, graph, assigner = solve_src(src)
             paths = assigner.enumerate_flow_paths()
-            most = max(len(node_paths) for node_paths in paths.values())
+            most = max(len(comp_paths) for comp_paths in paths)
             assert most < assigner.max_paths_per_node, (name, most)
 
 
 class TestConflictClauses:
     """``encode()``'s third value maps the index of every type-4 clause,
-    and nothing else, to its conflict edge and physical domain."""
+    and nothing else, to a conflict edge and physical domain: one clause
+    per distinct pair of equality components and shared domain, named
+    by the first conflict edge between the two."""
 
     @pytest.mark.parametrize(
         "src", [FIGURE4, UNSAT_333, ANALYSIS_SOURCES["All 5 combined"]()],
@@ -167,14 +181,20 @@ class TestConflictClauses:
     def test_keys_index_conflict_clauses(self, src):
         tp, graph, assigner = solve_src(src)
         cnf, pd_var, conflicts = assigner.encode()
-        edges = set(graph.conflict_edges)
+        comp_of = assigner.quotient.comp_of
+        first = {}
+        for a, b in graph.conflict_edges:
+            first.setdefault(frozenset((comp_of[a], comp_of[b])), (a, b))
         for idx, (a, b, pd) in conflicts.items():
-            assert (a, b) in edges
-            assert cnf.clauses[idx] == (-pd_var[a][pd], -pd_var[b][pd])
+            ca, cb = comp_of[a], comp_of[b]
+            assert first[frozenset((ca, cb))] == (a, b)
+            assert ca != cb  # no program has a conflict inside a component
+            assert cnf.clauses[idx] == (-pd_var[ca][pd], -pd_var[cb][pd])
         assert len(conflicts) == sum(
-            len(pd_var[a].keys() & pd_var[b].keys())
-            for a, b in graph.conflict_edges
+            len(pd_var[ca].keys() & pd_var[cb].keys())
+            for ca, cb in map(tuple, first)
         )
+        assert len(first) < len(graph.conflict_edges)
 
     def test_unsat_still_reports_the_conflict(self):
         tp, graph, assigner = solve_src(UNSAT_333)
@@ -300,8 +320,9 @@ class TestMinimizeReplaces:
             )
 
     def test_reduces_a_deliberately_bad_assignment(self):
-        """Hand the post-pass a valid but replace-heavy assignment and
-        check it removes the unnecessary move."""
+        """Hand the post-pass a valid but replace-heavy assignment --
+        every unspecified equality component moved, whole, to T2 -- and
+        check it removes the unnecessary moves."""
         from repro.jedd.assignment import minimize_replaces
 
         src = PRELUDE + (
@@ -309,28 +330,33 @@ class TestMinimizeReplaces:
             "def f() { b = a; c = b; }"
         )
         tp, graph, assigner = solve_src(src)
-        result = assigner.solve()
-        # Worsen: move every unspecified rectype node to T2 (valid --
-        # no conflicts between single-attribute owners).
-        bad = dict(result.node_domains)
-        for node in graph.nodes:
-            if node.node_id not in graph.specified:
-                bad[node.node_id] = "T2"
-        assert validate_assignment(graph, bad) != [] or True
-        # (equality edges may be violated by the blanket move; repair
-        # by moving whole equality components instead)
-        improved = minimize_replaces(
-            graph, result.node_domains, assigner.candidates
-        )
+        quotient = assigner.quotient
+        fixed = {quotient.comp_of[n] for n in graph.specified}
+        bad = [
+            "T1" if c in fixed else "T2"
+            for c in range(len(quotient.members))
+        ]
 
-        def broken(domains):
+        def nodes(comp_domains):
+            return {
+                n: comp_domains[quotient.comp_of[n]]
+                for n in range(len(graph.nodes))
+            }
+
+        def broken(comp_domains):
+            domains = nodes(comp_domains)
             return sum(
                 1 for x, y in graph.assignment_edges
                 if domains[x] != domains[y]
             )
 
-        assert broken(improved) <= broken(result.node_domains)
-        assert validate_assignment(graph, improved) == []
+        assert validate_assignment(graph, nodes(bad)) == []
+        assert broken(bad) > 0
+        improved = minimize_replaces(
+            graph, quotient, assigner.comp_candidates, bad
+        )
+        assert broken(improved) < broken(bad)
+        assert validate_assignment(graph, nodes(improved)) == []
 
     def test_all_t1_chain_has_zero_replaces(self):
         """a -> b -> c all specifiable as T1: no replaces must remain."""

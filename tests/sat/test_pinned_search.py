@@ -1,17 +1,17 @@
 """Pinned CDCL search on the Table 1 combined domain-assignment CNF.
 
-The counters and the model below were measured at commit ``0f0a5a9``
-(the solver before its literal-indexed rewrite), which passes this test
-by construction.  The rewrite must make exactly the same search: the
-same decisions in the same order, hence the same counters and model.
-A deliberate heuristic change (branching, restarts, phase, clause
-deletion) updates these pins in the same commit and says so.
+The CNF is the equality quotient's (``repro.jedd.assignment``): one
+``e_c:p`` per equality component and candidate domain, no type-5
+clauses.  Its counters, its model and the SHA-256 of its DIMACS text
+were measured at the commit that introduced that encoding.  Any change
+to the solver's search (branching, restarts, phase, clause deletion) or
+to the clauses the encoder hands it, or their order, shows here; such a
+change updates these pins in the same commit and says so.
 
-The CNF itself is pinned too, by the SHA-256 of its DIMACS text, as
-measured at commit ``ffeb0f8`` (the encoder before it built clause
-families in bulk).  The encoder must hand the solver the same clauses
-in the same order: the search pins above depend on it, and so does
-Table 1.
+The pins before the quotient, on the per-attribute CNF of section
+3.3.2 (measured at ``0f0a5a9`` and ``ffeb0f8``), were 12,378 variables,
+80,945 clauses, 169,656 literals, 150 conflicts, 26,258 decisions and
+214,768 propagations.
 
 Both sources yield the same CNF today (``examples/jedd/combined.jedd``
 is the combined Table 1 program at the default bit widths); each is
@@ -47,13 +47,13 @@ def _example_combined():
 #: SHA-256 of the model as space-separated signed literals in variable
 #: order).
 COMBINED_PIN = (
-    12378, 80945, 169656, 150, 26258, 214768,
-    "434eacf753c4d5edbcfd10b2bb72145398e401a2326548c9227fcb3ef9d81578",
+    4470, 23463, 49572, 151, 24678, 102244,
+    "8f47585dbfc6526baf82ad0188a81002d0bb492e90bc95623ce4123ace2d9c26",
 )
 
 #: SHA-256 of ``cnf.to_dimacs()`` for the combined program.
 COMBINED_DIMACS_SHA256 = (
-    "e821d933bbf319762c26946bf9825abd3969cfefc4ef189a87596fb1ce99ba46"
+    "2da3b7a53f8940407c595f91dd106cc6e9afa0768e5aa62559888b7d1ae1cc2a"
 )
 
 
