@@ -5,14 +5,10 @@ The always-on parts of the observability layer must be close to free:
 * the background gauge **sampler** (reading kernel counters, table
   stats, cache occupancy and RSS on a 50ms tick) must keep the serial
   whole-program points-to run within 5% of its bare wall clock;
-* **worker span tracing** on the parallel engine (per-task spans with
-  kernel-counter deltas, shipped over the result queue and stitched
-  into coordinator lanes) must keep the 2-worker run within the same
-  budget;
 * with telemetry disabled entirely, the instrumentation points must
   cost nothing measurable.
 
-The fine-grained coordinator span wrapping of every relational
+The fine-grained span wrapping of every relational
 operation (what ``--trace`` turns on) is deliberately *not* under this
 budget — it is an opt-in diagnosis mode and is priced separately by
 the span counts in the trace itself.
@@ -28,7 +24,6 @@ import pytest
 
 from repro import telemetry
 from repro.analyses import AnalysisUniverse, PointsTo
-from repro.relations import ExecutionPolicy
 from repro.telemetry.sampler import Sampler
 from repro.telemetry.session import Telemetry
 
@@ -36,7 +31,7 @@ from benchmarks.chain import chained_facts
 
 CHAIN_DEPTH = 60
 REPEATS = 3
-#: Relative budget for sampler + worker tracing, plus absolute slack.
+#: Relative budget for the sampler, plus absolute slack.
 OVERHEAD = 0.05
 SLACK_SECONDS = 0.15
 
@@ -53,13 +48,11 @@ def clean_telemetry():
     telemetry.disable()
 
 
-def _solve(facts, engine="seminaive", workers=None, session=None):
+def _solve(facts, session=None):
     au = AnalysisUniverse(facts)
     if session is not None:
         session.instrument_universe(au.universe)
-    solver = PointsTo(
-        au, policy=ExecutionPolicy(engine=engine, workers=workers)
-    )
+    solver = PointsTo(au)
     t0 = time.perf_counter()
     solver.solve()
     return time.perf_counter() - t0, solver
@@ -91,30 +84,6 @@ def test_sampler_overhead_under_budget(facts):
     print(f"\nserial+sampler: bare {t_bare:.3f}s sampled {t_obs:.3f}s "
           f"({100.0 * (t_obs - t_bare) / t_bare:+.1f}%)")
     assert set(obs.pt.tuples()) == set(bare.pt.tuples())
-    assert t_obs < (1.0 + OVERHEAD) * t_bare + SLACK_SECONDS
-
-
-def test_parallel_worker_tracing_overhead(facts):
-    """Worker span capture + shipping + stitching: <5% on 2 workers."""
-    t_bare, bare = _best(
-        lambda: _solve(facts, engine="parallel", workers=2)
-    )
-
-    def observed():
-        tel = telemetry.enable()
-        try:
-            with Sampler(tel, interval=0.05):
-                return _solve(
-                    facts, engine="parallel", workers=2, session=tel
-                )
-        finally:
-            telemetry.disable()
-
-    t_obs, obs = _best(observed)
-    print(f"\nparallel2: bare {t_bare:.3f}s observed {t_obs:.3f}s "
-          f"({100.0 * (t_obs - t_bare) / t_bare:+.1f}%)")
-    assert set(obs.pt.tuples()) == set(bare.pt.tuples())
-    assert obs.fixpoint.parallel_stats["worker_spans"] > 0
     assert t_obs < (1.0 + OVERHEAD) * t_bare + SLACK_SECONDS
 
 

@@ -13,15 +13,10 @@ Run:  python examples/whole_program_analysis.py [preset]
       (preset one of: javac-s compress javac sablecc jedit)
 
 The analyses run on the semi-naive fixpoint engine by default; pass
-``--engine naive`` to use the original whole-relation loops instead, or
-``--engine parallel [--workers N]`` to fan each semi-naive round out
-over N worker processes, each with its own BDD manager (all engines
-produce identical relations -- the differential suite asserts it).  In
-a traced run every fixpoint round appears as a ``fixpoint.iteration``
-span carrying the per-relation delta sizes; parallel runs additionally
-emit ``parallel.serialize`` / ``parallel.dispatch`` /
-``parallel.merge`` spans and per-worker ``parallel.task`` events with
-bytes shipped and kernel counters.
+``--engine naive`` to use the original whole-relation loops instead
+(both engines produce identical relations -- the differential suite
+asserts it).  In a traced run every fixpoint round appears as a
+``fixpoint.iteration`` span carrying the per-relation delta sizes.
 
 With ``--trace FILE`` the run executes under the telemetry layer: every
 phase becomes a span, kernel metrics (apply-cache hit rates, GC pauses,
@@ -133,8 +128,7 @@ def main() -> None:
         i = argv.index("--trace")
         if i + 1 >= len(argv):
             print("usage: whole_program_analysis.py [preset] "
-                  "[--engine seminaive|parallel|naive] [--workers N] "
-                  "--trace FILE",
+                  "[--engine seminaive|naive] --trace FILE",
                   file=sys.stderr)
             raise SystemExit(2)
         trace_path = argv[i + 1]
@@ -142,27 +136,16 @@ def main() -> None:
     engine = "seminaive"
     if "--engine" in argv:
         i = argv.index("--engine")
-        if i + 1 >= len(argv) or argv[i + 1] not in (
-            "seminaive", "naive", "parallel"
-        ):
-            print("--engine takes 'seminaive', 'parallel' or 'naive'",
-                  file=sys.stderr)
+        if i + 1 >= len(argv) or argv[i + 1] not in ("seminaive", "naive"):
+            print("--engine takes 'seminaive' or 'naive'", file=sys.stderr)
             raise SystemExit(2)
         engine = argv[i + 1]
-        argv = argv[:i] + argv[i + 2:]
-    workers = None
-    if "--workers" in argv:
-        i = argv.index("--workers")
-        if i + 1 >= len(argv) or not argv[i + 1].isdigit():
-            print("--workers takes a positive integer", file=sys.stderr)
-            raise SystemExit(2)
-        workers = int(argv[i + 1])
         argv = argv[:i] + argv[i + 2:]
     # The command-line flags collapse into one ExecutionPolicy shared
     # by every analysis below.
     from repro.relations import ExecutionPolicy
 
-    policy = ExecutionPolicy(engine=engine, workers=workers)
+    policy = ExecutionPolicy(engine=engine)
     name = argv[0] if argv else "compress"
     facts = preset(name)
     print(f"benchmark {name}: {facts.counts()} [{policy} engine]")
@@ -193,12 +176,6 @@ def main() -> None:
     print(f"[2] points-to ({engine}): {pt.count()} (var, obj) pairs in "
           f"{pta.iterations} iterations ({time.perf_counter() - t0:.3f}s); "
           f"pt BDD has {pt.node_count()} nodes")
-    if pta.fixpoint is not None and pta.fixpoint.parallel_stats is not None:
-        ps = pta.fixpoint.parallel_stats
-        print(f"    parallel: {ps['tasks_dispatched']} tasks over "
-              f"{ps['workers']} workers, {ps['bytes_shipped']} bytes out / "
-              f"{ps['bytes_returned']} bytes back, "
-              f"{ps['retries']} retries, {ps['restarts']} restarts")
     npt, _ = naive_points_to(facts)
     assert set(pt.tuples()) == npt
 

@@ -32,7 +32,6 @@ class CallGraph:
         self.pt = pt
         self.policy = ExecutionPolicy.of(policy)
         self.engine = self.policy.engine
-        self.workers = self.policy.workers
         self.resolver = VirtualCallResolver(au, self.policy)
         self.site_targets: Relation | None = None
         self.edges: Relation | None = None

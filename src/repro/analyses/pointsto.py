@@ -21,9 +21,8 @@ intermediate joins ``sp(baseobj, field, srcvar)`` and
 join, as in the hand-coded solver; how they run is one
 :class:`~repro.relations.ExecutionPolicy` value —
 ``policy="naive"`` selects the original whole-relation loop, kept for
-differential testing, and ``ExecutionPolicy(engine="parallel",
-workers=4)`` fans rule bodies out across worker processes.  The
-naive version runs the same chaotic iteration on Python sets.
+differential testing.  The naive version runs the same chaotic
+iteration on Python sets.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ class PointsTo:
         self.type_filter = type_filter
         self.policy = ExecutionPolicy.of(policy)
         self.engine = self.policy.engine
-        self.workers = self.policy.workers
         self.fixpoint: FixpointEngine | None = None
         self.compat: Relation | None = None
         self.pt: Relation | None = None

@@ -35,7 +35,6 @@ class SideEffects:
         self.call_edges = call_edges  # (caller, callee)
         self.policy = ExecutionPolicy.of(policy)
         self.engine = self.policy.engine
-        self.workers = self.policy.workers
         self.writes: Relation | None = None
         self.reads: Relation | None = None
 

@@ -31,7 +31,6 @@ class VirtualCallResolver:
         self.extend = au.extend()
         self.policy = ExecutionPolicy.of(policy)
         self.engine = self.policy.engine
-        self.workers = self.policy.workers
 
     def resolve(self, receiver_types: Relation) -> Relation:
         """Figure 4's ``resolve``.

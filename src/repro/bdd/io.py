@@ -15,8 +15,8 @@ between runs.  Two formats share one set of semantics:
   ``WIRE_VERSION``) followed by varint-packed fields.
   Each node record is ``<var> <low> <high>`` with the child references
   delta-encoded against the node's own id (children precede parents, so
-  most references are small), which is what makes shipping diagrams
-  between worker processes cheap — see ``docs/PARALLEL.md``.
+  most references are small); binary relation checkpoints
+  (``save_checkpoint_binary``) and universe checkpoints (JDDU) use it.
 
 Node ids are file-local (0/1 are the terminals, real nodes start at 2,
 children before parents); loading rebuilds the diagram through the
@@ -391,8 +391,7 @@ def dumps_diagram_binary(manager, root: int) -> bytes:
     """Serialize the diagram rooted at ``root`` to compact bytes.
 
     Same canonical-rebuild-on-load semantics as the text format, at a
-    fraction of the size (the parallel fixpoint executor ships all its
-    relations in this encoding).
+    fraction of the size.
     """
     if _is_mtbdd(manager):
         return _dumps_mtbdd_binary(manager, root)

@@ -6,7 +6,6 @@ from repro.profiler.recorder import ProfileEvent, Profiler, ReorderEvent
 from repro.profiler.sql import (
     has_spans,
     load_executions,
-    load_lanes,
     load_plans,
     load_shape,
     load_site_kernel_breakdown,
@@ -14,7 +13,6 @@ from repro.profiler.sql import (
     load_summary,
     save_events,
     save_spans,
-    save_worker_lanes,
 )
 
 __all__ = [
@@ -24,7 +22,6 @@ __all__ = [
     "generate_report",
     "has_spans",
     "load_executions",
-    "load_lanes",
     "load_plans",
     "load_shape",
     "load_site_kernel_breakdown",
@@ -33,5 +30,4 @@ __all__ = [
     "plan_hints",
     "save_events",
     "save_spans",
-    "save_worker_lanes",
 ]

@@ -186,24 +186,6 @@ def generate_report(db_path: str, out_dir: str) -> str:
     if sql.has_spans(db_path):
         _write_sites_page(db_path, out_dir)
         extra = "<p><a href='sites.html'>per-site kernel breakdown</a></p>"
-    lanes = sql.load_lanes(db_path)
-    if any(lane for lane, _, _ in lanes):
-        # A parallel solve: show the per-process span lanes (the
-        # coordinator's own spans are the '' lane).
-        lane_rows = [
-            "<tr><th class='op'>process lane</th><th>spans</th>"
-            "<th>total time (s)</th></tr>"
-        ]
-        for lane, count, seconds in lanes:
-            label = lane or "coordinator"
-            lane_rows.append(
-                f"<tr><td class='op'>{html.escape(label)}</td>"
-                f"<td>{count}</td><td>{seconds:.6f}</td></tr>"
-            )
-        extra += (
-            "<h2>Worker lanes</h2>"
-            f"<table>{''.join(lane_rows)}</table>"
-        )
     with open(index_path, "w") as f:
         f.write(
             _page(

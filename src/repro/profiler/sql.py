@@ -23,12 +23,10 @@ from repro.profiler.recorder import ProfileEvent
 __all__ = [
     "save_events",
     "save_spans",
-    "save_worker_lanes",
     "load_summary",
     "load_executions",
     "load_shape",
     "load_sites",
-    "load_lanes",
     "load_site_kernel_breakdown",
     "load_plans",
     "has_spans",
@@ -63,12 +61,10 @@ CREATE TABLE IF NOT EXISTS spans (
     site TEXT NOT NULL DEFAULT '',
     start REAL NOT NULL,
     seconds REAL NOT NULL,
-    args TEXT NOT NULL DEFAULT '{}',
-    lane TEXT NOT NULL DEFAULT ''
+    args TEXT NOT NULL DEFAULT '{}'
 );
 CREATE INDEX IF NOT EXISTS idx_span_site ON spans(site);
 CREATE INDEX IF NOT EXISTS idx_span_cat ON spans(cat);
-CREATE INDEX IF NOT EXISTS idx_span_lane ON spans(lane);
 """
 
 
@@ -114,49 +110,29 @@ def save_events(db_path: str, events: Iterable[ProfileEvent]) -> int:
         conn.close()
 
 
-def _span_field(span: object, name: str, default=None):
-    """Read a span attribute from either a ``repro.telemetry.Span``
-    object or the plain-dict form shipped from worker processes."""
-    if isinstance(span, dict):
-        return span.get(name, default)
-    return getattr(span, name, default)
-
-
-def save_spans(db_path: str, spans: Iterable[object], lane: str = "") -> int:
-    """Persist telemetry spans (``repro.telemetry.Span``-like objects or
-    the picklable dicts of ``SpanTracer.export_spans``); ``lane`` tags
-    the rows with their process of origin ('' = coordinator).  Returns
-    the number of rows written."""
+def save_spans(db_path: str, spans: Iterable[object]) -> int:
+    """Persist telemetry spans (``repro.telemetry.Span`` objects);
+    returns the number of rows written."""
     conn = sqlite3.connect(db_path)
     try:
         conn.executescript(_SPAN_SCHEMA)
-        try:  # migrate databases created before the lane column existed
-            conn.execute(
-                "ALTER TABLE spans ADD COLUMN lane TEXT NOT NULL DEFAULT ''"
-            )
-        except sqlite3.OperationalError:
-            pass
         count = 0
         for span in spans:
-            start = _span_field(span, "start", 0.0)
-            end = _span_field(span, "end")
-            if end is None:
-                end = start
+            end = span.end if span.end is not None else span.start
             conn.execute(
                 "INSERT INTO spans "
-                "(id, parent, depth, name, cat, site, start, seconds, "
-                "args, lane) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                "(id, parent, depth, name, cat, site, start, seconds, args) "
+                "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (
-                    _span_field(span, "index", 0),
-                    _span_field(span, "parent", -1),
-                    _span_field(span, "depth", 0),
-                    _span_field(span, "name", ""),
-                    _span_field(span, "cat", ""),
-                    _span_field(span, "site") or "",
-                    start,
-                    end - start,
-                    json.dumps(_span_field(span, "args") or {}, default=str),
-                    lane,
+                    span.index,
+                    span.parent,
+                    span.depth,
+                    span.name,
+                    span.cat,
+                    span.site or "",
+                    span.start,
+                    end - span.start,
+                    json.dumps(span.args or {}, default=str),
                 ),
             )
             count += 1
@@ -164,20 +140,6 @@ def save_spans(db_path: str, spans: Iterable[object], lane: str = "") -> int:
         return count
     finally:
         conn.close()
-
-
-def save_worker_lanes(db_path: str, lanes: Iterable[dict]) -> int:
-    """Persist the worker span lanes of a parallel solve (the dicts of
-    ``Telemetry.worker_lanes``), one ``lane`` tag per worker process.
-    Returns the total number of span rows written."""
-    count = 0
-    for lane in lanes:
-        count += save_spans(
-            db_path,
-            lane.get("spans") or (),
-            lane=str(lane.get("name") or f"pid {lane.get('pid', '?')}"),
-        )
-    return count
 
 
 def load_summary(db_path: str) -> List[Tuple[str, int, float, int]]:
@@ -232,29 +194,6 @@ def has_spans(db_path: str) -> bool:
         if row is None:
             return False
         return conn.execute("SELECT COUNT(*) FROM spans").fetchone()[0] > 0
-    finally:
-        conn.close()
-
-
-def load_lanes(db_path: str) -> List[Tuple[str, int, float]]:
-    """(lane, span count, total seconds) per process lane, coordinator
-    ('') first then workers by name; empty when the database predates
-    the lane column or holds no spans."""
-    conn = sqlite3.connect(db_path)
-    try:
-        row = conn.execute(
-            "SELECT name FROM sqlite_master WHERE type='table' AND name='spans'"
-        ).fetchone()
-        if row is None:
-            return []
-        try:
-            rows = conn.execute(
-                "SELECT lane, COUNT(*), SUM(seconds) FROM spans "
-                "GROUP BY lane ORDER BY lane"
-            ).fetchall()
-        except sqlite3.OperationalError:
-            return []
-        return [(lane, int(n), float(t or 0.0)) for lane, n, t in rows]
     finally:
         conn.close()
 

@@ -46,17 +46,13 @@ from repro.relations.fixpoint import (
     Atom,
     FixpointEngine,
     Rule,
-    eval_rule_body,
     execute_rule_plan,
 )
 from repro.relations.policy import ExecutionPolicy
-from repro.relations.parallel import ParallelExecutor
 
 __all__ = [
     "AGGREGATE_OPS",
     "Atom",
-    "ParallelExecutor",
-    "eval_rule_body",
     "execute_rule_plan",
     "ir",
     "load_checkpoint_binary",

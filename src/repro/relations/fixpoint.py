@@ -127,7 +127,6 @@ __all__ = [
     "ExecutionPolicy",
     "Rule",
     "FixpointEngine",
-    "eval_rule_body",
     "execute_rule_plan",
     "rule_shape",
 ]
@@ -263,9 +262,7 @@ def execute_rule_plan(
     place: Optional[Mapping[str, object]] = None,
 ) -> Relation:
     """Evaluate one rule body under a precomputed :class:`RulePlan`; the
-    shared core of the serial engine and the parallel workers
-    (:mod:`repro.relations.parallel`), which receive their plans over
-    the wire instead of re-deriving them.
+    shared core of :meth:`FixpointEngine.solve` and its DRed updates.
 
     ``atom_value(atom, use_delta)`` supplies each positive atom's
     relation renamed to the atom's rule variables (the atom at
@@ -283,70 +280,13 @@ def execute_rule_plan(
     )
 
 
-def eval_rule_body(
-    rule: Rule,
-    delta_idx: Optional[int],
-    atom_value: Callable[[Atom, bool], Relation],
-    neg_value: Callable[[Atom], Relation],
-    head_names: Sequence[str],
-    planner: Optional[Planner] = None,
-    label: str = "",
-    collect: Optional[List[PlanReport]] = None,
-    memo: Optional[dict] = None,
-    place: Optional[Mapping[str, object]] = None,
-) -> Relation:
-    """Plan and evaluate one rule body in a single call.
-
-    Positive atom ``delta_idx`` (if any) is bound to its delta and the
-    others to the current full values; the result is renamed to
-    ``head_names`` (the head relation's declared attribute order).
-    The body is lowered through the query planner
-    (:func:`repro.relations.ir.plan_rule`); pass a shared
-    :class:`~repro.relations.ir.Planner` to cache plans across calls,
-    or none to plan from scratch each time.  ``place`` is the head
-    placement (see :func:`_run_rule_plan`).
-    """
-    rels = [
-        atom_value(atom, delta_idx == i)
-        for i, atom in enumerate(rule.positive)
-    ]
-    universe = rels[0].universe
-    if planner is None:
-        planner = Planner()
-    plan = planner.rule_plan(
-        rule_shape(rule, head_names),
-        universe.plan_generation,
-        [a.vars for a in rule.positive],
-        rule.head.vars,
-        _neg_vars(rule),
-        head_names,
-        lambda: [
-            Estimate(float(r.size()), float(r.node_count())) for r in rels
-        ],
-        default_weight(universe),
-        delta_idx,
-        report=reporting(collect),
-    )
-    return _run_rule_plan(
-        rule, plan, rels, neg_value,
-        label=label or rule.label, collect=collect, memo=memo, place=place,
-    )
-
-
 class FixpointEngine:
     """Declare rules over relations; solve them semi-naively.
 
     ``policy`` (an :class:`~repro.relations.policy.ExecutionPolicy`, or
     an engine-name shorthand string) selects how each semi-naive round
-    evaluates its rule bodies: ``"seminaive"`` (default) runs them one
-    after another in this process; ``"parallel"`` dispatches them to
-    ``policy.workers`` worker processes
-    (:mod:`repro.relations.parallel`), each with its own diagram
-    manager, falling back to the serial path if the pool fails.  Both
-    derive the identical fixed point.  ``policy.task_timeout`` bounds
-    how long the coordinator waits without progress before declaring a
-    worker hung; ``policy.fault_injection`` is the test hook shipped to
-    the workers (see ``repro.relations.parallel``).
+    evaluates its rule bodies; the engine itself accepts only
+    ``"seminaive"`` (default), which runs them one after another.
 
     ``policy.optimize=False`` turns the query planner's conjunct
     reordering and early quantification off — rule bodies evaluate
@@ -363,21 +303,15 @@ class FixpointEngine:
         policy: Optional["ExecutionPolicy | str"] = None,
     ) -> None:
         policy = ExecutionPolicy.of(policy)
-        if policy.engine not in ("seminaive", "parallel"):
+        if policy.engine != "seminaive":
             raise JeddError(
                 f"unknown fixpoint engine {policy.engine!r} "
-                "(expected 'seminaive' or 'parallel')"
+                "(expected 'seminaive')"
             )
         self.universe = universe
         #: The resolved execution policy this engine runs under.
         self.policy = policy
         self.engine = policy.engine
-        self.workers = policy.workers
-        self.task_timeout = policy.task_timeout
-        self.fault_injection = (
-            dict(policy.fault_injection)
-            if policy.fault_injection is not None else None
-        )
         self.optimize = policy.optimize
         self._planner = Planner(optimize=policy.optimize)
         self._weight = default_weight(universe)
@@ -393,15 +327,11 @@ class FixpointEngine:
         self._order: List[str] = []  # recursive relations, declaration order
         self._full: Dict[str, Relation] = {}
         self._delta: Dict[str, Relation] = {}
-        self._executor = None
         self._solved = False
         #: Number of semi-naive iterations of the last :meth:`solve`.
         self.iterations = 0
         #: Number of rule-body evaluations of the last :meth:`solve`.
         self.rule_evaluations = 0
-        #: Executor counter snapshot of the last parallel :meth:`solve`
-        #: (bytes shipped, retries, restarts, fallbacks...), else None.
-        self.parallel_stats: Optional[dict] = None
         #: Counter snapshot of the last :meth:`update` (deleted /
         #: rederived / inserted tuple counts, phase iterations, kernel
         #: work), else None.
@@ -624,87 +554,55 @@ class FixpointEngine:
             [full.schema.physdom(n) for n in names],
         )
 
-    def _rel_schema_specs(self) -> Dict[str, tuple]:
-        """Every registered relation's declared schema, by name, as
-        picklable ``((attr_name, physdom_name), ...)`` tuples."""
-        specs: Dict[str, tuple] = {}
-        for name in list(self._seeds) + list(self._facts):
-            rel = self._schema_of(name)
-            specs[name] = tuple(
-                (attr.name, pd.name) for attr, pd in rel.schema.pairs
-            )
-        return specs
-
     def solve(self) -> Dict[str, Relation]:
         """Run the rules to the least fixed point; returns the solution
         relations keyed by name (also kept on the engine)."""
         tel = _telemetry.active()
         self.iterations = 0
         self.rule_evaluations = 0
-        self.parallel_stats = None
         self.plan_reports = []
-        if self.engine == "parallel":
-            from repro.relations.parallel import ParallelExecutor
-
-            self._executor = ParallelExecutor(
-                self.universe,
-                self._rules,
-                dict(self._facts),
-                list(self._order),
-                self._rel_schema_specs(),
-                workers=self.workers,
-                task_timeout=self.task_timeout,
-                fault_injection=self.fault_injection,
-            )
-        try:
-            with tel.span(
-                "fixpoint.solve",
-                cat="fixpoint",
-                rules=len(self._rules),
-                relations=list(self._order),
-                engine=self.engine,
+        with tel.span(
+            "fixpoint.solve",
+            cat="fixpoint",
+            rules=len(self._rules),
+            relations=list(self._order),
+            engine=self.engine,
+        ):
+            for name in self._order:
+                self._full[name] = self._apply_filter(
+                    name, self._seeds[name]
+                )
+            # Rules with no recursive body atom derive a fixed set:
+            # evaluate them once, before the loop.
+            static_rules = [
+                r for r in self._rules if not r.recursive_positions
+            ]
+            self._memo = {}
+            try:
+                for rule in static_rules:
+                    self.rule_evaluations += 1
+                    with tel.span("fixpoint.rule", cat="fixpoint",
+                                  rule=rule.label, iteration=0):
+                        out = self._apply_filter(
+                            rule.head.name, self._eval_rule(rule, None)
+                        )
+                    self._full[rule.head.name] = \
+                        self._full[rule.head.name] | out
+            finally:
+                self._memo = None
+            for name in self._order:
+                self._delta[name] = self._full[name]
+            while any(
+                not self._delta[n].is_empty() for n in self._order
             ):
-                for name in self._order:
-                    self._full[name] = self._apply_filter(
-                        name, self._seeds[name]
-                    )
-                # Rules with no recursive body atom derive a fixed set:
-                # evaluate them once, before the loop.
-                static_rules = [
-                    r for r in self._rules if not r.recursive_positions
-                ]
-                self._memo = {}
-                try:
-                    for rule in static_rules:
-                        self.rule_evaluations += 1
-                        with tel.span("fixpoint.rule", cat="fixpoint",
-                                      rule=rule.label, iteration=0):
-                            out = self._apply_filter(
-                                rule.head.name, self._eval_rule(rule, None)
-                            )
-                        self._full[rule.head.name] = \
-                            self._full[rule.head.name] | out
-                finally:
-                    self._memo = None
-                for name in self._order:
-                    self._delta[name] = self._full[name]
-                while any(
-                    not self._delta[n].is_empty() for n in self._order
-                ):
-                    self.iterations += 1
-                    self._iterate(tel)
-        finally:
-            if self._executor is not None:
-                self._executor.close()
-                self.parallel_stats = self._executor.stats_snapshot()
-                self._executor = None
-                if tel.enabled:
-                    tel.record_parallel(self.parallel_stats)
+                self.iterations += 1
+                self._iterate(tel)
         self._solved = True
         return dict(self._full)
 
-    def _evaluate_rules_serial(self, tel, it: int) -> Dict[str, Relation]:
-        """One round of rule-body evaluations, in this process."""
+    def _evaluate_rules(self, tel, it: int) -> Dict[str, Relation]:
+        """One round of rule-body evaluations: each rule once per
+        recursive body atom whose delta is non-empty."""
         acc: Dict[str, Relation] = {}
         for rule in self._rules:
             for pos in rule.recursive_positions:
@@ -726,43 +624,6 @@ class FixpointEngine:
                 )
         return acc
 
-    def _evaluate_rules_parallel(self, tel, it: int) -> Dict[str, Relation]:
-        """One round of rule-body evaluations, on the worker pool.
-
-        Contributions are unioned in the same deterministic order as the
-        serial loop; any task the executor cannot complete it evaluates
-        through the serial ``_eval_rule`` fallback, so the round always
-        finishes with the same result set.
-        """
-        tasks: List[Tuple[int, int]] = []
-        for ri, rule in enumerate(self._rules):
-            for pos in rule.recursive_positions:
-                if not self._delta[rule.positive[pos].name].is_empty():
-                    tasks.append((ri, pos))
-        # The coordinator plans; workers only execute.  Shipping the
-        # plan keeps every process on the identical schedule (and saves
-        # the workers the satcount estimates).
-        plans = {
-            (ri, pos): self._rule_plan(self._rules[ri], pos)
-            for ri, pos in tasks
-        }
-        outs = self._executor.evaluate_round(
-            tasks,
-            self._delta,
-            self._full,
-            lambda ri, pos: self._eval_rule(self._rules[ri], pos),
-            tel,
-            it,
-            plans=plans,
-        )
-        acc: Dict[str, Relation] = {}
-        for (ri, _pos), out in zip(tasks, outs):
-            self.rule_evaluations += 1
-            head = self._rules[ri].head.name
-            prev = acc.get(head)
-            acc[head] = out if prev is None else prev | out
-        return acc
-
     def _iterate(self, tel) -> None:
         it = self.iterations
         span_args = {"iteration": it}
@@ -778,13 +639,7 @@ class FixpointEngine:
                 # with this scope; it must not outlive the round.
                 self._memo = {}
                 try:
-                    if (
-                        self._executor is not None
-                        and not self._executor.broken
-                    ):
-                        acc = self._evaluate_rules_parallel(tel, it)
-                    else:
-                        acc = self._evaluate_rules_serial(tel, it)
+                    acc = self._evaluate_rules(tel, it)
                 finally:
                     self._memo = None
                 for name in self._order:
@@ -928,10 +783,8 @@ class FixpointEngine:
         facts — bit-identical to a from-scratch :meth:`solve`.
 
         Retractions apply before insertions (a tuple named in both ends
-        up present).  Updates always evaluate in-process, even for
-        ``engine="parallel"`` engines (the deltas are far too small to
-        amortize worker dispatch).  Returns the solution dict; phase
-        counters land in :attr:`last_update_stats`.
+        up present).  Returns the solution dict; phase counters land in
+        :attr:`last_update_stats`.
         """
         if not self._solved:
             raise JeddError("update() requires an initial solve()")
@@ -995,7 +848,7 @@ class FixpointEngine:
                 mgr.stats.nodes_created + mgr.stats.op_totals()[1] - kernel0
             )
         if tel.enabled:
-            tel.record_parallel(stats, prefix="incremental")
+            tel.record_gauges(stats, prefix="incremental")
         return dict(self._full)
 
     def _overdelete(

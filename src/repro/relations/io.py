@@ -144,9 +144,8 @@ def save_checkpoint_binary(relation: Relation, fp: BinaryIO) -> int:
     """:func:`save_checkpoint` in the compact binary wire format.
 
     A UTF-8 schema header line, then the binary diagram from
-    :func:`repro.bdd.io.dumps_diagram_binary` — the same encoding the
-    parallel fixpoint executor uses to ship relations between
-    processes.  Returns the number of bytes written.
+    :func:`repro.bdd.io.dumps_diagram_binary`.  Returns the number of
+    bytes written.
     """
     header = " ".join(
         f"{attr.name}:{pd.name}" for attr, pd in relation.schema.pairs

@@ -2,8 +2,7 @@
 
 Every lowering layer — the mini-language interpreter and code
 generator (:mod:`repro.jedd`), the fixpoint engine's rule bodies
-(:mod:`repro.relations.fixpoint`), the parallel executor's shipped
-tasks (:mod:`repro.relations.parallel`), and the shell — expresses
+(:mod:`repro.relations.fixpoint`) and the shell — expresses
 relational computation as these IR nodes and executes them through one
 cost-based planner, instead of hard-coding whatever operation order the
 source happened to write.  See ``docs/PLANNER.md`` for the IR grammar,

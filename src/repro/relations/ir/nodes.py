@@ -13,7 +13,7 @@ slots, which is what the plan cache and the evaluator's
 common-subexpression memo key on.  A node does not hold relations —
 leaves name *slots* that the caller binds to relations at evaluation
 time, so one lowered expression can be evaluated many times (loop
-bodies, fixpoint iterations, worker processes) against changing inputs.
+bodies, fixpoint iterations) against changing inputs.
 
 The operation set mirrors Figure 5 of the paper plus what the runtime
 needs:

@@ -24,8 +24,7 @@ result.  After ordering, every quantified attribute is scheduled at the
 first step where no later part mentions it (early existential
 quantification / projection pushdown).
 
-Plans are frozen dataclasses of primitives, picklable so the parallel
-executor can ship them to worker processes.  :class:`Planner` caches
+Plans are frozen dataclasses of primitives.  :class:`Planner` caches
 them by (structural shape, universe generation, anchor): re-planning
 happens only when the shape is new or the universe's plan generation
 moved (a reordering pass or an explicit invalidation).

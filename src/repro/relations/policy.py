@@ -1,12 +1,12 @@
 """ExecutionPolicy: one value describing *how* a solve should run.
 
 :class:`~repro.relations.fixpoint.FixpointEngine` and all four
-analyses take the engine, parallelism and planning options as this one
-frozen dataclass::
+analyses take the engine and planning options as this one frozen
+dataclass::
 
     from repro.relations import ExecutionPolicy, FixpointEngine
 
-    policy = ExecutionPolicy(engine="parallel", workers=4)
+    policy = ExecutionPolicy(collect_plans=True)
     eng = FixpointEngine(universe, policy)
     pta = PointsTo(au, policy=policy)
 
@@ -16,8 +16,8 @@ Every accepting call site also takes a plain engine name as shorthand
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Union
 
 __all__ = ["ExecutionPolicy", "POLICY_ENGINES"]
 
@@ -25,21 +25,17 @@ __all__ = ["ExecutionPolicy", "POLICY_ENGINES"]
 #: only meaningful to the analyses (their original whole-relation
 #: loops, kept for differential testing); the fixpoint engine itself
 #: rejects it.
-POLICY_ENGINES = ("seminaive", "parallel", "naive")
+POLICY_ENGINES = ("seminaive", "naive")
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How rule bodies are evaluated: engine, parallelism, planning.
+    """How rule bodies are evaluated: engine and planning.
 
     Fields:
 
-    - ``engine`` — ``"seminaive"`` (default), ``"parallel"``, or (for
-      the analyses only) ``"naive"``;
-    - ``workers`` — worker-process count for the parallel engine;
-    - ``task_timeout`` — seconds without progress before the parallel
-      coordinator declares a worker hung;
-    - ``fault_injection`` — test hook shipped to parallel workers;
+    - ``engine`` — ``"seminaive"`` (default) or (for the analyses
+      only) ``"naive"``;
     - ``optimize`` — let the query planner reorder conjuncts (pass
       False for the source-order baseline);
     - ``collect_plans`` — record one ``PlanReport`` per executed rule
@@ -50,9 +46,6 @@ class ExecutionPolicy:
     """
 
     engine: str = "seminaive"
-    workers: Optional[int] = None
-    task_timeout: Optional[float] = None
-    fault_injection: Optional[Mapping] = field(default=None, hash=False)
     optimize: bool = True
     collect_plans: bool = False
 
@@ -64,8 +57,6 @@ class ExecutionPolicy:
                 f"unknown engine {self.engine!r} "
                 f"(expected one of {', '.join(POLICY_ENGINES)})"
             )
-        if self.workers is not None and self.workers < 1:
-            raise JeddError("workers must be a positive integer")
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -97,8 +88,6 @@ class ExecutionPolicy:
 
     def __str__(self) -> str:
         parts = [self.engine]
-        if self.workers is not None:
-            parts.append(f"x{self.workers}")
         if not self.optimize:
             parts.append("unoptimized")
         return " ".join(parts)

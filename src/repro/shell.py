@@ -623,15 +623,6 @@ class RelationalShell(cmd.Cmd):
                     f", {tracer.dropped} dropped"
                     f" (max_spans={tracer.max_spans})"
                 )
-            lanes = session.worker_lanes()
-            if lanes:
-                wdropped = sum(l["dropped"] for l in lanes)
-                line += (
-                    f"; {len(lanes)} worker lanes, "
-                    f"{sum(len(l['spans']) for l in lanes)} worker spans"
-                )
-                if wdropped:
-                    line += f" ({wdropped} dropped)"
             self._say(line)
         else:
             raise _ShellError("usage: telemetry on|off|status")

@@ -29,19 +29,17 @@ _PID = 1
 _TID = 1
 
 
-def _emit_lane(
+def _emit_spans(
     events: List[dict],
     spans: Sequence[Dict[str, object]],
     t0: float,
-    pid: int,
-    tid: int,
 ) -> None:
-    """Append one lane's balanced ``B``/``E`` pairs to ``events``.
+    """Append the spans' balanced ``B``/``E`` pairs to ``events``.
 
-    ``spans`` are the plain dicts of ``SpanTracer.export_spans`` (with
-    timestamps already in the exporting clock domain relative to ``t0``);
-    emission is depth-first tree order, which guarantees every ``B`` is
-    closed by its own ``E`` in stack order on the (pid, tid) track.
+    ``spans`` are the plain dicts of ``SpanTracer.export_spans``, with
+    timestamps relative to ``t0``; emission is depth-first tree order,
+    which guarantees every ``B`` is closed by its own ``E`` in stack
+    order on the one (pid, tid) track.
     """
     children: Dict[int, List[dict]] = {}
     roots: List[dict] = []
@@ -57,8 +55,8 @@ def _emit_lane(
             "cat": span["cat"],
             "ph": "B",
             "ts": round((span["start"] - t0) * 1e6, 3),
-            "pid": pid,
-            "tid": tid,
+            "pid": _PID,
+            "tid": _TID,
         }
         args = dict(span.get("args") or {})
         if span.get("site") is not None:
@@ -73,8 +71,8 @@ def _emit_lane(
             "cat": span["cat"],
             "ph": "E",
             "ts": round((span["end"] - t0) * 1e6, 3),
-            "pid": pid,
-            "tid": tid,
+            "pid": _PID,
+            "tid": _TID,
         })
 
     for root in roots:
@@ -85,40 +83,22 @@ def chrome_trace_events(
     tracer: SpanTracer,
     process_name: str = "repro-jedd",
     metrics: Optional[Dict[str, float]] = None,
-    lanes: Optional[Sequence[dict]] = None,
 ) -> List[dict]:
     """Serialise a tracer's span tree as trace-event records.
 
     Events are emitted in depth-first tree order (each span's ``B``,
     then its children, then its ``E``), which is exactly the order a
     single-threaded run produced them in and guarantees balanced pairs.
-
-    ``lanes`` adds extra (pid, tid) tracks for spans recorded in other
-    processes: each entry is ``{"name", "pid", "tid", "spans"}`` (plus
-    optional ``"dropped"``), with span dicts whose timestamps have
-    already been aligned into this tracer's clock domain.  Every lane
-    gets its own ``process_name``/``thread_name`` metadata events so
-    Perfetto shows one named track per worker.
     """
     tracer.finish()
     events: List[dict] = [
         {"ph": "M", "name": "process_name", "pid": _PID, "tid": _TID,
          "args": {"name": process_name}},
         {"ph": "M", "name": "thread_name", "pid": _PID, "tid": _TID,
-         "args": {"name": "coordinator"}},
+         "args": {"name": "main"}},
     ]
     t0 = tracer.t0
-    _emit_lane(events, tracer.export_spans(), t0, _PID, _TID)
-
-    for lane in lanes or ():
-        pid = int(lane.get("pid", _PID))
-        tid = int(lane.get("tid", _TID))
-        name = str(lane.get("name", f"worker pid={pid}"))
-        events.append({"ph": "M", "name": "process_name", "pid": pid,
-                       "tid": tid, "args": {"name": name}})
-        events.append({"ph": "M", "name": "thread_name", "pid": pid,
-                       "tid": tid, "args": {"name": name}})
-        _emit_lane(events, lane.get("spans") or (), t0, pid, tid)
+    _emit_spans(events, tracer.export_spans(), t0)
 
     if metrics:
         # A single instant event carrying the final metrics snapshot so
@@ -147,19 +127,15 @@ def write_chrome_trace(
     tracer: SpanTracer,
     process_name: str = "repro-jedd",
     metrics: Optional[Dict[str, float]] = None,
-    lanes: Optional[Sequence[dict]] = None,
 ) -> int:
     """Write the trace JSON; returns the number of events written."""
-    events = chrome_trace_events(tracer, process_name, metrics, lanes)
-    worker_dropped = sum(int(l.get("dropped", 0)) for l in lanes or ())
+    events = chrome_trace_events(tracer, process_name, metrics)
     doc = {
         "traceEvents": events,
         "displayTimeUnit": "ms",
         "otherData": {
             "generator": "repro.telemetry",
             "droppedSpans": tracer.dropped,
-            "workerLanes": len(lanes or ()),
-            "workerDroppedSpans": worker_dropped,
         },
     }
     with open(path, "w", encoding="utf-8") as fh:

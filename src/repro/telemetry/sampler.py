@@ -2,11 +2,11 @@
 
 The registry's counters come from the kernels' always-on raw stats, but
 *point-in-time* health — node-table size and high-water mark, apply/memo
-cache occupancy, process RSS, arena frontier width, parallel executor
-health — has to be observed periodically.  :class:`Sampler` does that on
-a daemon thread at a configurable (default 1s) interval, cheap enough to
-leave on for a whole solve: each tick is a handful of ``len()`` calls
-and one ``/proc/self/status`` read, never touching kernel hot paths.
+cache occupancy, process RSS, arena frontier width — has to be observed
+periodically.  :class:`Sampler` does that on a daemon thread at a
+configurable (default 1s) interval, cheap enough to leave on for a
+whole solve: each tick is a handful of ``len()`` calls and one
+``/proc/self/status`` read, never touching kernel hot paths.
 
 Export modes:
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
 __all__ = ["Sampler", "MetricsServer", "process_rss_bytes"]
 
@@ -70,20 +70,8 @@ class Sampler:
         self.interval = max(0.05, float(interval))
         self.expose_path = expose_path
         self.samples_taken = 0
-        self._providers: List[tuple] = []
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
-
-    def add_provider(
-        self,
-        fn: Callable[[], Optional[Dict[str, float]]],
-        prefix: str = "parallel",
-    ) -> None:
-        """Register an extra gauge source; called each tick, its dict's
-        numeric values are set as ``<prefix>.<key>`` gauges.  The
-        canonical use is ``lambda: engine.parallel_stats`` so retry /
-        restart / wire-cache health shows up in the exposition."""
-        self._providers.append((prefix, fn))
 
     # -- one tick ------------------------------------------------------
 
@@ -134,19 +122,6 @@ class Sampler:
             if rss > peak.value:
                 peak.set(rss)
                 out["process.rss_peak_bytes"] = rss
-
-        for prefix, provider in self._providers:
-            try:
-                stats = provider()
-            except Exception:
-                continue
-            if not stats:
-                continue
-            for key, value in stats.items():
-                if isinstance(value, bool):
-                    gauge(f"{prefix}.{key}", float(value))
-                elif isinstance(value, (int, float)):
-                    gauge(f"{prefix}.{key}", value)
 
         self.samples_taken += 1
         registry.counter("sampler.ticks").set_total(self.samples_taken)

@@ -75,13 +75,7 @@ class NullTelemetry:
     def record_sat(self, after, before=None, name="sat"):
         pass
 
-    def add_worker_spans(self, name, pid, spans, dropped=0, tid=1):
-        pass
-
-    def worker_lanes(self):
-        return []
-
-    def record_parallel(self, stats, prefix="parallel"):
+    def record_gauges(self, stats, prefix):
         pass
 
 
@@ -104,9 +98,6 @@ class Telemetry:
         #: The :class:`~repro.profiler.Profiler` recording this
         #: session's relational operations; set by its ``install()``.
         self.profiler = None
-        #: Span lanes shipped back from worker processes (see
-        #: :meth:`add_worker_spans`), keyed by (pid, tid).
-        self._worker_lanes: Dict[Tuple[int, int], dict] = {}
 
     # -- spans / sites -------------------------------------------------
 
@@ -114,8 +105,8 @@ class Telemetry:
         return self.tracer.span(name, cat, **args)
 
     def add_complete(self, name: str, seconds: float, cat: str = "host", **args: object) -> None:
-        """Record an already-timed event (e.g. a worker-side task whose
-        duration was measured in another process)."""
+        """Record an already-timed event (e.g. a GC pause the kernel
+        measured itself)."""
         self.tracer.add_complete(name, seconds, cat, **args)
 
     def statement_span(self, site: str, **args: object):
@@ -196,53 +187,10 @@ class Telemetry:
                 pass
         self._listeners.clear()
 
-    # -- worker lanes --------------------------------------------------
-
-    def add_worker_spans(
-        self,
-        name: str,
-        pid: int,
-        spans: List[dict],
-        dropped: int = 0,
-        tid: int = 1,
-    ) -> None:
-        """Merge one worker's shipped span buffer into the session.
-
-        ``spans`` are the dicts of ``SpanTracer.export_spans`` with
-        timestamps *already aligned* into this (coordinator) process's
-        ``perf_counter`` domain; the caller measures the clock offset
-        (see ``repro.relations.parallel``).  Buffers from the same
-        (pid, tid) accumulate into one lane across rounds; span indices
-        are re-based so parent links stay intact within the lane.
-        """
-        lane = self._worker_lanes.get((pid, tid))
-        if lane is None:
-            lane = self._worker_lanes[(pid, tid)] = {
-                "name": name, "pid": pid, "tid": tid,
-                "spans": [], "dropped": 0,
-            }
-        base = len(lane["spans"])
-        for span in spans:
-            shifted = dict(span)
-            shifted["index"] = span["index"] + base
-            if span["parent"] >= 0:
-                shifted["parent"] = span["parent"] + base
-            lane["spans"].append(shifted)
-        lane["dropped"] += int(dropped)
-        self.registry.counter("parallel.worker_spans").inc(len(spans))
-        if dropped:
-            self.registry.counter("parallel.worker_spans_dropped").inc(
-                int(dropped)
-            )
-
-    def worker_lanes(self) -> List[dict]:
-        """The accumulated worker lanes, ordered by (pid, tid)."""
-        return [self._worker_lanes[k] for k in sorted(self._worker_lanes)]
-
-    def record_parallel(self, stats: Optional[dict], prefix: str = "parallel") -> None:
-        """Fold a parallel solve's executor counters (retries, restarts,
-        wire-cache hits, bytes shipped...) into gauges the exposition
-        and ``top`` views can read."""
+    def record_gauges(self, stats: Optional[dict], prefix: str) -> None:
+        """Set one ``prefix.key`` gauge per numeric entry of ``stats``
+        (e.g. an incremental update's phase counters), for the
+        exposition and ``top`` views to read."""
         if not stats:
             return
         for key, value in stats.items():
@@ -332,14 +280,6 @@ class Telemetry:
                 out[f"{prefix}.apply_cache.hit_rate"] = total_h / (total_h + total_m)
         out["telemetry.spans"] = len(self.tracer.spans)
         out["telemetry.spans_dropped"] = self.tracer.dropped
-        if self._worker_lanes:
-            out["telemetry.worker_lanes"] = len(self._worker_lanes)
-            out["telemetry.worker_spans"] = sum(
-                len(l["spans"]) for l in self._worker_lanes.values()
-            )
-            out["telemetry.worker_spans_dropped"] = sum(
-                l["dropped"] for l in self._worker_lanes.values()
-            )
         return out
 
     def prometheus_text(self) -> str:
@@ -371,19 +311,15 @@ class Telemetry:
 
     def chrome_trace_events(self, process_name: str = "repro-jedd") -> List[dict]:
         return _export.chrome_trace_events(
-            self.tracer, process_name, self.metrics_snapshot(),
-            lanes=self.worker_lanes(),
+            self.tracer, process_name, self.metrics_snapshot()
         )
 
     def write_chrome_trace(self, path: str, process_name: str = "repro-jedd") -> int:
         return _export.write_chrome_trace(
-            path, self.tracer, process_name, self.metrics_snapshot(),
-            lanes=self.worker_lanes(),
+            path, self.tracer, process_name, self.metrics_snapshot()
         )
 
     def clear(self) -> None:
-        """Reset registry, spans, and worker lanes, keeping
-        manager/listener wiring."""
+        """Reset registry and spans, keeping manager/listener wiring."""
         self.registry.clear()
         self.tracer.clear()
-        self._worker_lanes.clear()

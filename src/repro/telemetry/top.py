@@ -5,7 +5,7 @@ exposes (``--file SNAP.json`` for the sampler's file mode, ``--url``
 for a :class:`~repro.telemetry.sampler.MetricsServer`'s
 ``/metrics.json``) and renders the health numbers an operator watches
 during a long solve: node tables vs. their high-water marks, cache
-occupancy, RSS, GC/reorder totals, and parallel executor health.
+occupancy, RSS and GC/reorder totals.
 
 ``--once`` prints a single frame (the mode CI and tests use);
 otherwise the screen refreshes every ``--interval`` seconds until
@@ -104,39 +104,6 @@ def render(doc: Dict[str, object], width: int = 72) -> str:
                 f"{'':<8} frontier max {_fmt(frontier)}"
                 f"  vector batches {_fmt(metrics.get(f'{prefix}.frontier.batches_vector', 0))}"
                 f"  scalar {_fmt(metrics.get(f'{prefix}.frontier.batches_scalar', 0))}"
-            )
-
-    par = {
-        name.split(".", 1)[1]: value
-        for name, value in metrics.items()
-        if name.startswith("parallel.") and "{" not in name
-    }
-    if par:
-        lines.append(
-            "parallel  workers {w}  rounds {r}  retries {rt}  restarts {rs}"
-            "  fallbacks {fb}".format(
-                w=_fmt(par.get("workers", 0)),
-                r=_fmt(par.get("rounds", 0)),
-                rt=_fmt(par.get("retries", 0)),
-                rs=_fmt(par.get("restarts", 0)),
-                fb=_fmt(par.get("serial_fallback_tasks", 0)),
-            )
-        )
-        lines.append(
-            "          shipped {s}  returned {rt}  wire-cache hits {h}"
-            " saved {sv}".format(
-                s=_fmt_bytes(par.get("bytes_shipped", 0)),
-                rt=_fmt_bytes(par.get("bytes_returned", 0)),
-                h=_fmt(par.get("wire_cache_hits", 0)),
-                sv=_fmt_bytes(par.get("bytes_saved", 0)),
-            )
-        )
-        if par.get("worker_spans"):
-            lines.append(
-                "          worker spans {s} (dropped {d})".format(
-                    s=_fmt(par.get("worker_spans", 0)),
-                    d=_fmt(par.get("worker_spans_dropped", 0)),
-                )
             )
 
     spans = metrics.get("telemetry.spans")

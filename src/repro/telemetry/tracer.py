@@ -214,12 +214,11 @@ class SpanTracer:
                 top.end = now
 
     def export_spans(self) -> List[Dict[str, object]]:
-        """The recorded spans as plain picklable dicts.
+        """The recorded spans as plain dicts.
 
-        Timestamps stay in this process's raw ``perf_counter`` domain;
-        a consumer in another process aligns them with a measured clock
-        offset (see ``repro.relations.parallel``).  Open spans are
-        closed first so the export always carries balanced trees.
+        Timestamps stay in the raw ``perf_counter`` domain (exporters
+        subtract :attr:`t0`).  Open spans are closed first so the
+        export always carries balanced trees.
         """
         self.finish()
         out: List[Dict[str, object]] = []

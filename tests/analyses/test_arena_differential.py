@@ -1,8 +1,7 @@
 """Cross-kernel differential tests at the analysis level: the arena
 kernel must drive all four whole-program analyses to *bit-identical*
 results — the same canonical node tables, not merely the same tuple
-sets — as the reference kernel, under both the serial semi-naive
-engine and the parallel engine.
+sets — as the reference kernel, under the semi-naive engine.
 
 Relations from different universes cannot be compared with ``==`` (it
 requires a shared manager), so equality is asserted through the
@@ -71,8 +70,8 @@ def setup():
     return facts, au_ref, au_arena
 
 
-ENGINES = [("seminaive", {}), ("parallel", {"workers": 2})]
-ENGINE_IDS = ["serial", "parallel"]
+ENGINES = [("seminaive", {})]
+ENGINE_IDS = ["serial"]
 
 
 class TestPointsToArena:

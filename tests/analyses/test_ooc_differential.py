@@ -1,9 +1,8 @@
 """Cross-kernel differential tests at the analysis level for the
 out-of-core kernel: ``kernel="ooc"`` must drive all four whole-program
 analyses to *bit-identical* results — the same canonical node tables,
-not merely the same tuple sets — as the reference kernel, under both
-the serial semi-naive engine and the parallel engine (whose workers
-each rebuild a private ooc universe with its own spill directory).
+not merely the same tuple sets — as the reference kernel, under the
+semi-naive engine.
 
 The mirror image of :mod:`tests.analyses.test_arena_differential`,
 plus one ooc-specific dimension: the incremental maintenance engine.
@@ -79,8 +78,8 @@ def setup():
     return facts, au_ref, au_ooc
 
 
-ENGINES = [("seminaive", {}), ("parallel", {"workers": 2})]
-ENGINE_IDS = ["serial", "parallel"]
+ENGINES = [("seminaive", {})]
+ENGINE_IDS = ["serial"]
 
 
 class TestPointsToOoc:

@@ -325,68 +325,3 @@ class TestTelemetryBridge:
         generate_report(db, out)
         assert not os.path.exists(os.path.join(out, "sites.html"))
 
-
-class TestWorkerLaneStorage:
-    """Worker span lanes persisted alongside profile data (PR 7)."""
-
-    def _lane(self, pid, n=2):
-        spans = []
-        for i in range(n):
-            spans.append({
-                "name": "parallel.worker_task", "cat": "parallel",
-                "start": 0.1 * i, "end": 0.1 * i + 0.05,
-                "index": i, "parent": -1, "depth": 0,
-            })
-        return {"name": f"worker-0 (pid {pid})", "pid": pid,
-                "tid": 1, "spans": spans, "dropped": 0}
-
-    def test_save_and_load_lanes(self, tmp_path):
-        from repro.profiler import load_lanes, save_worker_lanes
-
-        db = str(tmp_path / "p.db")
-        save_events(db, [])
-        save_spans(db, [])  # coordinator lane is ''
-        assert save_worker_lanes(
-            db, [self._lane(4001), self._lane(4002, n=3)]
-        ) == 5
-        lanes = load_lanes(db)
-        by_name = {lane: (count, secs) for lane, count, secs in lanes}
-        assert by_name["worker-0 (pid 4001)"][0] == 2
-        assert by_name["worker-0 (pid 4002)"][0] == 3
-        for _lane, _count, secs in lanes:
-            assert secs == pytest.approx(0.05 * _count, abs=1e-6)
-
-    def test_load_lanes_on_old_db_is_empty(self, tmp_path):
-        from repro.profiler import load_lanes
-
-        db = str(tmp_path / "old.db")
-        save_events(db, [])
-        assert load_lanes(db) == []
-
-    def test_report_renders_worker_lane_table(self, tmp_path, u):
-        from repro.profiler import save_worker_lanes
-
-        with Profiler(record_shapes=False) as prof:
-            session = prof.attach_telemetry()
-            a = Relation.from_tuples(u, ["x"], [("a",)], ["P1"])
-            b = Relation.from_tuples(u, ["x"], [("b",)], ["P1"])
-            (a | b).size()
-        db = str(tmp_path / "p.db")
-        save_events(db, prof.events)
-        save_spans(db, session.tracer.spans)
-        save_worker_lanes(db, [self._lane(4001)])
-        out = str(tmp_path / "html")
-        index = generate_report(db, out)
-        content = open(index).read()
-        assert "Worker lanes" in content
-        assert "worker-0 (pid 4001)" in content
-        assert "coordinator" in content
-
-    def test_report_without_lanes_has_no_lane_table(self, tmp_path, u):
-        with Profiler(record_shapes=False) as prof:
-            a = Relation.from_tuples(u, ["x"], [("a",)], ["P1"])
-            (a | a).size()
-        db = str(tmp_path / "p.db")
-        save_events(db, prof.events)
-        index = generate_report(db, str(tmp_path / "html"))
-        assert "Worker lanes" not in open(index).read()

@@ -178,8 +178,7 @@ class TestBinaryDiagramIO:
 
     def test_minimal_num_vars_header(self):
         # A manager that grew scratch variables writes only the support
-        # it uses, so the diagram loads into a smaller manager (this is
-        # how worker contributions come home).
+        # it uses, so the diagram loads into a smaller manager.
         big = BDDManager(8)
         big.add_vars(8)
         f = big.apply_and(big.var(0), big.var(7))
@@ -304,6 +303,23 @@ class TestBinaryCheckpoint:
         save_checkpoint(r, tbuf)
         save_checkpoint_binary(r, bbuf)
         assert len(bbuf.getvalue()) < len(tbuf.getvalue().encode())
+
+    def test_binary_wire_format_at_least_3x_smaller(self):
+        """On a solved points-to relation (javac-s), the binary
+        checkpoint is at least 3x smaller than the text one."""
+        from repro.analyses import AnalysisUniverse, PointsTo
+        from repro.analyses.facts import preset
+
+        pt = PointsTo(AnalysisUniverse(preset("javac-s"))).solve()
+        tbuf, bbuf = io.StringIO(), io.BytesIO()
+        save_checkpoint(pt, tbuf)
+        size = save_checkpoint_binary(pt, bbuf)
+        text = len(tbuf.getvalue().encode())
+        assert size == len(bbuf.getvalue())
+        assert size * 3 <= text, (
+            f"binary {size} B vs text {text} B: "
+            f"only {text / size:.2f}x smaller, expected >= 3x"
+        )
 
     def test_bad_header(self):
         u = make_universe()
@@ -440,7 +456,8 @@ def test_diagram_roundtrip_property(backend, seed, steps):
 def test_diagram_roundtrip_after_reorder_property(seed):
     """Serialization writes stable variable ids, so a diagram dumped
     after dynamic reordering loads identically into an identity-ordered
-    manager — the invariant the parallel workers rely on."""
+    manager — the invariant checkpoints restored into a fresh universe
+    rely on."""
     u = make_backend_universe("bdd")
     rel = _chain_relation(u, seed, 4)
     before = set(rel.tuples())

@@ -2,7 +2,7 @@
 evaluation.
 
 The IR is the single lowering target of every layer (interpreter,
-codegen, fixpoint engine, parallel executor, shell), so its invariants
+codegen, fixpoint engine, shell), so its invariants
 are load-bearing: structural keys identify computations, the
 constructors' rewrites (flattening, projection pushdown) must preserve
 meaning, and the planner's reordered schedules must compute exactly

@@ -3,8 +3,8 @@
 For randomized inputs (seeded via hypothesis), an optimized plan —
 conjuncts reordered, quantification pushed early — must produce exactly
 the relation the unoptimized left-to-right order produces, on both
-diagram backends and through every execution engine (direct IR
-evaluation, the semi-naive fixpoint engine, and the parallel executor).
+diagram backends and through both execution paths (direct IR
+evaluation and the semi-naive fixpoint engine).
 """
 
 import pytest
@@ -124,7 +124,7 @@ def rule_programs(draw):
     return atoms, (h1, h2), edges
 
 
-def solve(atoms, head, edges, backend, optimize, engine="seminaive"):
+def solve(atoms, head, edges, backend, optimize):
     u = open_universe(
         backend=backend,
         domains={"Node": 16},
@@ -132,9 +132,7 @@ def solve(atoms, head, edges, backend, optimize, engine="seminaive"):
         physdoms={"N1": 4, "N2": 4, "N3": 4},
     )
     edge = u.relation_of(["src", "dst"], edges, ["N1", "N2"])
-    eng = FixpointEngine(
-        u, ExecutionPolicy(engine=engine, optimize=optimize)
-    )
+    eng = FixpointEngine(u, ExecutionPolicy(optimize=optimize))
     eng.fact("edge", edge)
     eng.relation("path", edge)
     eng.rule("path", head, list(atoms))
@@ -152,29 +150,3 @@ class TestRuleDifferential:
         baseline = solve(atoms, head, edges, backend, optimize=False)
         assert planned == baseline
 
-
-class TestParallelDifferential:
-    # one seeded program through the worker pool: spawning processes
-    # per hypothesis example would dominate the suite's runtime
-    EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (2, 6), (6, 7)]
-    ATOMS = [
-        ("path", ("x", "y")),
-        ("edge", ("y", "z")),
-        ("edge", ("z", "w")),
-    ]
-    HEAD = ("x", "w")
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_parallel_matches_serial_baseline(self, backend):
-        baseline = solve(
-            self.ATOMS, self.HEAD, self.EDGES, backend, optimize=False
-        )
-        parallel = solve(
-            self.ATOMS,
-            self.HEAD,
-            self.EDGES,
-            backend,
-            optimize=True,
-            engine="parallel",
-        )
-        assert parallel == baseline

@@ -66,6 +66,18 @@ class TestChromeExport:
         assert doc["displayTimeUnit"] == "ms"
         assert validate_chrome_trace(doc) == []
 
+    def test_dropped_spans_in_metadata(self, tmp_path):
+        tracer = SpanTracer(max_spans=1)
+        with tracer.span("kept"):
+            pass
+        with tracer.span("lost"):
+            pass
+        path = str(tmp_path / "trace.json")
+        write_chrome_trace(path, tracer)
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc["otherData"]["droppedSpans"] == 1
+
     def test_open_span_is_finished_before_export(self):
         tracer = SpanTracer()
         tracer.span("open").__enter__()
@@ -128,90 +140,3 @@ class TestTextReport:
         report = text_report({}, tracer, max_span_lines=3)
         assert "truncated" in report
 
-
-def _lane_spans(t0):
-    """A two-span parent/child lane in export_spans dict form."""
-    return [
-        {"name": "parallel.worker_task", "cat": "worker", "start": t0 + 0.01,
-         "end": t0 + 0.05, "index": 0, "parent": -1, "depth": 0},
-        {"name": "bdd.match", "cat": "kernel", "start": t0 + 0.02,
-         "end": t0 + 0.04, "index": 1, "parent": 0, "depth": 1,
-         "args": {"kdelta": {"bdd.nodes_created": 17}}},
-    ]
-
-
-class TestWorkerLanes:
-    def _merged(self):
-        tracer = _nested_tracer()
-        lanes = [
-            {"name": "worker-0 (pid 4001)", "pid": 4001, "tid": 1,
-             "spans": _lane_spans(tracer.t0), "dropped": 0},
-            {"name": "worker-1 (pid 4002)", "pid": 4002, "tid": 1,
-             "spans": _lane_spans(tracer.t0), "dropped": 3},
-        ]
-        return tracer, lanes, chrome_trace_events(tracer, lanes=lanes)
-
-    def test_merged_trace_is_valid(self):
-        _, _, events = self._merged()
-        assert validate_chrome_trace(events) == []
-
-    def test_each_lane_has_balanced_pairs(self):
-        _, lanes, events = self._merged()
-        for lane in lanes:
-            b = [e for e in events
-                 if e.get("pid") == lane["pid"] and e.get("ph") == "B"]
-            e_ = [e for e in events
-                  if e.get("pid") == lane["pid"] and e.get("ph") == "E"]
-            assert len(b) == len(e_) == len(lane["spans"])
-
-    def test_lane_metadata_events_name_workers(self):
-        _, _, events = self._merged()
-        meta = {
-            (e["pid"], e["name"]): e["args"]["name"]
-            for e in events if e["ph"] == "M"
-        }
-        assert meta[(4001, "thread_name")] == "worker-0 (pid 4001)"
-        assert meta[(4002, "process_name")] == "worker-1 (pid 4002)"
-        assert meta[(1, "thread_name")] == "coordinator"
-
-    def test_kernel_deltas_travel_in_lane_args(self):
-        _, _, events = self._merged()
-        kernel_b = [
-            e for e in events
-            if e.get("ph") == "B" and e["name"] == "bdd.match"
-        ]
-        assert len(kernel_b) == 2
-        assert all(
-            e["args"]["kdelta"] == {"bdd.nodes_created": 17} for e in kernel_b
-        )
-
-    def test_lane_timestamps_relative_to_coordinator_t0(self):
-        tracer, _, events = self._merged()
-        lane_ts = [
-            e["ts"] for e in events
-            if e.get("pid") == 4001 and e.get("ph") in "BE"
-        ]
-        assert all(0 <= ts < 1e6 for ts in lane_ts)  # within a second of t0
-
-    def test_dropped_spans_counted_in_trace_metadata(self, tmp_path):
-        tracer, lanes, _ = self._merged()
-        path = str(tmp_path / "trace.json")
-        write_chrome_trace(path, tracer, lanes=lanes)
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert doc["otherData"]["workerLanes"] == 2
-        assert doc["otherData"]["workerDroppedSpans"] == 3
-        assert doc["otherData"]["droppedSpans"] == 0
-        assert validate_chrome_trace(doc) == []
-
-    def test_coordinator_dropped_spans_in_metadata(self, tmp_path):
-        tracer = SpanTracer(max_spans=1)
-        with tracer.span("kept"):
-            pass
-        with tracer.span("lost"):
-            pass
-        path = str(tmp_path / "trace.json")
-        write_chrome_trace(path, tracer)
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert doc["otherData"]["droppedSpans"] == 1

@@ -113,22 +113,6 @@ class TestSample:
         ):
             assert snap[key] == 0
 
-    def test_provider_prefix(self):
-        session, _ = _session_with_work()
-        sampler = Sampler(session)
-        sampler.add_provider(lambda: {"retries": 3, "broken": False})
-        sampler.sample()
-        snap = session.metrics_snapshot()
-        assert snap["parallel.retries"] == 3
-        assert snap["parallel.broken"] == 0.0
-
-    def test_failing_provider_is_ignored(self):
-        session, _ = _session_with_work()
-        sampler = Sampler(session)
-        sampler.add_provider(lambda: (_ for _ in ()).throw(RuntimeError()))
-        sampler.sample()  # must not raise
-        assert sampler.samples_taken == 1
-
     def test_ticks_counter(self):
         session, _ = _session_with_work()
         sampler = Sampler(session)

@@ -217,6 +217,26 @@ class TestStandingQueries:
                 rules=TC_RULES,
             )
 
+    def test_parallel_policy_rejected(self, client):
+        fresh_universe(client, "sq8")
+        with pytest.raises(
+            ServiceError,
+            match=r"unknown engine 'parallel' "
+                  r"\(expected one of seminaive, naive\)",
+        ):
+            client.request(
+                "query.create", universe="sq8", query="tc",
+                facts=["edge"], relations={"path": "path"},
+                rules=TC_RULES, policy="parallel",
+            )
+        # The same connection goes on to serve a valid request.
+        result = client.request(
+            "query.create", universe="sq8", query="tc",
+            facts=["edge"], relations={"path": "path"}, rules=TC_RULES,
+            policy="seminaive",
+        )
+        assert result["sizes"]["path"] == 6
+
     def test_unknown_query_rejected(self, client):
         fresh_universe(client, "sq7")
         with pytest.raises(ServiceError, match="no standing query"):

@@ -513,16 +513,3 @@ class TestMetricsCommand:
                 pass
         shell, out = script(["telemetry status"])
         assert "dropped (max_spans=1)" in out
-
-    def test_status_reports_worker_lanes(self):
-        from repro import telemetry
-
-        tel = telemetry.enable()
-        tel.add_worker_spans(
-            "worker-0 (pid 99)", 99,
-            [{"name": "t", "cat": "w", "start": 0.0, "end": 1.0,
-              "index": 0, "parent": -1, "depth": 0}],
-            dropped=2,
-        )
-        shell, out = script(["telemetry status"])
-        assert "1 worker lanes, 1 worker spans (2 dropped)" in out
