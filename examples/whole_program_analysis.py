@@ -78,7 +78,9 @@ def _jedd_pointsto_segment(session, facts):
     under telemetry: the resulting trace nests interpreter statements
     over relational operations over BDD kernel calls, and the SAT solve
     of the physical-domain assignment appears as its own span.  The
-    source uses the ``fix { ... }`` form, so each semi-naive round shows
+    source uses the ``fix { ... }`` form, which the interpreter -- like
+    jeddc's generated code and the shell -- runs through the runtime's
+    one semi-naive loop, ``repro.relations.saturate``; each round shows
     up as a ``fix.iteration`` span with per-relation delta sizes."""
     from repro.analyses import naive_points_to
     from repro.analyses.jedd_sources import pointsto_fix_source

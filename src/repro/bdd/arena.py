@@ -21,12 +21,8 @@ Layout
 - Node store: parallel ``numpy`` int64 arrays (``_level``, ``_low``,
   ``_high``, ``_refs``, ``_parents``) with amortised-doubling growth; a
   node id indexes all five.  Terminals stay at ids 0/1.
-- :class:`VectorTable`: an open-addressing hash table over three int64
-  key columns with both a scalar dict-like API (so the inherited
-  reordering machinery works unchanged) and batch ``lookup`` /
-  ``insert_many`` / ``delete_many`` primitives whose scalar and
-  vectorized hash functions agree slot-for-slot.  It backs the unique
-  table and the ``apply``/``exist``/``and_exist`` operation caches.
+- Unique table and ``apply``/``exist``/``and_exist`` operation caches:
+  plain dicts keyed by int triples (see ``ArenaBDDManager.__init__``).
 - Breadth-first kernels: each operation seeds a request frontier, sweeps
   *down* the levels in ascending order (expanding cofactors, resolving
   terminal cases, deduplicating, probing caches, enqueueing child
@@ -70,18 +66,9 @@ from repro.bdd.manager import (
     _OP_XOR,
 )
 
-__all__ = ["ArenaBDDManager", "VectorTable"]
-
-_EMPTY = -1
-_TOMB = -2
-_M64 = (1 << 64) - 1
-# Mixing constants (golden-ratio / xxhash-style odd multipliers).
-_C1 = 0x9E3779B97F4A7C15
-_C2 = 0xC2B2AE3D27D4EB4F
-_C3 = 0x165667B19E3779F9
+__all__ = ["ArenaBDDManager"]
 
 _I64 = np.int64
-_U64 = np.uint64
 
 #: Managers with at most this many variables run narrow (single-request)
 #: apply/exist calls through the reference recursion: diagram depth is
@@ -96,272 +83,6 @@ _RECURSION_SAFE_VARS = 400
 #: ite_var entries as ``(_ITEVAR_BASE + level, f, g)`` keeps them disjoint
 #: inside the shared apply cache.
 _ITEVAR_BASE = 8
-
-
-class VectorTable:
-    """Open-addressing hash table: three ``int64`` keys -> one ``int64``.
-
-    Values must be non-negative (``-1``/``-2`` are the empty/tombstone
-    sentinels in the value column).  Linear probing; grows at 70% fill
-    by batch re-insertion.  The scalar probes (``get``/``__setitem__``/
-    ``__delitem__``, used by the inherited reordering code) and the
-    batch probes (``lookup``/``insert_many``/``delete_many``, used by
-    the breadth-first kernels) share one hash function, computed with
-    Python arbitrary-precision masking on one side and uint64
-    wraparound on the other, so they land on identical slots.
-    """
-
-    __slots__ = ("_cap", "_mask", "_k1", "_k2", "_k3", "_val", "_used", "_fill")
-
-    def __init__(self, capacity: int = 64) -> None:
-        cap = 8
-        while cap < capacity:
-            cap <<= 1
-        self._alloc(cap)
-
-    def _alloc(self, cap: int) -> None:
-        self._cap = cap
-        self._mask = cap - 1
-        self._k1 = np.zeros(cap, _I64)
-        self._k2 = np.zeros(cap, _I64)
-        self._k3 = np.zeros(cap, _I64)
-        self._val = np.full(cap, _EMPTY, _I64)
-        self._used = 0  # live entries
-        self._fill = 0  # live entries + tombstones
-
-    def __len__(self) -> int:
-        return self._used
-
-    def clear(self) -> None:
-        self._val.fill(_EMPTY)
-        self._used = 0
-        self._fill = 0
-
-    # -- hashing -------------------------------------------------------
-
-    def _slot1(self, k1: int, k2: int, k3: int) -> int:
-        h = (k1 * _C1) & _M64
-        h ^= h >> 29
-        h = (h + k2 * _C2) & _M64
-        h ^= h >> 31
-        h = (h + k3 * _C3) & _M64
-        h ^= h >> 32
-        return int(h & self._mask)
-
-    def _slots(self, k1: np.ndarray, k2: np.ndarray, k3: np.ndarray) -> np.ndarray:
-        h = k1.astype(_U64) * _U64(_C1)
-        h ^= h >> _U64(29)
-        h += k2.astype(_U64) * _U64(_C2)
-        h ^= h >> _U64(31)
-        h += k3.astype(_U64) * _U64(_C3)
-        h ^= h >> _U64(32)
-        return (h & _U64(self._mask)).astype(_I64)
-
-    # -- scalar (dict-style) API --------------------------------------
-
-    def get3(self, k1: int, k2: int, k3: int) -> int:
-        """Scalar probe; returns the value or ``-1`` when absent."""
-        # Hash inlined (and .item() reads, which return plain ints):
-        # this probe sits on the kernel's hottest scalar path via mk().
-        h = (k1 * _C1) & _M64
-        h ^= h >> 29
-        h = (h + k2 * _C2) & _M64
-        h ^= h >> 31
-        h = (h + k3 * _C3) & _M64
-        h ^= h >> 32
-        mask = self._mask
-        i = int(h) & mask
-        val, a1, a2, a3 = self._val, self._k1, self._k2, self._k3
-        while True:
-            v = val.item(i)
-            if v == _EMPTY:
-                return -1
-            if v != _TOMB and (
-                a1.item(i) == k1 and a2.item(i) == k2 and a3.item(i) == k3
-            ):
-                return v
-            i = (i + 1) & mask
-
-    def set3(self, k1: int, k2: int, k3: int, value: int) -> None:
-        if (self._fill + 1) * 10 >= self._cap * 7:
-            self._grow(self._cap * 2)
-        val, a1, a2, a3 = self._val, self._k1, self._k2, self._k3
-        mask = self._mask
-        h = (k1 * _C1) & _M64
-        h ^= h >> 29
-        h = (h + k2 * _C2) & _M64
-        h ^= h >> 31
-        h = (h + k3 * _C3) & _M64
-        h ^= h >> 32
-        i = int(h) & mask
-        tomb = -1
-        while True:
-            v = val.item(i)
-            if v == _EMPTY:
-                if tomb >= 0:
-                    i = tomb
-                else:
-                    self._fill += 1
-                a1[i] = k1
-                a2[i] = k2
-                a3[i] = k3
-                val[i] = value
-                self._used += 1
-                return
-            if v == _TOMB:
-                if tomb < 0:
-                    tomb = i
-            elif a1.item(i) == k1 and a2.item(i) == k2 and a3.item(i) == k3:
-                val[i] = value
-                return
-            i = (i + 1) & mask
-
-    def get(self, key, default=None):
-        v = self.get3(int(key[0]), int(key[1]), int(key[2]))
-        return default if v < 0 else v
-
-    def __getitem__(self, key) -> int:
-        v = self.get3(int(key[0]), int(key[1]), int(key[2]))
-        if v < 0:
-            raise KeyError(key)
-        return v
-
-    def __contains__(self, key) -> bool:
-        return self.get3(int(key[0]), int(key[1]), int(key[2])) >= 0
-
-    def __setitem__(self, key, value) -> None:
-        self.set3(int(key[0]), int(key[1]), int(key[2]), int(value))
-
-    def __delitem__(self, key) -> None:
-        k1, k2, k3 = int(key[0]), int(key[1]), int(key[2])
-        val, a1, a2, a3 = self._val, self._k1, self._k2, self._k3
-        mask = self._mask
-        i = self._slot1(k1, k2, k3)
-        while True:
-            v = val[i]
-            if v == _EMPTY:
-                raise KeyError(key)
-            if v != _TOMB and a1[i] == k1 and a2[i] == k2 and a3[i] == k3:
-                val[i] = _TOMB
-                self._used -= 1
-                return
-            i = (i + 1) & mask
-
-    # -- batch API -----------------------------------------------------
-
-    def lookup(
-        self, k1: np.ndarray, k2: np.ndarray, k3: np.ndarray
-    ) -> np.ndarray:
-        """Batch probe; ``-1`` where a key is absent."""
-        n = len(k1)
-        out = np.full(n, _EMPTY, _I64)
-        if n == 0 or self._used == 0:
-            return out
-        val, a1, a2, a3 = self._val, self._k1, self._k2, self._k3
-        mask = self._mask
-        slot = self._slots(k1, k2, k3)
-        pend = np.arange(n)
-        while pend.size:
-            s = slot[pend]
-            v = val[s]
-            hit = (
-                (v >= 0)
-                & (a1[s] == k1[pend])
-                & (a2[s] == k2[pend])
-                & (a3[s] == k3[pend])
-            )
-            out[pend[hit]] = v[hit]
-            pend = pend[~(hit | (v == _EMPTY))]
-            slot[pend] = (slot[pend] + 1) & mask
-        return out
-
-    def insert_many(
-        self,
-        k1: np.ndarray,
-        k2: np.ndarray,
-        k3: np.ndarray,
-        vals: np.ndarray,
-    ) -> None:
-        """Batch insert of keys known to be absent and pairwise distinct.
-
-        Within-batch slot collisions resolve first-writer-wins per
-        probing round; losers advance to their next slot, so the result
-        is exactly a sequence of scalar inserts.
-        """
-        n = len(k1)
-        if n == 0:
-            return
-        need = self._fill + n
-        cap = self._cap
-        while need * 10 >= cap * 7:
-            cap *= 2
-        if cap != self._cap:
-            self._grow(cap)
-        val = self._val
-        mask = self._mask
-        slot = self._slots(k1, k2, k3)
-        pend = np.arange(n)
-        while pend.size:
-            s = slot[pend]
-            v = val[s]
-            free = v < 0
-            if free.any():
-                fpos = np.flatnonzero(free)
-                fslots = s[fpos]
-                uslots, first = np.unique(fslots, return_index=True)
-                wpos = fpos[first]  # winning positions within pend
-                widx = pend[wpos]  # original batch indices
-                self._k1[uslots] = k1[widx]
-                self._k2[uslots] = k2[widx]
-                self._k3[uslots] = k3[widx]
-                self._fill += int(np.count_nonzero(val[uslots] == _EMPTY))
-                val[uslots] = vals[widx]
-                self._used += len(uslots)
-                done = np.zeros(pend.size, dtype=bool)
-                done[wpos] = True
-                pend = pend[~done]
-            slot[pend] = (slot[pend] + 1) & mask
-
-    def delete_many(
-        self,
-        k1: np.ndarray,
-        k2: np.ndarray,
-        k3: np.ndarray,
-        expected: np.ndarray,
-    ) -> None:
-        """Batch delete, skipping keys whose value is not ``expected``
-        (mirrors the reference GC's ``unique.get(key) == node`` guard)."""
-        n = len(k1)
-        if n == 0 or self._used == 0:
-            return
-        val, a1, a2, a3 = self._val, self._k1, self._k2, self._k3
-        mask = self._mask
-        slot = self._slots(k1, k2, k3)
-        pend = np.arange(n)
-        removed = 0
-        while pend.size:
-            s = slot[pend]
-            v = val[s]
-            match = (
-                (v >= 0)
-                & (a1[s] == k1[pend])
-                & (a2[s] == k2[pend])
-                & (a3[s] == k3[pend])
-            )
-            if match.any():
-                ok = v[match] == expected[pend[match]]
-                targets = s[match][ok]
-                val[targets] = _TOMB
-                removed += len(targets)
-            pend = pend[~(match | (v == _EMPTY))]
-            slot[pend] = (slot[pend] + 1) & mask
-        self._used -= removed
-
-    def _grow(self, cap: int) -> None:
-        k1, k2, k3, v = self._k1, self._k2, self._k3, self._val
-        live = v >= 0
-        self._alloc(cap)
-        self.insert_many(k1[live], k2[live], k3[live], v[live])
 
 
 def _apply_shortcut(op: int, a: int, b: int) -> int:
@@ -495,9 +216,7 @@ class ArenaBDDManager(BDDManager):
         # (~0.15us) beat open-addressed numpy probing both for the scalar
         # mk() path and for batch lookups at realistic frontier widths
         # (tens to a few thousand); mk_many still batches the reduce,
-        # duplicate-collapse, and store-column writes as vector ops.  The
-        # operation caches below are pure batch structures and do use the
-        # vectorized table.
+        # duplicate-collapse, and store-column writes as vector ops.
         self._unique: Dict[Tuple[int, int, int], int] = {}
         # Operation caches for the breadth-first engine.  Apply shares the
         # inherited ``_apply_cache`` (identical ``(op, a, b)`` keys, so the
@@ -506,7 +225,7 @@ class ArenaBDDManager(BDDManager):
         # interned id instead of the level tuple, so they keep engine-local
         # dicts; all of them honour cache_limit.  Plain dicts throughout:
         # at realistic frontier widths batch dict probes via tolist() beat
-        # open-addressed numpy probing (see VectorTable) by several times.
+        # open-addressed numpy probing by several times.
         self._vexist: Dict[Tuple[int, int, int], int] = {}
         self._vand_exist: Dict[Tuple[int, int, int], int] = {}
         #: Quantified-level suffixes interned to small ids so exist and

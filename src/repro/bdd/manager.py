@@ -1599,23 +1599,6 @@ class BDDManager:
             if self._level_at_var[var] != lvl:
                 raise BDDError("var<->level tables are not inverses")
 
-    def to_dict(self, a: int) -> Dict[int, Tuple[int, int, int]]:
-        """Reachable node table ``{node: (variable, low, high)}`` for tests."""
-        out: Dict[int, Tuple[int, int, int]] = {}
-        stack = [a]
-        while stack:
-            node = stack.pop()
-            if node in out or self.is_terminal(node):
-                continue
-            out[node] = (
-                self._var_at_level[self._level[node]],
-                self._low[node],
-                self._high[node],
-            )
-            stack.append(self._low[node])
-            stack.append(self._high[node])
-        return out
-
     def eval(self, a: int, assignment: Callable[[int], bool]) -> bool:
         """Evaluate ``a`` under a total assignment ``variable -> bool``."""
         node = a

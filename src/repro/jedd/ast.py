@@ -52,6 +52,8 @@ __all__ = [
     "Replacement",
     "Compare",
     "CallStmt",
+    "fix_occurrences",
+    "nonmonotone_refs",
     "walk_var_refs",
 ]
 
@@ -362,8 +364,7 @@ class Compare(Expr):
 
 def walk_var_refs(expr: Expr):
     """Yield every :class:`VarRef` occurrence in an expression tree, in
-    source order.  Used by the ``fix`` implementations to find the
-    occurrences of the fixed variables that get delta overrides."""
+    source order."""
     if isinstance(expr, VarRef):
         yield expr
     elif isinstance(expr, (SetOp, JoinOp, Compare)):
@@ -371,3 +372,36 @@ def walk_var_refs(expr: Expr):
         yield from walk_var_refs(expr.right)
     elif isinstance(expr, (ReplaceOp, AggregateOp)):
         yield from walk_var_refs(expr.operand)
+
+
+def fix_occurrences(rules: List[Tuple[str, Expr]]):
+    """The evaluations the semi-naive ``fix`` loop makes for a block's
+    ``(target, expr)`` rules, in order: one ``(target, expr, ref)`` per
+    occurrence ``ref`` of a fixed variable in ``expr`` (that occurrence
+    is bound to its delta), or one ``(target, expr, None)`` for a rule
+    that mentions no fixed variable."""
+    targets = {target for target, _ in rules}
+    out = []
+    for target, expr in rules:
+        refs = [r for r in walk_var_refs(expr) if r.name in targets]
+        out.extend((target, expr, ref) for ref in refs or [None])
+    return out
+
+
+def nonmonotone_refs(expr: Expr, targets, positive: bool = True):
+    """Yield every occurrence of a ``fix`` target that would make the
+    iteration non-monotone: one under the right operand of ``-``, at any
+    depth (once negative, conservatively stay negative)."""
+    if isinstance(expr, VarRef):
+        if not positive and expr.name in targets:
+            yield expr
+    elif isinstance(expr, SetOp):
+        yield from nonmonotone_refs(expr.left, targets, positive)
+        yield from nonmonotone_refs(
+            expr.right, targets, positive and expr.op != "-"
+        )
+    elif isinstance(expr, JoinOp):
+        yield from nonmonotone_refs(expr.left, targets, positive)
+        yield from nonmonotone_refs(expr.right, targets, positive)
+    elif isinstance(expr, (ReplaceOp, AggregateOp)):
+        yield from nonmonotone_refs(expr.operand, targets, positive)

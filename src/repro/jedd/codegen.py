@@ -68,7 +68,10 @@ class _Emitter:
     def run(self) -> str:
         self.emit('"""Generated by jeddc (repro); do not edit."""')
         self.emit()
-        self.emit("from repro.relations import Relation, RelationContainer, Universe")
+        self.emit(
+            "from repro.relations import "
+            "Relation, RelationContainer, Universe, saturate"
+        )
         self.emit("from repro.relations import ir as _ir")
         self.emit()
         self.emit()
@@ -221,78 +224,58 @@ class _Emitter:
             value = self._compile_expr(stmt.expr)
             self.emit(f"print(str({value}))")
         elif isinstance(stmt, ast.FixStmt):
-            self._emit_fix(stmt)
+            # The runtime owns the semi-naive loop: one saturate() call
+            # per block, one closure per evaluation unit.
+            self.fix_counter += 1
+            p = f"_fx{self.fix_counter}"
+            rules = [(s.target, s.value) for s in stmt.body]
+            units = [
+                self._emit_fix_unit(f"{p}_{k}", target, expr, ref)
+                for k, (target, expr, ref) in enumerate(
+                    ast.fix_occurrences(rules)
+                )
+            ]
+            containers = ", ".join(
+                f'"{t}": {self._container(t)}'
+                for t in dict.fromkeys(t for t, _ in rules)
+            )
+            self.emit(f"{p} = {{{containers}}}")
+            self.emit("saturate(")
+            self.emit(f"    {{_n: _c.get() for _n, _c in {p}.items()}},")
+            self.emit("    [")
+            for unit in units:
+                self.emit(f"        {unit},")
+            self.emit("    ],")
+            self.emit(f"    lambda _n, _v: {p}[_n].set(_v),")
+            self.emit(")")
         elif isinstance(stmt, ast.FreeStmt):
             # Last-use release from the liveness analysis (section 4.2).
             self.emit(f"{self._container(stmt.name)}.free()")
         else:  # pragma: no cover
             raise AssertionError(f"unknown statement {stmt!r}")
 
-    def _emit_fix(self, stmt: ast.FixStmt) -> None:
-        """Semi-naive saturation loop, mirroring the interpreter's
-        ``_exec_fix``: re-evaluate each rule once per fixed-variable
-        occurrence with that occurrence bound to the delta."""
-        self.fix_counter += 1
-        p = f"_fx{self.fix_counter}"
-        order: List[str] = []
-        for s in stmt.body:
-            if s.target not in order:
-                order.append(s.target)
-        targets = set(order)
-        refs_of = [
-            [r for r in ast.walk_var_refs(s.value) if r.name in targets]
-            for s in stmt.body
-        ]
-        for t in order:
-            self.emit(f"{p}_full_{t} = {self._container(t)}.get()")
-            self.emit(f"{p}_delta_{t} = {p}_full_{t}")
-        self.emit(f"{p}_iter = 0")
-        cond = " or ".join(f"not {p}_delta_{t}.is_empty()" for t in order)
-        self.emit(f"while {cond}:")
+    def _emit_fix_unit(
+        self, name: str, target: str, expr: ast.Expr,
+        ref: Optional[ast.VarRef],
+    ) -> str:
+        """Emit one :func:`~repro.relations.saturate` unit as a closure
+        ``name(_delta)`` with the occurrence ``ref`` (if any) compiled to
+        ``_delta``; returns the unit's ``(target, bound, closure)``
+        source."""
+        info = self.tp.lookup_var(self.func, target)
+        self.emit(f"def {name}(_delta):")
         self.indent += 1
-        self.emit(f"{p}_iter += 1")
-        for t in order:
-            self.emit(f"{p}_acc_{t} = None")
-        for s, refs in zip(stmt.body, refs_of):
-            info = self.tp.lookup_var(self.func, s.target)
-            if not refs:
-                # No fixed variable on the right: a static rule,
-                # contributing only in the first iteration.
-                self.emit(f"if {p}_iter == 1:")
-                self.indent += 1
-                value = self._compile_into(s.value, info)
-                self._emit_fix_merge(p, s.target, value)
-                self.indent -= 1
-                continue
-            for ref in refs:
-                self.emit(f"if not {p}_delta_{ref.name}.is_empty():")
-                self.indent += 1
-                self._fix_override[ref.expr_id] = f"{p}_delta_{ref.name}"
-                try:
-                    value = self._compile_into(s.value, info)
-                finally:
-                    del self._fix_override[ref.expr_id]
-                self._emit_fix_merge(p, s.target, value)
-                self.indent -= 1
-        for t in order:
-            self.emit(f"if {p}_acc_{t} is None:")
-            self.emit(f"    {p}_delta_{t} = {p}_full_{t} - {p}_full_{t}")
-            self.emit("else:")
-            self.emit(f"    {p}_delta_{t} = {p}_acc_{t} - {p}_full_{t}")
-            self.emit(f"if not {p}_delta_{t}.is_empty():")
-            self.indent += 1
-            self.emit(f"{p}_full_{t} = {p}_full_{t} | {p}_delta_{t}")
-            self.emit(f"{self._container(t)}.set({p}_full_{t})")
-            self.indent -= 1
+        if ref is not None:
+            self._fix_override[ref.expr_id] = "_delta"
+        try:
+            value = self._compile_into(expr, info)
+        finally:
+            if ref is not None:
+                del self._fix_override[ref.expr_id]
+        self.emit(f"return {value}")
         self.indent -= 1
-
-    def _emit_fix_merge(self, p: str, target: str, value: str) -> None:
-        tmp = self.fresh()
-        self.emit(f"{tmp} = {value}")
-        self.emit(
-            f"{p}_acc_{target} = {tmp} if {p}_acc_{target} is None "
-            f"else ({p}_acc_{target} | {tmp})"
-        )
+        bound = "None" if ref is None else f'"{ref.name}"'
+        return f'("{target}", {bound}, {name})'
 
     # -- expressions ------------------------------------------------------------
 

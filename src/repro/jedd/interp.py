@@ -30,6 +30,7 @@ from repro.relations import (
     RelationContainer,
     Universe,
     ir,
+    saturate,
 )
 
 __all__ = ["Interpreter", "JeddRuntimeError"]
@@ -258,7 +259,18 @@ class Interpreter:
             value = self._eval(stmt.expr, func, frame)
             print("" if value is None else str(value))
         elif isinstance(stmt, ast.FixStmt):
-            self._exec_fix(stmt, func, frame)
+            rules = [(s.target, s.value) for s in stmt.body]
+            containers = {
+                t: self._lookup_container(t, func, frame) for t, _ in rules
+            }
+            saturate(
+                {t: c.get() for t, c in containers.items()},
+                [
+                    self._fix_unit(target, expr, ref, func, frame)
+                    for target, expr, ref in ast.fix_occurrences(rules)
+                ],
+                lambda t, value: containers[t].set(value),
+            )
         elif isinstance(stmt, ast.FreeStmt):
             container = frame.get(stmt.name)
             if container is not None:
@@ -266,78 +278,31 @@ class Interpreter:
         else:  # pragma: no cover
             raise JeddRuntimeError(f"unknown statement {stmt!r}")
 
-    def _exec_fix(
-        self, stmt: ast.FixStmt, func: Optional[str], frame: Dict
-    ) -> None:
-        """Saturate the block's ``|=`` rules semi-naively.
+    def _fix_unit(
+        self,
+        target: str,
+        expr: ast.Expr,
+        ref: Optional[ast.VarRef],
+        func: Optional[str],
+        frame: Dict,
+    ) -> tuple:
+        """One :func:`~repro.relations.saturate` unit: ``expr`` evaluated
+        into ``target`` with the occurrence ``ref`` (if any) bound to the
+        delta.  Equality edges put a variable use in the variable's own
+        domains, so the delta (also in those domains) substitutes
+        directly."""
+        info = self.tp.lookup_var(func, target)
 
-        Each rule re-evaluates once per occurrence of a fixed variable
-        in its right-hand side, with that one occurrence bound to the
-        previous iteration's delta (fresh tuples) instead of the whole
-        relation; rules that mention no fixed variable run only in the
-        first iteration.  This mirrors
-        :class:`repro.relations.fixpoint.FixpointEngine`.
-        """
-        tel = _telemetry._active
-        order: List[str] = []
-        for s in stmt.body:
-            if s.target not in order:
-                order.append(s.target)
-        targets = set(order)
-        containers = {
-            t: self._lookup_container(t, func, frame) for t in order
-        }
-        infos = {t: self.tp.lookup_var(func, t) for t in order}
-        refs_of = [
-            [r for r in ast.walk_var_refs(s.value) if r.name in targets]
-            for s in stmt.body
-        ]
-        full = {t: containers[t].get() for t in order}
-        delta = dict(full)  # iteration 1: everything is fresh
-        iteration = 0
-        while any(not delta[t].is_empty() for t in order):
-            iteration += 1
-            span_args: Dict[str, object] = {"iteration": iteration}
-            if tel.enabled:
-                for t in order:
-                    span_args[f"delta_{t}"] = delta[t].size()
-            with tel.span("fix.iteration", cat="fixpoint", **span_args):
-                acc: Dict[str, Relation] = {}
-                for s, refs in zip(stmt.body, refs_of):
-                    if not refs:
-                        if iteration > 1:
-                            continue
-                        out = self._eval_into(
-                            s.value, infos[s.target], func, frame
-                        )
-                        prev = acc.get(s.target)
-                        acc[s.target] = out if prev is None else prev | out
-                        continue
-                    for ref in refs:
-                        if delta[ref.name].is_empty():
-                            continue
-                        # Equality edges put a variable use in the
-                        # variable's own domains, so the delta (also in
-                        # those domains) substitutes directly.
-                        self._fix_override[ref.expr_id] = delta[ref.name]
-                        try:
-                            out = self._eval_into(
-                                s.value, infos[s.target], func, frame
-                            )
-                        finally:
-                            del self._fix_override[ref.expr_id]
-                        prev = acc.get(s.target)
-                        acc[s.target] = out if prev is None else prev | out
-                for t in order:
-                    contrib = acc.get(t)
-                    if contrib is None:
-                        delta[t] = full[t] - full[t]
-                        continue
-                    fresh = contrib - full[t]
-                    delta[t] = fresh
-                    if not fresh.is_empty():
-                        full[t] = full[t] | fresh
-                        containers[t].set(full[t])
+        def evaluate(delta: Optional[Relation]) -> Relation:
+            if ref is None:
+                return self._eval_into(expr, info, func, frame)
+            self._fix_override[ref.expr_id] = delta
+            try:
+                return self._eval_into(expr, info, func, frame)
+            finally:
+                del self._fix_override[ref.expr_id]
+
+        return (target, None if ref is None else ref.name, evaluate)
 
     def _exec_call(
         self, stmt: ast.CallStmt, func: Optional[str], frame: Dict

@@ -292,31 +292,14 @@ class _Checker:
                 )
             targets.add(s.target)
         for s in stmt.body:
-            self._check_stmt(s, func)
-        for s in stmt.body:
-            self._check_monotone(s.value, targets, True)
-
-    def _check_monotone(
-        self, expr: ast.Expr, targets: set, positive: bool
-    ) -> None:
-        if isinstance(expr, ast.VarRef):
-            if not positive and expr.name in targets:
+            for ref in ast.nonmonotone_refs(s.value, targets):
                 raise TypeError_(
-                    f"fix target {expr.name} used non-monotonically "
+                    f"fix target {ref.name!r} used non-monotonically "
                     "(under the right operand of '-')",
-                    expr.pos,
+                    ref.pos,
                 )
-        elif isinstance(expr, ast.SetOp):
-            self._check_monotone(expr.left, targets, positive)
-            # Once negative, conservatively stay negative.
-            self._check_monotone(
-                expr.right, targets, positive and expr.op != "-"
-            )
-        elif isinstance(expr, (ast.ReplaceOp, ast.AggregateOp)):
-            self._check_monotone(expr.operand, targets, positive)
-        elif isinstance(expr, ast.JoinOp):
-            self._check_monotone(expr.left, targets, positive)
-            self._check_monotone(expr.right, targets, positive)
+        for s in stmt.body:
+            self._check_stmt(s, func)
 
     def _check_var_init(self, decl: ast.VarDecl, func: Optional[str]) -> None:
         info = self.tp.lookup_var(func, decl.name)

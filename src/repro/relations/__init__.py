@@ -47,6 +47,7 @@ from repro.relations.fixpoint import (
     FixpointEngine,
     Rule,
     execute_rule_plan,
+    saturate,
 )
 from repro.relations.policy import ExecutionPolicy
 
@@ -84,4 +85,5 @@ __all__ = [
     "save_checkpoint",
     "save_tsv",
     "save_universe",
+    "saturate",
 ]

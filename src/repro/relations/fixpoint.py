@@ -90,6 +90,14 @@ Update phases emit ``incremental.update`` / ``incremental.overdelete``
 / ``incremental.rederive`` / ``incremental.grow`` spans (category
 ``"incremental"``), and the per-update counters land in the telemetry
 gauges as ``incremental.*``.
+
+The ``fix { ... }`` block
+-------------------------
+
+The Jedd mini-language's ``fix`` block is saturated by
+:func:`saturate`, the same delta loop over opaque rule evaluations: the
+interpreter, jeddc's generated code and the shell each pass it one
+closure per occurrence of a fixed variable and let it run the rounds.
 """
 
 from __future__ import annotations
@@ -129,7 +137,14 @@ __all__ = [
     "FixpointEngine",
     "execute_rule_plan",
     "rule_shape",
+    "saturate",
 ]
+
+#: One evaluation of a ``fix`` block: ``(target, bound, evaluate)``.
+#: ``bound`` names the fixed variable whose occurrence ``evaluate``
+#: binds to the delta it is passed, or is None for a static rule
+#: (evaluated once, with ``None``).
+FixUnit = Tuple[str, Optional[str], Callable[[Optional[Relation]], Relation]]
 
 
 class Atom:
@@ -278,6 +293,62 @@ def execute_rule_plan(
         rule, plan, rels, neg_value,
         label=label, collect=collect, memo=memo, place=place,
     )
+
+
+def saturate(
+    values: Mapping[str, Relation],
+    units: Sequence[FixUnit],
+    store: Callable[[str, Relation], None],
+) -> int:
+    """Saturate a ``fix`` block's ``|=`` rules semi-naively; the one loop
+    behind the interpreter, jeddc's generated code and the shell.
+
+    ``values`` maps each fixed variable to its current value, in
+    declaration order; all of it is the first round's delta.  Each
+    iteration calls every unit whose bound variable has a non-empty
+    delta with that delta (static units only in iteration 1), unions
+    the results per target in unit order, keeps what is new as the next
+    delta and passes each grown relation to ``store``; it stops after
+    a round that finds nothing new.  Returns the number of iterations;
+    each opens one ``fix.iteration`` span carrying the delta sizes it
+    started from.
+    """
+    tel = _telemetry.active()
+    order = list(values)
+    full = dict(values)
+    delta = dict(full)  # iteration 1: everything is fresh
+    iteration = 0
+    # Iteration 1 always runs, so static rules fire even when every
+    # target starts empty.
+    while iteration == 0 or any(not delta[t].is_empty() for t in order):
+        iteration += 1
+        span_args: Dict[str, object] = {"iteration": iteration}
+        if tel.enabled:
+            for t in order:
+                span_args[f"delta_{t}"] = delta[t].size()
+        with tel.span("fix.iteration", cat="fixpoint", **span_args):
+            acc: Dict[str, Relation] = {}
+            for target, bound, evaluate in units:
+                if bound is None:
+                    if iteration > 1:
+                        continue
+                    out = evaluate(None)
+                elif delta[bound].is_empty():
+                    continue
+                else:
+                    out = evaluate(delta[bound])
+                prev = acc.get(target)
+                acc[target] = out if prev is None else prev | out
+            for t in order:
+                contrib = acc.get(t)
+                if contrib is None:
+                    delta[t] = full[t] - full[t]
+                    continue
+                delta[t] = contrib - full[t]
+                if not delta[t].is_empty():
+                    full[t] = full[t] | delta[t]
+                    store(t, full[t])
+    return iteration
 
 
 class FixpointEngine:

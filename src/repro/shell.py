@@ -43,6 +43,7 @@ from repro.relations import (
     Universe,
     WeightedRelation,
     ir,
+    saturate,
 )
 
 __all__ = ["RelationalShell", "run_script", "main"]
@@ -269,85 +270,34 @@ class RelationalShell(cmd.Cmd):
             rules.append((name, parse_expression(rhs.strip())))
         if not rules:
             raise _ShellError("usage: fix NAME |= EXPR [; NAME |= EXPR ...]")
-        targets = []
-        for name, _ in rules:
-            if name not in targets:
-                targets.append(name)
-        for name, expr in rules:
-            self._check_monotone(expr, set(targets), True)
-        self._run_fix(targets, rules)
-
-    def _check_monotone(
-        self, expr: ast.Expr, targets: set, positive: bool
-    ) -> None:
-        if isinstance(expr, ast.VarRef):
-            if expr.name in targets and not positive:
+        targets = {name: self._lookup(name) for name, _ in rules}
+        for _, expr in rules:
+            for ref in ast.nonmonotone_refs(expr, targets):
                 raise _ShellError(
-                    f"fix target {expr.name!r} used non-monotonically "
+                    f"fix target {ref.name!r} used non-monotonically "
                     "(under the right operand of '-')"
                 )
-        elif isinstance(expr, ast.SetOp):
-            self._check_monotone(expr.left, targets, positive)
-            self._check_monotone(
-                expr.right, targets, positive and expr.op != "-"
-            )
-        elif isinstance(expr, ast.JoinOp):
-            self._check_monotone(expr.left, targets, positive)
-            self._check_monotone(expr.right, targets, positive)
-        elif isinstance(expr, ast.ReplaceOp):
-            self._check_monotone(expr.operand, targets, positive)
 
-    def _run_fix(self, targets: List[str], rules: List[tuple]) -> None:
-        tel = telemetry.active()
-        full = {t: self._lookup(t) for t in targets}
-        delta = dict(full)
-        refs_of = [
-            [r for r in ast.walk_var_refs(expr) if r.name in full]
-            for _, expr in rules
-        ]
-        iteration = 0
-        while any(not delta[t].is_empty() for t in targets):
-            iteration += 1
-            span_args = {"iteration": iteration}
-            if tel.enabled:
-                for t in targets:
-                    span_args[f"delta_{t}"] = delta[t].size()
-            with tel.span("fix.iteration", cat="fixpoint", **span_args):
-                acc: Dict[str, Optional[Relation]] = {t: None for t in targets}
+        def unit(target, expr, ref):
+            def evaluate(delta):
+                if ref is None:
+                    return self._eval_ast(expr)
+                self._fix_override[id(ref)] = delta
+                try:
+                    return self._eval_ast(expr)
+                finally:
+                    del self._fix_override[id(ref)]
 
-                def merge(name: str, value: Relation) -> None:
-                    acc[name] = (
-                        value if acc[name] is None else acc[name] | value
-                    )
+            return (target, None if ref is None else ref.name, evaluate)
 
-                for (name, expr), refs in zip(rules, refs_of):
-                    if not refs:
-                        # Static rule: contributes once, then stabilises.
-                        if iteration == 1:
-                            merge(name, self._eval_ast(expr))
-                        continue
-                    # One evaluation per occurrence of a fixed variable,
-                    # with that occurrence bound to its delta.
-                    for ref in refs:
-                        if delta[ref.name].is_empty():
-                            continue
-                        self._fix_override[id(ref)] = delta[ref.name]
-                        try:
-                            merge(name, self._eval_ast(expr))
-                        finally:
-                            del self._fix_override[id(ref)]
-                for t in targets:
-                    if acc[t] is None:
-                        delta[t] = full[t] - full[t]
-                        continue
-                    fresh = acc[t] - full[t]
-                    delta[t] = fresh
-                    if not fresh.is_empty():
-                        full[t] = full[t] | fresh
-                        self.relations[t] = full[t]
+        iterations = saturate(
+            targets,
+            [unit(*occ) for occ in ast.fix_occurrences(rules)],
+            self.relations.__setitem__,
+        )
         self._say(
-            f"fixed point after {iteration} iteration(s): "
-            + ", ".join(f"{t}={full[t].size()}" for t in targets)
+            f"fixed point after {iterations} iteration(s): "
+            + ", ".join(f"{t}={self.relations[t].size()}" for t in targets)
         )
 
     def do_explain(self, arg: str) -> None:

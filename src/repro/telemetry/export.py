@@ -8,7 +8,7 @@ that stream events, and so CI can check the pairing is balanced.
 
 ``validate_chrome_trace`` is the schema check CI runs against the trace
 emitted by ``examples/profiling_demo.py --trace``; it is also exposed as
-``python -m repro.telemetry.export <file>``.
+``python -m repro.telemetry <file>``.
 """
 
 from __future__ import annotations
@@ -245,37 +245,3 @@ def text_report(
         if tracer.dropped:
             lines.append(f"!! {tracer.dropped} spans dropped (max_spans={tracer.max_spans})")
     return "\n".join(lines)
-
-
-def _main(argv: Sequence[str]) -> int:
-    """``python -m repro.telemetry.export trace.json [...]`` — validate
-    Chrome-trace files, printing problems and exiting non-zero on any."""
-    if not argv:
-        print("usage: python -m repro.telemetry.export TRACE.json [TRACE.json ...]")
-        return 2
-    status = 0
-    for path in argv:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as err:
-            print(f"{path}: unreadable: {err}")
-            status = 1
-            continue
-        problems = validate_chrome_trace(doc)
-        if problems:
-            status = 1
-            print(f"{path}: INVALID ({len(problems)} problems)")
-            for problem in problems[:20]:
-                print(f"  - {problem}")
-        else:
-            events = doc["traceEvents"] if isinstance(doc, dict) else doc
-            n_b = sum(1 for e in events if e.get("ph") == "B")
-            print(f"{path}: OK ({len(events)} events, {n_b} balanced B/E pairs)")
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI step
-    import sys
-
-    raise SystemExit(_main(sys.argv[1:]))

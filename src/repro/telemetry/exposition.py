@@ -10,7 +10,7 @@ dots — and anything else outside ``[a-zA-Z0-9_:]`` — become underscores
 
 ``check_exposition`` is the line-format validator CI runs against the
 output of ``jeddc --metrics``; it is also exposed as
-``python -m repro.telemetry.exposition <file>``.
+``python -m repro.telemetry <file>.prom``.
 """
 
 from __future__ import annotations
@@ -207,38 +207,3 @@ def check_exposition(text: str) -> List[str]:
         if kind == "counter" and not name.endswith("_total"):
             problems.append(f"counter {name!r}: missing '_total' suffix")
     return problems
-
-
-def _main(argv: Sequence[str]) -> int:
-    """``python -m repro.telemetry.exposition FILE [...]`` — validate
-    exposition files, printing problems and exiting non-zero on any."""
-    if not argv:
-        print("usage: python -m repro.telemetry.exposition METRICS.prom [...]")
-        return 2
-    status = 0
-    for path in argv:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as err:
-            print(f"{path}: unreadable: {err}")
-            status = 1
-            continue
-        problems = check_exposition(text)
-        if problems:
-            status = 1
-            print(f"{path}: INVALID ({len(problems)} problems)")
-            for problem in problems[:20]:
-                print(f"  - {problem}")
-        else:
-            n = sum(
-                1 for ln in text.splitlines() if ln and not ln.startswith("#")
-            )
-            print(f"{path}: OK ({n} samples)")
-    return status
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI step
-    import sys
-
-    raise SystemExit(_main(sys.argv[1:]))

@@ -9,9 +9,7 @@ oracle than sampling assignments.
 
 Covered here:
 
-- unique-table semantics: ``mk`` / ``mk_many`` idempotence and the
-  :class:`~repro.bdd.arena.VectorTable` batch primitives against a
-  model dict;
+- unique-table semantics: ``mk`` / ``mk_many`` idempotence;
 - frontier-batched ``apply`` (both the scalar and vector bucket paths)
   against the reference recursion on random operand forests;
 - ``exist`` over random variable sets;
@@ -26,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import FALSE, TRUE, BDDManager
-from repro.bdd.arena import _RECURSION_SAFE_VARS, ArenaBDDManager, VectorTable
+from repro.bdd.arena import _RECURSION_SAFE_VARS, ArenaBDDManager
 from repro.bdd.io import dumps_diagram_binary, loads_diagram_binary
 
 N_VARS = 6
@@ -182,45 +180,6 @@ def test_mk_many_idempotent(triples):
     assert first.tolist() == again.tolist()
     for l, h, got in zip(lo.tolist(), hi.tolist(), first.tolist()):
         assert got == m.mk(level, l, h)
-
-
-# ----------------------------------------------------------------------
-# VectorTable model fuzz
-# ----------------------------------------------------------------------
-
-keys3 = st.tuples(
-    st.integers(min_value=0, max_value=1 << 20),
-    st.integers(min_value=0, max_value=1 << 20),
-    st.integers(min_value=0, max_value=1 << 20),
-)
-
-
-@settings(deadline=None, max_examples=60)
-@given(
-    ops=st.lists(
-        st.tuples(keys3, st.integers(min_value=0, max_value=1 << 30)),
-        min_size=1,
-        max_size=200,
-    )
-)
-def test_vector_table_matches_dict(ops):
-    """Scalar and batch VectorTable primitives against a model dict."""
-    table = VectorTable(capacity=8)
-    model = {}
-    for key, value in ops:
-        if table.get3(*key) == -1:
-            table.set3(*key, value)
-        model.setdefault(key, value)
-    for key, value in model.items():
-        assert table.get3(*key) == value
-    # Batch lookup over every key plus some misses.
-    keys = list(model) + [(k1 + 1, k2, k3) for k1, k2, k3 in model]
-    k1 = np.array([k[0] for k in keys], dtype=np.int64)
-    k2 = np.array([k[1] for k in keys], dtype=np.int64)
-    k3 = np.array([k[2] for k in keys], dtype=np.int64)
-    got = table.lookup(k1, k2, k3)
-    for key, value in zip(keys, got.tolist()):
-        assert value == model.get(key, -1)
 
 
 # ----------------------------------------------------------------------

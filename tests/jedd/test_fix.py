@@ -1,18 +1,25 @@
 """Tests for the ``fix { ... }`` statement: parsing, type checking,
 semi-naive interpretation, code generation, and telemetry."""
 
+import io
+
 import pytest
 
 from repro import telemetry
+from repro.analyses import PointsTo, preset
+from repro.analyses.jedd_sources import pointsto_fix_source
+from repro.analyses.universe import AnalysisUniverse
+from repro.bdd.io import dumps_diagram_binary
 from repro.jedd import ast
 from repro.jedd.codegen import generate
 from repro.jedd.compiler import compile_source
 from repro.jedd.lexer import tokenize
-from repro.jedd.parser import ParseError, parse_program
+from repro.jedd.parser import ParseError, parse_expression, parse_program
 from repro.jedd.pretty import pretty_program
 from repro.jedd.typecheck import TypeError_
 from repro.jedd.typecheck import check as typecheck
 from repro.relations import Relation
+from repro.shell import run_script
 
 # Transitive closure needs a third physical domain for the join
 # comparison (path.dst is pinned to N2 and path/edge carry N1/N2
@@ -143,6 +150,27 @@ class TestEvaluation:
         it.call("close")
         assert it.global_relation("path").is_empty()
 
+    def test_static_rule_fires_when_targets_start_empty(self):
+        """The first round always runs, so a static rule seeds an empty
+        target (the loop used to stop before it, leaving path empty)."""
+        src = HEADER + """
+def close() {
+  fix {
+    path |= edge;
+    path |= path{dst} <> edge{src};
+  }
+}
+"""
+        cp = compile_source(src)
+        it = cp.interpreter(backend="bdd")
+        it.set_global("edge", it.relation_of(["src", "dst"], EDGES))
+        it.call("close")
+        rel = it.global_relation("path")
+        names = rel.schema.names()
+        i, j = names.index("src"), names.index("dst")
+        got = {(t[i], t[j]) for t in rel.tuples()}
+        assert got == closure_oracle(EDGES)
+
     @pytest.mark.parametrize("backend", ["bdd", "zdd"])
     def test_codegen_parity(self, backend):
         cp = compile_source(FIX_SRC)
@@ -161,10 +189,15 @@ class TestEvaluation:
         got = sorted((t[i], t[j]) for t in rel.tuples())
         assert got == run_interp(FIX_SRC, backend)
 
-    def test_generated_code_contains_delta_loop(self):
-        cp = compile_source(FIX_SRC)
-        code = generate(cp.tp, cp.assignment)
-        assert "_delta_" in code and "_full_" in code
+    def test_generated_code_calls_saturate(self):
+        """Generated code calls the runtime's one saturation loop, once
+        per ``fix`` block, instead of carrying a loop of its own."""
+        for src in (FIX_SRC, pointsto_fix_source()):
+            cp = compile_source(src)
+            code = generate(cp.tp, cp.assignment)
+            assert "_delta_" not in code and "_full_" not in code
+            assert "while" not in code
+            assert code.count("saturate(") == 1
 
 
 class TestTelemetry:
@@ -203,3 +236,188 @@ class TestTelemetry:
         events = json.loads(out.read_text())
         evs = events["traceEvents"] if isinstance(events, dict) else events
         assert any(e.get("name") == "fix.iteration" for e in evs)
+
+
+# ----------------------------------------------------------------------
+# One saturation loop behind every front end
+# ----------------------------------------------------------------------
+
+
+def _bits_for(facts):
+    c = facts.counts()
+    return dict(
+        type_bits=max(2, c["classes"].bit_length()),
+        sig_bits=max(2, c["signatures"].bit_length()),
+        method_bits=max(2, len(facts.methods).bit_length()),
+        var_bits=max(2, c["variables"].bit_length()),
+        obj_bits=max(2, c["alloc_sites"].bit_length()),
+        field_bits=max(2, c["fields"].bit_length()),
+        site_bits=max(2, c["virtual_calls"].bit_length()),
+    )
+
+
+def _closure_case():
+    return FIX_SRC, [("edge", ["src", "dst"], EDGES)], "close", ["path"]
+
+
+def _pointsto_case():
+    facts = preset("javac-s")
+    inputs = [
+        ("alloc", ["var", "obj"], facts.allocs),
+        ("assignEdge", ["dstvar", "srcvar"], facts.assigns),
+        ("storeEdge", ["basevar", "field", "srcvar"], facts.stores),
+        ("loadEdge", ["dstvar", "basevar", "field"], facts.loads),
+    ]
+    src = pointsto_fix_source(**_bits_for(facts))
+    return src, inputs, "solvePointsTo", ["pt", "hpt"]
+
+
+CASES = {"closure": _closure_case, "pointsto": _pointsto_case}
+
+
+def _traced(run):
+    """``run()``'s result and the args of its ``fix.iteration`` spans."""
+    tel = telemetry.enable()
+    try:
+        result = run()
+        spans = [
+            dict(s.args) for s in tel.tracer.spans
+            if s.name == "fix.iteration"
+        ]
+    finally:
+        telemetry.disable()
+    return result, spans
+
+
+def _front_ends(case):
+    """Run one case through the interpreter and the generated module:
+    per front end, (relations by output name, fix.iteration span args,
+    which carry each round's delta sizes and kernel counter deltas).
+    Inputs are built in each variable's assigned physical domains, in
+    the same order, so both universes intern identically."""
+    src, inputs, entry, outputs = CASES[case]()
+    cp = compile_source(src)
+
+    def pds(name, attrs):
+        var = cp.tp.lookup_var(None, name)
+        owned = cp.assignment.owner_domains[("var", var.var_id)]
+        return [owned[a] for a in attrs]
+
+    def interp():
+        it = cp.interpreter(backend="bdd")
+        telemetry.active().instrument_universe(it.universe, "kernel")
+        for name, attrs, rows in inputs:
+            it.set_global(name, it.relation_of(attrs, rows, pds(name, attrs)))
+        it.call(entry)
+        return {o: it.global_relation(o) for o in outputs}
+
+    def generated():
+        ns = {}
+        code = generate(cp.tp, cp.assignment)
+        exec(compile(code, "<jeddc-generated>", "exec"), ns)
+        prog = ns["Program"](backend="bdd")
+        telemetry.active().instrument_universe(prog.universe, "kernel")
+        for name, attrs, rows in inputs:
+            getattr(prog, name).set(
+                Relation.from_tuples(
+                    prog.universe, attrs, rows, pds(name, attrs)
+                )
+            )
+        getattr(prog, entry)()
+        return {o: getattr(prog, o).get() for o in outputs}
+
+    return _traced(interp), _traced(generated)
+
+
+def _wire(rel):
+    return dumps_diagram_binary(rel.universe.manager, rel.node)
+
+
+class TestOneSaturationLoop:
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_interpreter_and_generated_code_agree(self, case):
+        (got_i, spans_i), (got_g, spans_g) = _front_ends(case)
+        assert spans_i, "the interpreter emitted no fix.iteration span"
+        # Same iteration count, per-round delta sizes and kernel work.
+        assert all("kdelta" in s for s in spans_i)
+        assert spans_g == spans_i
+        assert [s["iteration"] for s in spans_i] == list(
+            range(1, len(spans_i) + 1)
+        )
+        for name in got_i:
+            assert got_g[name].schema.names() == got_i[name].schema.names()
+            assert _wire(got_g[name]) == _wire(got_i[name])
+
+    def test_pointsto_fix_matches_pointsto(self):
+        """The ``fix`` form of points-to derives PointsTo's tuples.  The
+        universes differ in bit widths and order, so the comparison is
+        by tuples, not wire bytes."""
+        (got, _), _ = _front_ends("pointsto")
+        ref = PointsTo(AnalysisUniverse(preset("javac-s"))).solve()
+
+        def pairs(rel):
+            names = rel.schema.names()
+            i, j = names.index("var"), names.index("obj")
+            return {(t[i], t[j]) for t in rel.tuples()}
+
+        assert pairs(got["pt"]) and pairs(got["pt"]) == pairs(ref)
+
+    def test_shell_reports_the_same_iteration_count(self):
+        _, spans = _front_ends("closure")[0]
+        setup = [
+            "domain Node 16",
+            "attribute src : Node",
+            "attribute dst : Node",
+            "attribute mid : Node",
+            "physdom N1 4",
+            "physdom N2 4",
+            "finalize",
+            "rel edge src:N1 dst:N2",
+            *[f"insert edge {a} {b}" for a, b in EDGES],
+            "rel path src:N1 dst:N2",
+            "let path = path | edge",
+            "fix path |= ((dst=>mid) path){mid} <> ((src=>mid) edge){mid}",
+        ]
+        out = io.StringIO()
+        run_script(setup, stdout=out)
+        assert f"fixed point after {len(spans)} iteration(s)" in out.getvalue()
+
+
+#: A fix target under the right operand of '-': directly, and inside a
+#: join, a replace and an aggregate.
+NONMONOTONE = [
+    "edge - path",
+    "path{dst} <> (edge - path){src}",
+    "(dst=>) (edge - path)",
+    "count (edge - path).dst group by src",
+]
+
+
+class TestOneMonotonicityRule:
+    @pytest.mark.parametrize("rhs", NONMONOTONE)
+    def test_typechecker_and_shell_reject_alike(self, rhs):
+        with pytest.raises(TypeError_, match="non-monotonically"):
+            typecheck(
+                parse_program(HEADER + f"def f() {{ fix {{ path |= {rhs}; }} }}")
+            )
+        out = io.StringIO()
+        run_script(
+            [
+                "domain Node 16",
+                "attribute src : Node",
+                "attribute dst : Node",
+                "physdom N1 4",
+                "physdom N2 4",
+                "finalize",
+                "rel edge src:N1 dst:N2",
+                "rel path src:N1 dst:N2",
+                f"fix path |= {rhs}",
+            ],
+            stdout=out,
+        )
+        assert "non-monotonically" in out.getvalue()
+
+    def test_rule_yields_each_offending_occurrence(self):
+        expr = parse_expression("(path - edge) | (edge - (path | path))")
+        refs = list(ast.nonmonotone_refs(expr, {"path"}))
+        assert [r.name for r in refs] == ["path", "path"]

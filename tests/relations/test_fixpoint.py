@@ -8,6 +8,7 @@ from repro.relations import (
     JeddError,
     Relation,
     open_universe,
+    saturate,
 )
 
 
@@ -361,3 +362,58 @@ class TestTelemetry:
         # The iteration scopes must not dispose the solution relations.
         assert not path.disposed
         assert tuples_of(path, "src", "dst") == closure_oracle(EDGES)
+
+
+class TestSaturate:
+    """``saturate``, the ``fix`` block's loop, driven directly."""
+
+    def _units(self, u, log):
+        edge = u.relation_of(["src", "dst"], EDGES, ["N3", "N2"])
+
+        def seed(delta):
+            log.append(("seed", delta))
+            return edge.replace({"src": "N1"})
+
+        def step(delta):
+            log.append(("step", delta.size()))
+            return delta.compose(edge, ["dst"], ["src"]).replace(
+                {"src": "N1", "dst": "N2"}
+            )
+
+        return [("path", None, seed), ("path", "path", step)]
+
+    def test_closure_from_empty_target(self, u):
+        log, stored = [], []
+        empty = Relation.empty(u, ["src", "dst"], ["N1", "N2"])
+        iterations = saturate(
+            {"path": empty},
+            self._units(u, log),
+            lambda name, value: stored.append((name, value)),
+        )
+        assert tuples_of(stored[-1][1], "src", "dst") == closure_oracle(
+            EDGES
+        )
+        # The static unit runs once, with no delta; the recursive unit
+        # never sees an empty delta; every store is a strict growth.
+        assert [e for e in log if e[0] == "seed"] == [("seed", None)]
+        assert all(size > 0 for kind, size in log if kind == "step")
+        sizes = [value.size() for _, value in stored]
+        assert sizes == sorted(set(sizes))
+        assert iterations == len(stored) + 1
+
+    def test_iteration_spans(self, u):
+        tel = telemetry.enable()
+        try:
+            full = u.relation_of(["src", "dst"], EDGES, ["N1", "N2"])
+            iterations = saturate(
+                {"path": full}, self._units(u, []), lambda *_: None
+            )
+            spans = [
+                s.args for s in tel.tracer.spans if s.name == "fix.iteration"
+            ]
+        finally:
+            telemetry.disable()
+        assert [s["iteration"] for s in spans] == list(
+            range(1, iterations + 1)
+        )
+        assert spans[0]["delta_path"] == len(EDGES)

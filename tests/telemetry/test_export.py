@@ -1,7 +1,11 @@
 """Tests for the Chrome-trace exporter, its validator, and text reports."""
 
 import json
+import os
+import subprocess
+import sys
 
+from repro import telemetry
 from repro.telemetry.export import (
     chrome_trace_events,
     text_report,
@@ -121,6 +125,67 @@ class TestValidator:
             {"ph": "E", "name": "x", "ts": 1, "pid": 1, "tid": 1},
         ]
         assert validate_chrome_trace(events) == []
+
+
+class TestValidatorCommand:
+    """``python -m repro.telemetry FILE ...`` on files a real run wrote:
+    the validator module executes once, so it runs clean under
+    ``-W error::RuntimeWarning``."""
+
+    SRC = os.path.abspath(
+        os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    )
+
+    def _validate(self, *paths):
+        env = dict(os.environ, PYTHONPATH=self.SRC)
+        return subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.telemetry", *paths],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def _real_run(self, tmp_path):
+        from repro.jedd.compiler import compile_source
+
+        tel = telemetry.enable()
+        try:
+            cp = compile_source(
+                "domain N 4; attribute src : N; attribute dst : N;"
+                " physdom P1 2; physdom P2 2; physdom P3 2;"
+                " <src:P3, dst:P2> edge; <src:P1, dst:P2> path = 0B;"
+                " def close() { path |= edge;"
+                " fix { path |= path{dst} <> edge{src}; } }"
+            )
+            it = cp.interpreter()
+            tel.instrument_universe(it.universe)
+            it.set_global(
+                "edge", it.relation_of(["src", "dst"], [(0, 1), (1, 2)])
+            )
+            it.call("close")
+            trace = tmp_path / "run.json"
+            metrics = tmp_path / "run.prom"
+            tel.write_chrome_trace(str(trace))
+            tel.collect()
+            metrics.write_text(telemetry.exposition_text(tel.registry))
+        finally:
+            telemetry.disable()
+        return str(trace), str(metrics)
+
+    def test_real_trace_and_metrics_validate(self, tmp_path):
+        trace, metrics = self._real_run(tmp_path)
+        result = self._validate(trace, metrics)
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stderr == ""
+        lines = result.stdout.splitlines()
+        assert lines[0].startswith(f"{trace}: OK (")
+        assert lines[1].startswith(f"{metrics}: OK (")
+
+    def test_invalid_file_fails(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"traceEvents": [{"ph": "E"}]}))
+        result = self._validate(str(bad))
+        assert result.returncode == 1
+        assert "INVALID" in result.stdout
 
 
 class TestTextReport:

@@ -261,6 +261,12 @@ class TestFixCommand:
         i, j = names.index("src"), names.index("dst")
         assert {(t[i], t[j]) for t in rel.tuples()} == self.closure()
 
+    def test_fix_static_rule_seeds_empty_target(self):
+        shell, out = fix_script(
+            ["rel reach src:N1 dst:N2", "fix reach |= edge"]
+        )
+        assert "after 2 iteration(s): reach=5" in out
+
     def test_fix_rejects_nonmonotone_rule(self):
         shell, out = fix_script(["fix path |= edge - path"])
         assert "non-monotonically" in out
