@@ -52,13 +52,12 @@ def test_table1_all_rows():
         stats = compiled.stats
         rows[name] = stats
         print(_row(name, stats))
-        # every row must be a *valid* assignment
-        assert (
-            validate_assignment(
-                compiled.graph, compiled.assignment.node_domains
-            )
-            == []
-        )
+        # every row must be a *valid* assignment, widths included
+        tp = compiled.tp
+        assert validate_assignment(
+            compiled.graph, compiled.assignment.node_domains,
+            tp.physdoms, {d: tp.domain_bits(d) for d in tp.domains},
+        ) == []
     combined = rows["All 5 combined"]
     for name, stats in rows.items():
         if name == "All 5 combined":
@@ -82,7 +81,9 @@ def test_table1_combined_solve_benchmark(benchmark):
         return DomainAssigner(graph, tp.physdoms, bits).solve()
 
     result = benchmark(solve)
-    assert validate_assignment(graph, result.node_domains) == []
+    assert validate_assignment(
+        graph, result.node_domains, tp.physdoms, bits
+    ) == []
 
 
 def test_table1_vcall_solve_benchmark(benchmark):
@@ -94,4 +95,6 @@ def test_table1_vcall_solve_benchmark(benchmark):
     result = benchmark(
         lambda: DomainAssigner(graph, tp.physdoms, bits).solve()
     )
-    assert validate_assignment(graph, result.node_domains) == []
+    assert validate_assignment(
+        graph, result.node_domains, tp.physdoms, bits
+    ) == []

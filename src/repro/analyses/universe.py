@@ -14,7 +14,33 @@ from typing import Dict
 from repro.analyses.facts import ProgramFacts
 from repro.relations import Relation, Universe
 
-__all__ = ["AnalysisUniverse"]
+__all__ = ["AnalysisUniverse", "BIT_ORDER", "ORDERINGS"]
+
+#: The user-specified relative bit ordering (section 3.2.1): interleave
+#: within each domain family, so e.g. the two sides of an assignment
+#: edge share subtrees -- the layout a tuned hand-coded solver uses.
+#: The call-site domain C1 is interleaved with the method domains it is
+#: joined against: ``CallGraph.build`` joins site_targets(site:C1,
+#: callee:M1) with site_method(site:C1, caller:M2) on ``site``, and with
+#: C1 as a block of its own below M1/M2 the kernel paired every callee
+#: subtree with every caller subtree before it could compare sites.  On
+#: the 150-class figure2 program (2-vCPU VM) that join's ``and`` misses
+#: went 357,223 -> 37,292 and the pipeline's wall clock about
+#: 1.9 s -> 1.3 s; a separate C1 block above M, or C1 on top, measured
+#: about the same (EXPERIMENTS.md, "Figure 2 pipeline: call-site order").
+BIT_ORDER = [
+    ["V1", "V2", "V3"],
+    ["H1", "H2", "H3"],
+    ["F1"],
+    ["T1", "T2", "T3"],
+    ["S1", "S2"],
+    ["M1", "M2", "C1"],
+]
+
+#: ``"tuned"`` lays the physical domains out as :data:`BIT_ORDER`;
+#: ``"interleaved"`` and ``"sequential"`` are :class:`Universe`'s own
+#: layouts over the declaration order below.
+ORDERINGS = ("tuned", "interleaved", "sequential")
 
 
 def _bits_for(count: int) -> int:
@@ -22,19 +48,27 @@ def _bits_for(count: int) -> int:
 
 
 class AnalysisUniverse:
-    """Universe + input relations for one program's facts."""
+    """Universe + input relations for one program's facts.
+
+    ``ordering`` is one of :data:`ORDERINGS`; the default ``"tuned"``
+    lays the physical domains out as :data:`BIT_ORDER`.
+    """
 
     def __init__(
         self,
         facts: ProgramFacts,
         backend: str = "bdd",
-        ordering: str = "interleaved",
+        ordering: str = "tuned",
         reorder: bool = False,
         reorder_threshold: int = 1 << 14,
         kernel: str | None = None,
     ) -> None:
         self.facts = facts
-        u = Universe(backend=backend, ordering=ordering, kernel=kernel)
+        u = Universe(
+            backend=backend,
+            ordering="interleaved" if ordering == "tuned" else ordering,
+            kernel=kernel,
+        )
         self.universe = u
         counts = facts.counts()
         type_bits = _bits_for(counts["classes"])
@@ -84,25 +118,14 @@ class AnalysisUniverse:
             ("C1", site_bits),
         ]:
             u.physical_domain(name, bits)
-        # The user-specified relative bit ordering (section 3.2.1):
-        # interleave within each domain family (so e.g. the two sides of
-        # an assignment edge share subtrees) but keep families in blocks
-        # -- the layout a tuned hand-coded solver uses.
-        u.set_bit_order([
-            ["V1", "V2", "V3"],
-            ["H1", "H2", "H3"],
-            ["F1"],
-            ["T1", "T2", "T3"],
-            ["S1", "S2"],
-            ["M1", "M2"],
-            ["C1"],
-        ])
+        if ordering == "tuned":
+            u.set_bit_order(BIT_ORDER)
         u.finalize()
         if reorder:
             # Dynamic sifting on node-table growth, with each physical
-            # domain's bits moving as a block so the hand-tuned bit
-            # order above stays coherent.  Raises UnsupportedByBackend
-            # on the ZDD backend.
+            # domain's bits moving as a block so the chosen bit order
+            # stays coherent.  Raises UnsupportedByBackend on the ZDD
+            # backend.
             u.enable_reorder(threshold=reorder_threshold)
 
         # Pre-intern all objects so attribute copying (which needs the

@@ -16,7 +16,8 @@ would perform): each equality component ``c`` gets one variable
 the clause types of section 3.3.2 are emitted per component:
 
 1. some domain, 2. at most one domain, 3. specified domain (once per
-   distinct specified domain of a component);
+   component; a component whose members are specified two different
+   domains is reported by name before solving);
 4. conflict: one clause per distinct component pair and shared domain;
    a conflict edge inside one component forbids each of its domains;
 5. equality: none -- the union-find is the equality constraint;
@@ -33,7 +34,11 @@ tree-shaped expression graphs of real programs produce.  A model
 decodes each component's domain to all of its members.
 
 Error reporting follows section 3.3.3: an attribute unreachable from any
-specified attribute is detected while building clause 6; on UNSAT, the
+specified attribute is detected while building clause 6, and two
+attributes of one equality component specified different domains while
+building clause 3 (jeddc's constraint graphs never hold that shape: a
+variable's component has one specification per attribute and a
+literal's is the literal alone); on UNSAT, the
 solver's unsatisfiable core necessarily contains a conflict clause
 (type 4), from which the offending expression, attributes, and physical
 domain are reported with their source position.  A core without one --
@@ -158,8 +163,8 @@ class DomainAssigner:
 
     def _origins(self) -> Dict[int, str]:
         """Component -> the domain its flow paths carry: that of its
-        lowest specified node (a component specified twice over with
-        different domains fails clauses 2 and 3 anyway)."""
+        lowest specified node (:meth:`encode` rejects a component
+        specified twice over with different domains)."""
         comp_of = self.quotient.comp_of
         origins: Dict[int, str] = {}
         for node_id in sorted(self.graph.specified):
@@ -274,7 +279,7 @@ class DomainAssigner:
         for r in var_range:
             clauses += [(-x, -y) for i, x in enumerate(r, 1) for y in r[i:]]
         # 3. Specified components get their specified domains.
-        required = set()
+        specified_by: Dict[int, int] = {}  # component -> first specified node
         for node_id, pd in graph.specified.items():
             if pd not in candidates[node_id]:
                 node = nodes[node_id]
@@ -284,10 +289,18 @@ class DomainAssigner:
                     f"at {node.pos}"
                 )
             c = comp_of[node_id]
-            if (c, pd) not in required:
-                required.add((c, pd))
+            first = specified_by.setdefault(c, node_id)
+            if first == node_id:
                 var = pd_var[c].get(pd)
                 clauses.append(() if var is None else (var,))
+            elif graph.specified[first] != pd:
+                na, nb = nodes[first], nodes[node_id]
+                raise AssignmentError(
+                    f"Equal attributes {na.desc}:{na.attr} at {na.pos} and "
+                    f"{nb.desc}:{nb.attr} at {nb.pos} are specified "
+                    f"different physical domains {graph.specified[first]} "
+                    f"and {pd}"
+                )
         # 4. Conflict edges: the components at their ends never share a
         # domain; a component holding both ends can take none.
         conflicts: Dict[int, Tuple[int, int, str]] = {}
@@ -497,17 +510,33 @@ def minimize_replaces(
 
 
 def validate_assignment(
-    graph: ConstraintGraph, node_domains: Dict[int, str]
+    graph: ConstraintGraph,
+    node_domains: Dict[int, str],
+    physdoms: Optional[Dict[str, int]] = None,
+    domain_bits: Optional[Dict[str, int]] = None,
 ) -> List[str]:
     """Check an assignment against the validity constraints of 3.3.2.
 
-    Returns a list of violation descriptions (empty when valid).  Used
-    by tests and by the compiler's self-check.
+    Returns a list of violation descriptions (empty when valid).  With
+    the physical domains' widths (``physdoms``) and the attribute
+    domains' (``domain_bits``), also reports every attribute placed in
+    a physical domain too narrow for it.  Used by tests and by the
+    compiler's self-check.
     """
+    if (physdoms is None) != (domain_bits is None):
+        raise TypeError("pass physdoms and domain_bits together")
     problems: List[str] = []
     for node in graph.nodes:
-        if node.node_id not in node_domains:
+        pd = node_domains.get(node.node_id)
+        if pd is None:
             problems.append(f"node {node.node_id} ({node.attr}) unassigned")
+        elif physdoms is not None:
+            needed, has = domain_bits[node.domain], physdoms.get(pd, 0)
+            if has < needed:
+                problems.append(
+                    f"node {node.node_id} ({node.attr}) needs {needed} "
+                    f"bits, physical domain {pd} has {has}"
+                )
     for a, b in graph.conflict_edges:
         if node_domains.get(a) == node_domains.get(b):
             problems.append(

@@ -16,7 +16,11 @@ from repro.jedd.compiler import compile_source
 @pytest.mark.parametrize("name", sorted(ANALYSIS_SOURCES))
 def test_source_compiles_with_valid_assignment(name):
     cp = compile_source(ANALYSIS_SOURCES[name]())
-    assert validate_assignment(cp.graph, cp.assignment.node_domains) == []
+    tp = cp.tp
+    widths = {d: tp.domain_bits(d) for d in tp.domains}
+    assert validate_assignment(
+        cp.graph, cp.assignment.node_domains, tp.physdoms, widths
+    ) == []
 
 
 def test_combined_is_largest():

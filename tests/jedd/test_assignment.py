@@ -11,36 +11,43 @@ from repro.jedd.assignment import (
     DomainAssigner,
     validate_assignment,
 )
-from repro.jedd.constraints import build_constraints
+from repro.jedd.ast import Position
+from repro.jedd.constraints import AttrNode, ConstraintGraph, build_constraints
 from repro.jedd.parser import parse_program
 from repro.jedd.typecheck import check
 from tests.jedd.helpers import FIGURE4, PRELUDE, UNSAT_333
 
 
+def domain_bits(tp):
+    return {d: tp.domain_bits(d) for d in tp.domains}
+
+
 def solve_src(src, **kwargs):
     tp = check(parse_program(src))
     graph = build_constraints(tp)
-    assigner = DomainAssigner(
-        graph,
-        tp.physdoms,
-        {d: tp.domain_bits(d) for d in tp.domains},
-        **kwargs,
-    )
+    assigner = DomainAssigner(graph, tp.physdoms, domain_bits(tp), **kwargs)
     return tp, graph, assigner
+
+
+def problems(tp, graph, node_domains):
+    """``validate_assignment`` with the program's widths."""
+    return validate_assignment(
+        graph, node_domains, tp.physdoms, domain_bits(tp)
+    )
 
 
 class TestSolvable:
     def test_figure4_assignment_valid(self):
         tp, graph, assigner = solve_src(FIGURE4)
         result = assigner.solve()
-        assert validate_assignment(graph, result.node_domains) == []
+        assert problems(tp, graph, result.node_domains) == []
 
     def test_minimal_program(self):
         tp, graph, assigner = solve_src(
             PRELUDE + "<rectype:T1> r;\ndef f() { r = r | r; }"
         )
         result = assigner.solve()
-        assert validate_assignment(graph, result.node_domains) == []
+        assert problems(tp, graph, result.node_domains) == []
         # everything in the rectype chain lands in T1
         assert set(result.node_domains.values()) == {"T1"}
 
@@ -168,6 +175,17 @@ class TestFlowPathCap:
             assert most < assigner.max_paths_per_node, (name, most)
 
 
+class TestSpecifications:
+    def test_one_specification_per_component(self):
+        """jeddc never builds an equality component with two specified
+        attributes, so the "specified different physical domains" error
+        is reachable only through hand-built constraint graphs."""
+        for name, src in _paper_programs():
+            tp, graph, assigner = solve_src(src)
+            comps = [assigner.quotient.comp_of[n] for n in graph.specified]
+            assert len(comps) == len(set(comps)), name
+
+
 class TestConflictClauses:
     """``encode()``'s third value maps the index of every type-4 clause,
     and nothing else, to a conflict edge and physical domain: one clause
@@ -237,7 +255,7 @@ class TestErrors:
         )
         tp, graph, assigner = solve_src(fixed)
         result = assigner.solve()
-        assert validate_assignment(graph, result.node_domains) == []
+        assert problems(tp, graph, result.node_domains) == []
 
     def test_unknown_specified_physdom(self):
         # Reachable only through the internal API: build a graph whose
@@ -280,6 +298,23 @@ def f() { r = r | r; }
 
 
 class TestWidthFeasibility:
+    def test_validate_reports_too_narrow_domain(self):
+        """One attribute of a 3-bit domain placed in a 1-bit physical
+        domain: only the width-aware check sees it."""
+        graph = ConstraintGraph()
+        graph.nodes.append(AttrNode(
+            node_id=0, owner_kind="expr", owner_key=0, attr="a0",
+            desc="E0", pos=Position(1, 1), domain="D3",
+        ))
+        graph.specified[0] = "P"
+        assert validate_assignment(graph, {0: "P"}) == []
+        assert validate_assignment(graph, {0: "P"}, {"P": 1}, {"D3": 3}) == [
+            "node 0 (a0) needs 3 bits, physical domain P has 1"
+        ]
+        assert validate_assignment(graph, {0: "P"}, {"P": 3}, {"D3": 3}) == []
+        with pytest.raises(TypeError):
+            validate_assignment(graph, {0: "P"}, {"P": 1})
+
     def test_narrow_physdom_not_a_candidate(self):
         src = """
 domain Big 1000;
@@ -298,6 +333,7 @@ def f() { s = s | s; r = r | r; }
             graph, tp.physdoms, {d: tp.domain_bits(d) for d in tp.domains}
         )
         result = assigner.solve()
+        assert problems(tp, graph, result.node_domains) == []
         for node in graph.nodes:
             if node.domain == "Big":
                 assert result.node_domains[node.node_id] == "Wide"
@@ -314,10 +350,7 @@ class TestMinimizeReplaces:
         for builder in ANALYSIS_SOURCES.values():
             cp = compile_source(builder())
             assert cp.stats["replaces_final"] <= cp.stats["replaces_raw"]
-            assert (
-                validate_assignment(cp.graph, cp.assignment.node_domains)
-                == []
-            )
+            assert problems(cp.tp, cp.graph, cp.assignment.node_domains) == []
 
     def test_reduces_a_deliberately_bad_assignment(self):
         """Hand the post-pass a valid but replace-heavy assignment --
@@ -350,13 +383,13 @@ class TestMinimizeReplaces:
                 if domains[x] != domains[y]
             )
 
-        assert validate_assignment(graph, nodes(bad)) == []
+        assert problems(tp, graph, nodes(bad)) == []
         assert broken(bad) > 0
         improved = minimize_replaces(
             graph, quotient, assigner.comp_candidates, bad
         )
         assert broken(improved) < broken(bad)
-        assert validate_assignment(graph, nodes(improved)) == []
+        assert problems(tp, graph, nodes(improved)) == []
 
     def test_all_t1_chain_has_zero_replaces(self):
         """a -> b -> c all specifiable as T1: no replaces must remain."""
@@ -379,4 +412,4 @@ class TestMinimizeReplaces:
         assigner.minimize = False
         result = assigner.solve()
         assert result.stats["replaces_raw"] == result.stats["replaces_final"]
-        assert validate_assignment(graph, result.node_domains) == []
+        assert problems(tp, graph, result.node_domains) == []

@@ -15,10 +15,11 @@ are solved both ways:
 
 The two must agree on satisfiability, and every model the assigner
 decodes -- raw or after ``minimize_replaces`` -- must pass the same
-checks and put each attribute in a domain wide enough for it.  Two
+checks and put each attribute in a domain wide enough for it.  Three
 shapes exist only in the quotient (a conflict edge inside one
-component, and a component whose members leave no candidate domain)
-and get pinned error messages.
+component, a component specified two different domains, and a
+component whose members leave no candidate domain) and get pinned
+error messages.
 """
 
 import random
@@ -143,13 +144,10 @@ def test_quotient_agrees_with_brute_force(chunk):
                 continue
             assert expected, seed
             domains = result.node_domains
-            assert validate_assignment(graph, domains) == [], seed
+            assert validate_assignment(
+                graph, domains, physdoms, DOMAIN_BITS
+            ) == [], seed
             assert has_flow(graph, domains), seed
-            # ``validate_assignment`` does not know the widths.
-            assert all(
-                physdoms[domains[node.node_id]] >= DOMAIN_BITS[node.domain]
-                for node in graph.nodes
-            ), seed
         outcomes[expected] += 1
     # Both answers are common, so neither side of the check is vacuous.
     assert min(outcomes.values()) >= 30, outcomes
@@ -179,6 +177,20 @@ def test_conflict_inside_a_component_is_reported():
     assert str(err.value) == (
         "Conflict between Join_expression:a0 at 3,5 and "
         "Join_expression:a1 at 3,9 over physical domain P0"
+    )
+
+
+def test_two_specified_domains_in_a_component_are_named():
+    """Seed 2160: nodes 0 and 3 are joined by an equality edge but
+    specified P2 and P1; the message names both and their domains."""
+    graph, physdoms = random_graph(random.Random(2160))
+    assert graph.specified[0] == "P2" and graph.specified[3] == "P1"
+    assert brute_force(graph, physdoms) is None
+    with pytest.raises(AssignmentError) as err:
+        solve(graph, physdoms)
+    assert str(err.value) == (
+        "Equal attributes E0:a0 at 1,1 and E3:a3 at 1,4 are specified "
+        "different physical domains P2 and P1"
     )
 
 
