@@ -3,8 +3,8 @@
 Registers the opt-in stress markers: heavy randomized suites that CI
 runs in dedicated seeded jobs.  ``reorder_stress`` covers long
 differential chains and deep swap/integrity fuzzing;
-``kernel_stress`` covers long cross-kernel chains aimed at the arena
-kernel's batch machinery.  Both are skipped unless pytest is invoked
+``kernel_stress`` covers long cross-kernel chains aimed at the ooc
+kernel's streaming sweeps.  Both are skipped unless pytest is invoked
 with the matching flag.
 """
 

@@ -1624,7 +1624,7 @@ class BDDManager:
 # bottom-up pass with no apply-cache work, the way Adiar builds diagrams
 # level by level from sorted streams.  The pass is written once, against
 # a node constructor and two terminals: the BDD kernels (reference,
-# arena, ooc, and MTBDD with per-key terminal leaves) pass their
+# ooc, and MTBDD with per-key terminal leaves) pass their
 # hash-consing ``mk``, the ZDD kernel its zero-suppressing one.
 # Canonicity makes the result the very node the fold would return.
 

@@ -1,6 +1,6 @@
 """Out-of-core streaming BDD kernel (Adiar-style time-forward processing).
 
-Every other kernel in this reproduction (reference, arena, ZDD) keeps
+Every other kernel in this reproduction (reference, ZDD, MTBDD) keeps
 the whole node table in Python lists, so the analyses die once the
 table outgrows RAM.  Sølvsten & van de Pol (PAPERS.md, arXiv
 2505.11229) show that an external-memory BDD package handles exactly

@@ -460,9 +460,11 @@ def minimize_replaces(
     this pass goes further, hill-climbing over the components: a
     component without a specified attribute may switch to any of its
     candidate domains that stays conflict-free, if doing so strictly
-    reduces the number of assignment edges whose endpoints differ.
-    Constraints 1-5 are preserved by construction
-    (``validate_assignment`` is re-checked in tests).
+    reduces the number of assignment edges whose endpoints differ and
+    every component stays on a flow path.  Constraints 1-5 are preserved
+    by construction; the flow-path check keeps clauses 6-7, which a move
+    could otherwise break by stranding a neighbour that a conflict keeps
+    from following (``validate_assignment`` is re-checked in tests).
     """
     comp_of = quotient.comp_of
     fixed = {comp_of[n] for n in graph.specified}
@@ -488,6 +490,17 @@ def minimize_replaces(
             if comp_pd[other] != pd
         )
 
+    def all_on_flow_paths() -> bool:
+        reached = set(fixed)
+        stack = list(fixed)
+        while stack:
+            comp = stack.pop()
+            for other in assign_neighbors.get(comp, []):
+                if other not in reached and comp_pd[other] == comp_pd[comp]:
+                    reached.add(other)
+                    stack.append(other)
+        return len(reached) == len(comp_pd)
+
     changed = True
     while changed:
         changed = False
@@ -496,16 +509,24 @@ def minimize_replaces(
                 continue
             current = comp_pd[comp]
             banned = {comp_pd[c] for c in conflicts.get(comp, [])}
-            best_pd, best_cost = current, broken_for(comp, current)
-            for pd in comp_candidates[comp]:
-                if pd in banned or pd == current:
-                    continue
-                cost = broken_for(comp, pd)
-                if cost < best_cost:
-                    best_pd, best_cost = pd, cost
-            if best_pd != current:
-                comp_pd[comp] = best_pd
-                changed = True
+            current_cost = broken_for(comp, current)
+            # Cheapest first; ties keep candidate order.
+            moves = sorted(
+                (
+                    (broken_for(comp, pd), pd)
+                    for pd in comp_candidates[comp]
+                    if pd not in banned and pd != current
+                ),
+                key=lambda move: move[0],
+            )
+            for cost, pd in moves:
+                if cost >= current_cost:
+                    break
+                comp_pd[comp] = pd
+                if all_on_flow_paths():
+                    changed = True
+                    break
+                comp_pd[comp] = current
     return comp_pd
 
 
@@ -517,11 +538,14 @@ def validate_assignment(
 ) -> List[str]:
     """Check an assignment against the validity constraints of 3.3.2.
 
-    Returns a list of violation descriptions (empty when valid).  With
-    the physical domains' widths (``physdoms``) and the attribute
+    Returns a list of violation descriptions (empty when valid): an
+    unassigned attribute, a broken conflict, equality or specification
+    constraint, and an attribute on no flow path (clauses 6-7: it must
+    be reached from a specified attribute through equality and
+    assignment edges whose attributes all carry that one's domain).
+    With the physical domains' widths (``physdoms``) and the attribute
     domains' (``domain_bits``), also reports every attribute placed in
-    a physical domain too narrow for it.  Used by tests and by the
-    compiler's self-check.
+    a physical domain too narrow for it.  Used by tests and benchmarks.
     """
     if (physdoms is None) != (domain_bits is None):
         raise TypeError("pass physdoms and domain_bits together")
@@ -554,5 +578,22 @@ def validate_assignment(
             problems.append(
                 f"specified node {node_id} got {node_domains.get(node_id)} "
                 f"instead of {pd}"
+            )
+    adj = graph.adjacency()
+    reached = set(graph.specified)
+    stack = list(reached)
+    while stack:
+        x = stack.pop()
+        pd = node_domains.get(x)
+        for y in adj[x]:
+            if y not in reached and node_domains.get(y) == pd:
+                reached.add(y)
+                stack.append(y)
+    for node in graph.nodes:
+        pd = node_domains.get(node.node_id)
+        if node.node_id not in reached and pd is not None:
+            problems.append(
+                f"node {node.node_id} ({node.attr}) in {pd} lies on no "
+                "flow path from a specified attribute"
             )
     return problems

@@ -165,11 +165,10 @@ class Universe:
     physical domain).
 
     ``kernel`` selects the BDD kernel implementation: ``"reference"``
-    (the recursive manager in :mod:`repro.bdd.manager`), ``"arena"``
-    (the vectorized struct-of-arrays kernel in :mod:`repro.bdd.arena`)
-    or ``"ooc"`` (the out-of-core streaming kernel in
-    :mod:`repro.bdd.ooc`, configured via ``JEDD_OOC_CAP_BYTES`` /
-    ``JEDD_OOC_SPILL_DIR``; see ``docs/KERNEL.md``).  When omitted,
+    (the recursive manager in :mod:`repro.bdd.manager`) or ``"ooc"``
+    (the out-of-core streaming kernel in :mod:`repro.bdd.ooc`,
+    configured via ``JEDD_OOC_CAP_BYTES`` / ``JEDD_OOC_SPILL_DIR``; see
+    ``docs/KERNEL.md``).  When omitted,
     the ``JEDD_KERNEL`` environment variable decides, defaulting to
     ``"reference"``.  The kernel flag only affects the ``"bdd"``
     backend; all kernels build bit-identical canonical diagrams.
@@ -187,7 +186,7 @@ class Universe:
             raise JeddError(f"unknown backend {backend!r}")
         if kernel is None:
             kernel = os.environ.get("JEDD_KERNEL", "reference")
-        if kernel not in ("reference", "arena", "ooc"):
+        if kernel not in ("reference", "ooc"):
             raise JeddError(f"unknown kernel {kernel!r}")
         self.backend_name = backend
         self.kernel_name = kernel
@@ -365,11 +364,7 @@ class Universe:
                     next_level += 1
         assert next_level == total_bits
         if self.backend_name == "bdd":
-            if self.kernel_name == "arena":
-                from repro.bdd.arena import ArenaBDDManager
-
-                self.manager = ArenaBDDManager(total_bits)
-            elif self.kernel_name == "ooc":
+            if self.kernel_name == "ooc":
                 from repro.bdd.ooc import OocBDDManager
 
                 self.manager = OocBDDManager(total_bits)
@@ -689,7 +684,7 @@ def open_universe(
     is finalized automatically when any physical domains were declared
     (override with ``finalize=``); declare-then-finalize manually for
     more complex setups.  ``kernel`` picks the BDD kernel
-    (``"reference"``, ``"arena"`` or ``"ooc"``; default from
+    (``"reference"`` or ``"ooc"``; default from
     ``JEDD_KERNEL``).
     """
     u = Universe(backend=backend, ordering=order, kernel=kernel)

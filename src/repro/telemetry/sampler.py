@@ -2,8 +2,8 @@
 
 The registry's counters come from the kernels' always-on raw stats, but
 *point-in-time* health — node-table size and high-water mark, apply/memo
-cache occupancy, process RSS, arena frontier width — has to be observed
-periodically.  :class:`Sampler` does that on a daemon thread at a
+cache occupancy, process RSS, out-of-core spill state — has to be
+observed periodically.  :class:`Sampler` does that on a daemon thread at a
 configurable (default 1s) interval, cheap enough to leave on for a
 whole solve: each tick is a handful of ``len()`` calls and one
 ``/proc/self/status`` read, never touching kernel hot paths.
@@ -96,17 +96,6 @@ class Sampler:
                         f"{prefix}.cache.entries", cache=cache
                     ).set(size)
                     out[f"{prefix}.cache.entries{{cache={cache}}}"] = size
-            frontier = getattr(manager, "frontier_profile", None)
-            if frontier is not None:
-                prof = frontier()
-                for key in (
-                    "max_frontier",
-                    "total_requests",
-                    "batches_vector",
-                    "batches_scalar",
-                ):
-                    if key in prof:
-                        gauge(f"{prefix}.frontier.{key}", prof[key])
             # Out-of-core kernels export spill/sweep gauges: resident
             # vs cap, page-cache traffic, sorted-run population, rows
             # spilled from the sweep queues.

@@ -98,13 +98,6 @@ def render(doc: Dict[str, object], width: int = 72) -> str:
         hit_rate = metrics.get(f"{prefix}.apply_cache.hit_rate")
         if hit_rate is not None:
             lines.append(f"{'':<8} apply-cache hit rate {hit_rate * 100:.1f}%")
-        frontier = metrics.get(f"{prefix}.frontier.max_frontier")
-        if frontier is not None:
-            lines.append(
-                f"{'':<8} frontier max {_fmt(frontier)}"
-                f"  vector batches {_fmt(metrics.get(f'{prefix}.frontier.batches_vector', 0))}"
-                f"  scalar {_fmt(metrics.get(f'{prefix}.frontier.batches_scalar', 0))}"
-            )
 
     spans = metrics.get("telemetry.spans")
     if spans is not None:

@@ -4,9 +4,8 @@ analyses to *bit-identical* results — the same canonical node tables,
 not merely the same tuple sets — as the reference kernel, under the
 semi-naive engine.
 
-The mirror image of :mod:`tests.analyses.test_arena_differential`,
-plus one ooc-specific dimension: the incremental maintenance engine.
-Interleaved insert/retract streams (the scenarios from
+One ooc-specific dimension rides along: the incremental maintenance
+engine.  Interleaved insert/retract streams (the scenarios from
 :mod:`tests.relations.test_incremental`) are replayed on an ooc-backed
 fixpoint engine and every warm state is compared wire-for-wire against
 a cold reference-kernel solve of the same fact base.

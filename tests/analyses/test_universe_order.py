@@ -18,8 +18,8 @@ from repro.analyses import (
 from repro.analyses.universe import BIT_ORDER, ORDERINGS
 from tests.analyses.test_analyses import by_names
 
-#: ``benchmarks/test_arena.py``'s generator settings at 150 classes:
-#: the Figure 2 pipeline's program.
+#: The Figure 2 pipeline's 150-class program (the ``figure2`` bench
+#: workload's generator settings).
 FIGURE2_PROGRAM = dict(
     n_classes=150,
     n_signatures=20,

@@ -22,7 +22,7 @@ def repro_line(
     """One-line replay recipe for a diverging chain.
 
     ``pair`` names the two implementations that disagreed (for example
-    ``"reference-bdd vs arena-bdd"``); ``seed`` alone is sufficient to
+    ``"reference-bdd vs ooc-bdd"``); ``seed`` alone is sufficient to
     replay, the chain index and pair localize the failure for a human.
     """
     mode = "reorder" if reorder else "plain"

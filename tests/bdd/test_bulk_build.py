@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.analyses import AnalysisUniverse, preset
 from repro.bdd import FALSE, BDDError, BDDManager, FDDManager, MTBDDManager
-from repro.bdd.arena import ArenaBDDManager
 from repro.bdd.ooc import OocBDDManager
 from repro.bdd.zdd import ZDDManager
 from repro.relations import Relation, Universe
@@ -41,12 +40,11 @@ TINY_CAP = 1
 
 KERNELS = {
     "reference": BDDManager,
-    "arena": ArenaBDDManager,
     "ooc": lambda n: OocBDDManager(n, memory_cap_bytes=TINY_CAP),
     "mtbdd": MTBDDManager,
     "zdd": ZDDManager,
 }
-REORDERING = ("reference", "arena", "ooc")
+REORDERING = ("reference", "ooc")
 MAX_VARS = 9
 
 
@@ -197,7 +195,6 @@ def test_zdd_equality_equals_fold():
 
 UNIVERSES = [
     ("bdd", "reference"),
-    ("bdd", "arena"),
     ("bdd", "ooc"),
     ("mtbdd", "reference"),
     ("zdd", "reference"),

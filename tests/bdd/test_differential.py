@@ -1,14 +1,13 @@
 """Randomized differential testing across every kernel and backend.
 
-Each *chain* builds the same random relational program five ways -- on
-the reference BDD kernel, on the vectorized arena BDD kernel
-(:mod:`repro.bdd.arena`), on the out-of-core streaming kernel
+Each *chain* builds the same random relational program four ways -- on
+the reference BDD kernel, on the out-of-core streaming kernel
 (:mod:`repro.bdd.ooc`), on the ZDD backend, and against a plain-Python
 oracle that stores relations as sets of ``{attribute: value}`` rows --
 and asserts they all agree on the exact tuple set after every
-operation.  Between the three BDD kernels the check is stronger than
+operation.  Between the two BDD kernels the check is stronger than
 tuple-set equality: hash-consing makes reduced ordered BDDs canonical,
-so under the same variable order all of them must build *node-for-node
+so under the same variable order both must build *node-for-node
 identical* diagrams.  The harness asserts that by comparing serialized
 wire bytes (:func:`repro.bdd.io.dumps_diagram_binary`) after every
 operation.
@@ -176,7 +175,6 @@ class Oracle:
 #: Lane name -> label used in divergence messages and repro lines.
 LANE_LABELS = {
     "ref": "reference-bdd",
-    "arena": "arena-bdd",
     "ooc": "ooc-bdd",
     "zdd": "zdd",
     "mtbdd": "mtbdd",
@@ -201,7 +199,7 @@ def structure(manager, root):
 
 
 class Quint:
-    """The same relation on every lane -- the three BDD kernels, the
+    """The same relation on every lane -- the two BDD kernels, the
     ZDD engine and, in the mtbdd chains, the multi-terminal backend --
     plus the oracle."""
 
@@ -231,28 +229,26 @@ class Quint:
                 + _repro(f"{label} vs oracle")
             )
             assert rel.size() == len(expected)
-        # Canonicity: under the same variable order, every BDD kernel
+        # Canonicity: under the same variable order, both BDD kernels
         # must hold node-for-node identical diagrams, not merely the
         # same tuple set.  Identical inputs drive identical (size
         # triggered, deterministic) sift decisions, so the orders never
         # drift apart either.
         m_ref = ref.universe.manager
+        ooc = self.rels["ooc"]
+        m_ooc = ooc.universe.manager
+        assert m_ref.current_order() == m_ooc.current_order(), (
+            "variable orders diverged between reference and ooc kernels\n"
+            + _repro("reference-bdd vs ooc-bdd")
+        )
         wire_ref = dumps_diagram_binary(m_ref, ref.node)
-        for lane in ("arena", "ooc"):
-            rel = self.rels[lane]
-            m_other = rel.universe.manager
-            assert m_ref.current_order() == m_other.current_order(), (
-                f"variable orders diverged between reference and {lane} "
-                "kernels\n"
-                + _repro(f"reference-bdd vs {LANE_LABELS[lane]}")
-            )
-            wire_other = dumps_diagram_binary(m_other, rel.node)
-            assert wire_ref == wire_other, (
-                f"BDD kernels (reference vs {lane}) diverged on "
-                f"canonical node table over {names} "
-                f"({len(wire_ref)} vs {len(wire_other)} wire bytes)\n"
-                + _repro(f"reference-bdd vs {LANE_LABELS[lane]}")
-            )
+        wire_ooc = dumps_diagram_binary(m_ooc, ooc.node)
+        assert wire_ref == wire_ooc, (
+            f"BDD kernels (reference vs ooc) diverged on "
+            f"canonical node table over {names} "
+            f"({len(wire_ref)} vs {len(wire_ooc)} wire bytes)\n"
+            + _repro("reference-bdd vs ooc-bdd")
+        )
         # A 0/1 MTBDD is the reduced BDD of the same function.  Its wire
         # kind differs (kind 2 carries a terminal table), so compare the
         # node tables directly.
@@ -365,13 +361,12 @@ def run_chain(seed, reorder, n_ops, chain_index=0, mtbdd=False):
     rng = random.Random(seed)
     universes = {
         "ref": build_universe("bdd", kernel="reference"),
-        "arena": build_universe("bdd", kernel="arena"),
         "ooc": build_universe("bdd", kernel="ooc"),
         "zdd": build_universe("zdd"),
     }
     if mtbdd:
         universes["mtbdd"] = build_universe("mtbdd")
-    bdd_universes = [universes[k] for k in ("ref", "arena", "ooc")]
+    bdd_universes = [universes[k] for k in ("ref", "ooc")]
     if reorder:
         # Tiny threshold so sifting actually fires mid-chain, with both
         # grouping policies exercised across seeds.  Every BDD kernel
@@ -444,12 +439,10 @@ def test_differential_chains_stress(reorder):
 @pytest.mark.kernel_stress
 @pytest.mark.parametrize("reorder", [False, True], ids=["plain", "reorder"])
 def test_kernel_stress_chains(reorder):
-    """Longer chains aimed at the arena and ooc kernels' machinery.
+    """Longer chains aimed at the ooc kernel's machinery.
 
-    Same five-way harness, but with enough operations per chain that
-    frontiers widen past ``vector_threshold`` (so the arena's vector
-    paths, not just the narrow scalar fallbacks, carry real traffic)
-    and the ooc kernel's streaming sweeps process deep request queues.
+    Same harness, but with enough operations per chain that the ooc
+    kernel's streaming sweeps process deep request queues.
     """
     for i in range(N_CHAINS_STRESS):
         seed = 700_000 + i if reorder else 600_000 + i

@@ -236,15 +236,11 @@ class TestCounting:
         with pytest.raises(BDDError):
             m.sat_count(f, [0])
 
-    @pytest.mark.parametrize(
-        "kernel", ["reference", "arena", "ooc"]
-    )
+    @pytest.mark.parametrize("kernel", ["reference", "ooc"])
     def test_sat_count_names_every_uncovered_variable(self, kernel):
-        from repro.bdd.arena import ArenaBDDManager
         from repro.bdd.ooc import OocBDDManager
 
-        m = {"reference": BDDManager, "arena": ArenaBDDManager,
-             "ooc": OocBDDManager}[kernel](8)
+        m = {"reference": BDDManager, "ooc": OocBDDManager}[kernel](8)
         # 5 sits only below 3, an uncovered node: the walk that finds
         # the uncovered levels must not stop at the first one.
         f = m.apply_and(m.var(0), m.apply_or(m.nvar(3), m.var(5)))

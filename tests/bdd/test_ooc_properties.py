@@ -2,10 +2,8 @@
 
 Hypothesis drives the ooc kernel (:mod:`repro.bdd.ooc`) and the
 reference kernel through the same operations and asserts they land on
-the same canonical diagrams, exactly like
-:mod:`tests.bdd.test_arena_properties` does for the arena kernel.  On
-top of the cross-kernel oracle this file checks the machinery that is
-unique to the out-of-core design:
+the same canonical diagrams.  On top of the cross-kernel oracle this
+file checks the machinery that is unique to the out-of-core design:
 
 - sorted-run storage: :class:`SortedRun` point probes and the
   newest-wins / tombstone-dropping :func:`merge_runs` compaction

@@ -1,4 +1,4 @@
-"""Property tests for ``replace`` on the reference, ooc and arena kernels.
+"""Property tests for ``replace`` on the reference and ooc kernels.
 
 Each kernel rebuilds a node with ``mk`` when the target level lies above
 both rebuilt children and falls back to an if-then-else recomposition
@@ -19,13 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import FALSE, TRUE, BDDManager
-from repro.bdd.arena import ArenaBDDManager
 from repro.bdd.io import dumps_diagram_binary
 from repro.bdd.ooc import OocBDDManager
 
 N_VARS = 7
 
-KERNELS = (BDDManager, OocBDDManager, ArenaBDDManager)
+KERNELS = (BDDManager, OocBDDManager)
 
 exprs = st.recursive(
     st.one_of(

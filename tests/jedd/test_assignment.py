@@ -151,6 +151,24 @@ class TestFlowPaths:
                     if i != j:
                         assert not sets[i] <= sets[j]
 
+    def test_validate_reports_node_off_every_flow_path(self):
+        """Node 1 is linked to the P0-specified node 0 only by an
+        assignment edge, so placed in P1 no flow path reaches it."""
+        graph = ConstraintGraph()
+        for i in range(2):
+            graph.nodes.append(AttrNode(
+                node_id=i, owner_kind="expr", owner_key=i, attr=f"a{i}",
+                desc=f"E{i}", pos=Position(1, 1 + 4 * i), domain="D",
+            ))
+        graph.specified[0] = "P0"
+        graph.assign(0, 1)
+        widths = ({"P0": 1, "P1": 1}, {"D": 1})
+        assert validate_assignment(graph, {0: "P0", 1: "P1"}, *widths) == [
+            "node 1 (a1) in P1 lies on no flow path from a specified "
+            "attribute"
+        ]
+        assert validate_assignment(graph, {0: "P0", 1: "P0"}, *widths) == []
+
 
 def _paper_programs():
     """The six Table 1 sources and the seven ``examples/jedd`` programs."""
@@ -354,20 +372,23 @@ class TestMinimizeReplaces:
 
     def test_reduces_a_deliberately_bad_assignment(self):
         """Hand the post-pass a valid but replace-heavy assignment --
-        every unspecified equality component moved, whole, to T2 -- and
-        check it removes the unnecessary moves."""
+        every unspecified equality component moved, whole, to T2, which
+        the flow path from ``d`` allows -- and check it removes the
+        unnecessary moves."""
         from repro.jedd.assignment import minimize_replaces
 
         src = PRELUDE + (
             "<rectype:T1> a;\n<rectype> b;\n<rectype:T1> c;\n"
-            "def f() { b = a; c = b; }"
+            "<rectype:T2> d;\n"
+            "def f() { b = a; c = b; b = d; }"
         )
         tp, graph, assigner = solve_src(src)
         quotient = assigner.quotient
-        fixed = {quotient.comp_of[n] for n in graph.specified}
+        specified = {
+            quotient.comp_of[n]: pd for n, pd in graph.specified.items()
+        }
         bad = [
-            "T1" if c in fixed else "T2"
-            for c in range(len(quotient.members))
+            specified.get(c, "T2") for c in range(len(quotient.members))
         ]
 
         def nodes(comp_domains):
@@ -390,6 +411,44 @@ class TestMinimizeReplaces:
         )
         assert broken(improved) < broken(bad)
         assert problems(tp, graph, nodes(improved)) == []
+
+    def test_move_that_strands_a_neighbour_is_refused(self):
+        """S (P) -> Y -> X, Y -> Z1..Z3 (all Q), X conflicts with W (Q).
+        Only Y = X = P keeps X on a flow path; moving Y to Q would save
+        a replace but leave X, which cannot follow, on no flow path."""
+        from repro.jedd.assignment import minimize_replaces
+
+        names = ["S", "W", "Z1", "Z2", "Z3", "Y", "X"]
+        graph = ConstraintGraph()
+        for i, name in enumerate(names):
+            graph.nodes.append(AttrNode(
+                node_id=i, owner_kind="expr", owner_key=i, attr=name,
+                desc=name, pos=Position(1, 1 + 4 * i), domain="D",
+            ))
+        ids = {name: i for i, name in enumerate(names)}
+        graph.specified.update({ids["S"]: "P", ids["W"]: "Q"})
+        for z in ("Z1", "Z2", "Z3"):
+            graph.specified[ids[z]] = "Q"
+        for a, b in [("S", "Y"), ("Y", "X"), ("Y", "Z1"), ("Y", "Z2"),
+                     ("Y", "Z3")]:
+            graph.assign(ids[a], ids[b])
+        graph.conflict_edges.append((ids["X"], ids["W"]))
+        physdoms, bits = {"P": 1, "Q": 1}, {"D": 1}
+
+        assigner = DomainAssigner(graph, physdoms, bits)
+        start = [
+            {**graph.specified, ids["Y"]: "P", ids["X"]: "P"}[members[0]]
+            for members in assigner.quotient.members
+        ]
+        kept = minimize_replaces(
+            graph, assigner.quotient, assigner.comp_candidates, start
+        )
+        assert kept == start
+        result = assigner.solve()
+        assert validate_assignment(
+            graph, result.node_domains, physdoms, bits
+        ) == []
+        assert result.node_domains[ids["Y"]] == "P"
 
     def test_all_t1_chain_has_zero_replaces(self):
         """a -> b -> c all specifiable as T1: no replaces must remain."""

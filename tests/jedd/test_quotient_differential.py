@@ -8,9 +8,9 @@ are solved both ways:
 
 - by the assigner, whose CNF is the quotient's;
 - by enumerating every per-attribute assignment, keeping one that
-  ``validate_assignment`` accepts and in which every attribute has an
-  active flow path of the paper's per-attribute encoding: a path from a
-  specified attribute over equality and assignment edges whose
+  ``validate_assignment`` accepts, so in which every attribute also has
+  an active flow path of the paper's per-attribute encoding: a path
+  from a specified attribute over equality and assignment edges whose
   attributes all carry that attribute's domain.
 
 The two must agree on satisfiability, and every model the assigner
@@ -67,24 +67,9 @@ def random_graph(rng):
     return graph, physdoms
 
 
-def has_flow(graph, domains):
-    """Every attribute is reached from a specified one through
-    attributes that all carry the specified one's domain."""
-    adj = graph.adjacency()
-    reached = set(graph.specified)
-    stack = list(reached)
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in reached and domains[y] == domains[x]:
-                reached.add(y)
-                stack.append(y)
-    return len(reached) == len(graph.nodes)
-
-
 def brute_force(graph, physdoms):
-    """A per-attribute assignment passing ``validate_assignment`` and
-    :func:`has_flow`, or ``None``.  Backtracks over the attributes in
+    """A per-attribute assignment passing ``validate_assignment``, or
+    ``None``.  Backtracks over the attributes in
     order, pruning an edge or specification between two assigned
     attributes that is already broken."""
     names = sorted(physdoms)
@@ -104,8 +89,7 @@ def brute_force(graph, physdoms):
 
     def extend(i):
         if i == n:
-            if (validate_assignment(graph, domains) == []
-                    and has_flow(graph, domains)):
+            if validate_assignment(graph, domains) == []:
                 return dict(domains)
             return None
         for p in cands[i]:
@@ -147,7 +131,6 @@ def test_quotient_agrees_with_brute_force(chunk):
             assert validate_assignment(
                 graph, domains, physdoms, DOMAIN_BITS
             ) == [], seed
-            assert has_flow(graph, domains), seed
         outcomes[expected] += 1
     # Both answers are common, so neither side of the check is vacuous.
     assert min(outcomes.values()) >= 30, outcomes

@@ -4,7 +4,7 @@ Each pipeline step moves either the operand into the running result's
 physical domains or the running result into the operand's, whichever
 moves fewer bits; ``place`` adds, on the last step, the bits the result
 would still need to reach the consumer's domains.  Placement must never
-change the answer.  On every kernel (reference, arena, ooc, MTBDD, ZDD)
+change the answer.  On every kernel (reference, ooc, MTBDD, ZDD)
 random 1-3 step pipelines over randomly placed relations must give the
 same tuples with a random ``place``, with ``place=None`` and as the
 join-then-project fold.  The result must land in ``place`` wherever the
@@ -23,7 +23,6 @@ PHYSDOMS = ["P1", "P2", "P3", "P4", "P5", "P6"]
 
 KERNELS = {
     "reference": dict(backend="bdd", kernel="reference"),
-    "arena": dict(backend="bdd", kernel="arena"),
     "ooc": dict(backend="bdd", kernel="ooc"),
     "mtbdd": dict(backend="mtbdd"),
     "zdd": dict(backend="zdd"),

@@ -8,6 +8,7 @@ layout.
 """
 
 import io
+import json
 
 import pytest
 
@@ -26,7 +27,12 @@ from repro.relations import (
     open_universe,
     save_universe,
 )
-from repro.relations.io import UNIVERSE_MAGIC, UNIVERSE_VERSION
+from repro.relations.io import (
+    UNIVERSE_MAGIC,
+    UNIVERSE_VERSION,
+    _read_uvarint,
+    _write_uvarint,
+)
 
 EDGES = [("a", "b"), ("b", "c"), ("c", "d")]
 
@@ -151,6 +157,25 @@ class TestUniverseVersioning:
         data = self.saved_bytes()
         with pytest.raises(JeddError, match="truncated"):
             load_universe(io.BytesIO(data[: len(data) // 2]))
+
+    def test_removed_kernel_rejected_loudly(self):
+        # A checkpoint whose header names a kernel this reader does not
+        # have (the deleted "arena") must fail, not load on another.
+        data = self.saved_bytes()
+        start = len(UNIVERSE_MAGIC) + 1
+        header_len, pos = _read_uvarint(data, start)
+        header = json.loads(data[pos : pos + header_len])
+        # The saved kernel follows JEDD_KERNEL; only its presence matters.
+        assert "kernel" in header
+        header["kernel"] = "arena"
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        forged = bytearray(data[:start])
+        _write_uvarint(forged, len(header_bytes))
+        forged += header_bytes + data[pos + header_len :]
+        loaded = None
+        with pytest.raises(JeddError, match="unknown kernel 'arena'"):
+            loaded = load_universe(io.BytesIO(bytes(forged)))
+        assert loaded is None
 
 
 class TestDiagramWireVersioning:

@@ -57,25 +57,6 @@ class TestSample:
             assert snap["process.rss_bytes"] > 1024
             assert snap["process.rss_peak_bytes"] >= snap["process.rss_bytes"]
 
-    def test_arena_frontier_gauges(self):
-        session = Telemetry()
-        u = open_universe(
-            backend="bdd",
-            kernel="arena",
-            domains={"N": 64},
-            attributes={"src": "N", "dst": "N"},
-            physdoms={"P1": 6, "P2": 6, "P3": 6},
-        )
-        session.instrument_universe(u)
-        u.relation_of(
-            ["src", "dst"], [(i, (i * 7) % 50) for i in range(40)],
-            ["P1", "P2"],
-        )
-        Sampler(session).sample()
-        snap = session.metrics_snapshot()
-        assert "bdd.frontier.max_frontier" in snap
-        assert "bdd.frontier.total_requests" in snap
-
     def test_ooc_spill_gauges(self):
         session = Telemetry()
         u = open_universe(
