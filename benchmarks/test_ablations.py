@@ -219,13 +219,9 @@ class TestAdvisorAblation:
         advised = self._run(facts, cp, cp.suggested_bit_order())
         assert default == advised
 
-    def test_default_order_benchmark(self, benchmark):
+    @pytest.mark.parametrize("advised", [False, True], ids=["default", "advised"])
+    def test_order_benchmark(self, benchmark, advised):
         facts, cp = self._setup()
-        result = benchmark(lambda: len(self._run(facts, cp, None)))
-        assert result > 0
-
-    def test_advised_order_benchmark(self, benchmark):
-        facts, cp = self._setup()
-        order = cp.suggested_bit_order()
+        order = cp.suggested_bit_order() if advised else None
         result = benchmark(lambda: len(self._run(facts, cp, order)))
         assert result > 0

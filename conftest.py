@@ -1,20 +1,14 @@
 """Repository-wide pytest configuration.
 
-Registers the opt-in stress markers: heavy randomized suites that CI
-runs in dedicated seeded jobs.  ``reorder_stress`` covers long
-differential chains and deep swap/integrity fuzzing;
-``kernel_stress`` covers long cross-kernel chains aimed at the ooc
-kernel's streaming sweeps.  Both are skipped unless pytest is invoked
-with the matching flag.
+Registers the opt-in stress marker: ``kernel_stress`` covers long
+cross-kernel differential chains aimed at the ooc kernel's streaming
+sweeps, which CI runs in a dedicated seeded job.  They are skipped
+unless pytest is invoked with ``--kernel-stress``.
 """
 
 import pytest
 
 _STRESS_MARKERS = {
-    "reorder_stress": (
-        "--reorder-stress",
-        "heavy randomized reordering stress tests",
-    ),
     "kernel_stress": (
         "--kernel-stress",
         "heavy randomized cross-kernel differential stress tests",

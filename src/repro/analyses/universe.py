@@ -59,8 +59,6 @@ class AnalysisUniverse:
         facts: ProgramFacts,
         backend: str = "bdd",
         ordering: str = "tuned",
-        reorder: bool = False,
-        reorder_threshold: int = 1 << 14,
         kernel: str | None = None,
     ) -> None:
         self.facts = facts
@@ -121,12 +119,6 @@ class AnalysisUniverse:
         if ordering == "tuned":
             u.set_bit_order(BIT_ORDER)
         u.finalize()
-        if reorder:
-            # Dynamic sifting on node-table growth, with each physical
-            # domain's bits moving as a block so the chosen bit order
-            # stays coherent.  Raises UnsupportedByBackend on the ZDD
-            # backend.
-            u.enable_reorder(threshold=reorder_threshold)
 
         # Pre-intern all objects so attribute copying (which needs the
         # interned value list) covers the full program.

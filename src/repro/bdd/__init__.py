@@ -8,7 +8,7 @@ on either without modification.
 """
 
 from repro.bdd.fdd import FDDManager, FiniteDomain
-from repro.bdd.manager import FALSE, TRUE, BDDError, BDDManager, ReorderEvent
+from repro.bdd.manager import FALSE, TRUE, BDDError, BDDManager
 from repro.bdd.mtbdd import MTBDDManager
 from repro.bdd.ooc import OocBDDManager
 from repro.bdd.zdd import ZDDManager
@@ -21,7 +21,6 @@ __all__ = [
     "FiniteDomain",
     "MTBDDManager",
     "OocBDDManager",
-    "ReorderEvent",
     "TRUE",
     "ZDDManager",
 ]

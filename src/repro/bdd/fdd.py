@@ -181,49 +181,6 @@ class FDDManager:
         return self.manager.replace(node, perm)
 
     # ------------------------------------------------------------------
-    # Dynamic reordering (BuDDy's ``bdd_reorder`` with fdd blocks)
-    # ------------------------------------------------------------------
-
-    def domain_groups(self) -> List[List[int]]:
-        """Each finite domain's variables, as blocks for group sifting."""
-        return [list(dom.levels) for dom in self.domains.values()]
-
-    def sift(self, max_growth: float = 2.0, group_by_domain: bool = True):
-        """Reorder variables by sifting; returns the ``ReorderEvent``.
-
-        With ``group_by_domain`` (BuDDy's ``fdd_intaddvarblock``
-        behaviour) the variables of one finite domain move as a unit;
-        without it every variable sifts independently.
-        """
-        if group_by_domain:
-            return self.manager.sift_groups(
-                self.domain_groups(), max_growth=max_growth
-            )
-        return self.manager.sift(max_growth=max_growth)
-
-    def enable_reorder(
-        self,
-        threshold: int | None = None,
-        max_growth: float | None = None,
-        group_by_domain: bool = True,
-    ) -> None:
-        """Enable automatic sifting on node-table growth.
-
-        The group list is re-evaluated at each pass, so domains declared
-        later are included.
-        """
-        self.manager.enable_reorder(
-            threshold=threshold, max_growth=max_growth
-        )
-        self.manager.reorder_groups = (
-            self.domain_groups if group_by_domain else None
-        )
-
-    def disable_reorder(self):
-        """Context manager suppressing automatic reordering."""
-        return self.manager.disable_reorder()
-
-    # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
 

@@ -82,11 +82,11 @@ def _is_mtbdd(manager) -> bool:
     return isinstance(manager, MTBDDManager)
 
 
-def _node_var(manager, node: int, is_zdd: bool) -> int:
-    # BDD nodes are written by stable *variable id* so a file saved
-    # under one variable order loads correctly under any other; the
-    # ZDD manager never reorders, so its levels are its variables.
-    return manager._level[node] if is_zdd else manager.var_of(node)
+def _node_var(manager, node: int) -> int:
+    # Nodes are written by variable id, which on every kernel is the
+    # node's level: the bit order is fixed when the universe is
+    # finalized.
+    return manager._level[node]
 
 
 def _local_table(
@@ -165,7 +165,7 @@ def dumps_diagram(manager, root: int) -> str:
     lines = [f"{tag} {manager.num_vars} {len(order)} "]
     for node in order:
         lines.append(
-            f"{local[node]} {_node_var(manager, node, is_zdd)} "
+            f"{local[node]} {_node_var(manager, node)} "
             f"{local[manager._low[node]]} {local[manager._high[node]]}"
         )
     lines[0] += str(local.get(root, root))
@@ -399,7 +399,7 @@ def dumps_diagram_binary(manager, root: int) -> bytes:
     order, local = _local_table(manager, root)
     max_var = -1
     for node in order:
-        var = _node_var(manager, node, is_zdd)
+        var = _node_var(manager, node)
         if var > max_var:
             max_var = var
     out = bytearray(BINARY_MAGIC)
@@ -410,7 +410,7 @@ def dumps_diagram_binary(manager, root: int) -> bytes:
     _write_uvarint(out, local.get(root, root))
     for node in order:
         i = local[node]
-        _write_uvarint(out, _node_var(manager, node, is_zdd))
+        _write_uvarint(out, _node_var(manager, node))
         _write_uvarint(out, _child_code(i, local[manager._low[node]]))
         _write_uvarint(out, _child_code(i, local[manager._high[node]]))
     return bytes(out)

@@ -15,33 +15,22 @@ exact operation set Jedd's code generator needs:
   iterators),
 - bulk construction of a set of tuples in one bottom-up pass
   (``from_keys``; :func:`build_from_keys` is shared with the ZDD kernel),
-- per-level node counts (the "shape" of a BDD, used by the profiler),
-- dynamic variable reordering by Rudell sifting (BuDDy's
-  ``bdd_reorder(BDD_REORDER_SIFT)`` / CUDD's ``CUDD_REORDER_SIFT``).
+- per-level node counts (the "shape" of a BDD, used by the profiler).
 
 Nodes are hash-consed, so two BDDs represent the same boolean function if
 and only if they are the same node index; relation equality is therefore a
 constant-time comparison, as the paper notes.
 
-Variables versus levels
------------------------
+Variables are levels
+--------------------
 
 The paper (section 3.2.1) leaves the *relative bit ordering* -- which
 physical position each boolean variable occupies -- to the user, because
-it dominates BDD sizes.  To allow that order to change at run time
-without invalidating the handles held by the relation layer, the manager
-distinguishes *variables* (stable external identifiers; what ``var()``,
-``cube()``, ``exist()`` and friends accept and report) from *levels*
-(current physical positions, level 0 at the root).  An indirection table
-maps one to the other; initially variable ``i`` sits at level ``i``.
-Reordering permutes the table and rewrites nodes in place, so external
-node indices keep denoting the same boolean function over the same
-variables throughout.  See :meth:`BDDManager.swap_levels`,
-:meth:`BDDManager.sift` and :meth:`BDDManager.enable_reorder`.
-
-Reordering may only run at *operation boundaries* (no diagram operation
-in progress); the relation runtime triggers it from
-:meth:`BDDManager.maybe_gc`, which it already calls only at such points.
+it dominates BDD sizes.  The relation layer fixes that order once, when
+``Universe.finalize()`` maps the bits of each physical domain onto
+variable ids, so a variable's id *is* its level: variable 0 is tested at
+the root of every BDD, variable ``num_vars - 1`` closest to the
+terminals.  The order never changes afterwards.
 
 Memory management mirrors the reference-counting protocol of the C
 libraries: external references are counted with :meth:`BDDManager.ref` and
@@ -55,7 +44,6 @@ by a reference count (see ``repro.relations.containers``).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
     Callable,
@@ -73,7 +61,6 @@ from repro.bdd.stats import KernelStats
 __all__ = [
     "BDDManager",
     "BDDError",
-    "ReorderEvent",
     "FALSE",
     "TRUE",
     "build_from_keys",
@@ -101,51 +88,15 @@ class BDDError(Exception):
     """Raised on misuse of the BDD manager (bad levels, foreign nodes...)."""
 
 
-@dataclass
-class ReorderEvent:
-    """One dynamic-reordering pass, as reported to reorder listeners.
-
-    The profiler records these (section 4.3's "browsable profile" gains
-    a reordering view): what triggered the pass, how long it took, the
-    live node count before and after, the variable order that resulted
-    (variable ids from level 0 downwards), and how many adjacent level
-    swaps the pass performed.
-    """
-
-    trigger: str  # "auto" (growth trigger) or "manual"
-    seconds: float
-    nodes_before: int
-    nodes_after: int
-    order: List[int] = field(default_factory=list)
-    swaps: int = 0
-    method: str = "sift"  # "sift" or "group-sift"
-
-
-class _ReorderGuard:
-    """Context manager suppressing automatic reordering (hot loops)."""
-
-    def __init__(self, manager: "BDDManager") -> None:
-        self._manager = manager
-
-    def __enter__(self) -> "BDDManager":
-        self._manager._reorder_suppressed += 1
-        return self._manager
-
-    def __exit__(self, *exc) -> None:
-        self._manager._reorder_suppressed -= 1
-
-
 class BDDManager:
     """A manager owning a shared node table for one variable order.
 
     The manager is created with a fixed number of boolean variables
-    (``num_vars``).  Variables are identified by a stable *variable id*;
-    the id doubles as the variable's initial level (level 0 is tested at
+    (``num_vars``).  A variable's id is its level: level 0 is tested at
     the root of every BDD, level ``num_vars - 1`` closest to the
-    terminals), but dynamic reordering may later move variables to other
-    levels without changing their ids.  The Jedd layer above maps bits
-    of physical domains onto variable ids (the user-specified "relative
-    bit ordering" of the paper fixes only the *initial* levels).
+    terminals.  The Jedd layer above maps bits of physical domains onto
+    variable ids, which is how the user-specified "relative bit
+    ordering" of the paper takes effect.
 
     Parameters
     ----------
@@ -182,18 +133,9 @@ class BDDManager:
         self._low: List[int] = [-1, -1]
         self._high: List[int] = [-1, -1]
         self._refs: List[int] = [1, 1]  # terminals are permanently live
-        #: Internal parent-edge counts (number of live nodes pointing at
-        #: each node).  Maintained so adjacent level swaps can reclaim
-        #: nodes orphaned by the rewrite without a full mark-and-sweep.
-        self._parents: List[int] = [0, 0]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._free: List[int] = []
-        #: Live internal nodes grouped by their current level.
-        self._at_level: List[set] = [set() for _ in range(num_vars)]
-        # Variable <-> level indirection (identity until a reorder runs).
-        self._var_at_level: List[int] = list(range(num_vars))
-        self._level_at_var: List[int] = list(range(num_vars))
-        # Operation caches (cleared by gc() and by reordering).
+        # Operation caches (cleared by gc()).
         self._apply_cache: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
         self._exist_cache: Dict[Tuple[int, Tuple[int, ...]], int] = {}
@@ -205,20 +147,6 @@ class BDDManager:
         self.cache_limit = cache_limit
         #: Number of garbage collections performed (exposed for profiling).
         self.gc_count = 0
-        # Dynamic reordering configuration/state.
-        self.reorder_enabled = False
-        self.reorder_threshold = 1 << 12
-        self.reorder_max_growth = 2.0
-        #: Variable groups sifted as blocks (list of variable-id lists,
-        #: or a callable returning one); ``None`` sifts single variables.
-        self.reorder_groups = None
-        #: Number of reordering passes performed.
-        self.reorder_count = 0
-        #: Total adjacent level swaps performed (for tests/benchmarks).
-        self.swap_count = 0
-        #: Callbacks invoked with a :class:`ReorderEvent` after each pass.
-        self.reorder_listeners: List[Callable[[ReorderEvent], None]] = []
-        self._reorder_suppressed = 0
         #: Always-on raw counters (cache probes, node creation, GC); the
         #: telemetry layer pulls these at snapshot time.
         self.stats = KernelStats(_OP_NAMES)
@@ -267,31 +195,12 @@ class BDDManager:
         }
 
     def level_of(self, node: int) -> int:
-        """Current level (physical position) of ``node``
-        (``num_vars`` for terminals)."""
+        """Level of ``node`` (``num_vars`` for terminals)."""
         return self._level[node]
 
     def var_of(self, node: int) -> int:
         """Variable id tested by ``node`` (``num_vars`` for terminals)."""
-        level = self._level[node]
-        if level >= self._num_vars:
-            return self._num_vars
-        return self._var_at_level[level]
-
-    def level_of_var(self, var: int) -> int:
-        """Current level of variable ``var``."""
-        self._check_var(var)
-        return self._level_at_var[var]
-
-    def var_at_level(self, level: int) -> int:
-        """Variable id currently sitting at ``level``."""
-        if not 0 <= level < self._num_vars:
-            raise BDDError(f"level {level} out of range [0, {self._num_vars})")
-        return self._var_at_level[level]
-
-    def current_order(self) -> List[int]:
-        """Variable ids from level 0 (root) downwards."""
-        return list(self._var_at_level)
+        return min(self._level[node], self._num_vars)
 
     def low(self, node: int) -> int:
         """The else-branch (variable = 0) child of ``node``."""
@@ -316,11 +225,10 @@ class BDDManager:
             )
 
     def _to_levels(self, variables: Iterable[int]) -> List[int]:
-        """Translate external variable ids to current levels."""
-        out = []
-        for var in variables:
+        """Check external variable ids; each is its own level."""
+        out = list(variables)
+        for var in out:
             self._check_var(var)
-            out.append(self._level_at_var[var])
         return out
 
     def _clear_caches(self) -> None:
@@ -346,19 +254,13 @@ class BDDManager:
         """Append ``count`` fresh variables below all existing levels.
 
         Existing nodes remain valid: terminal levels are stored lazily as
-        "any level >= _num_vars", so we bump the terminal sentinel.  The
-        new variables' ids equal their initial levels, even if older
-        variables have been reordered.
+        "any level >= _num_vars", so we bump the terminal sentinel.
         """
         if count < 0:
             raise BDDError("count must be non-negative")
-        old_sentinel = self._num_vars
         self._num_vars += count
         for node in self._terminal_nodes():
             self._level[node] = self._num_vars
-        self._at_level.extend(set() for _ in range(count))
-        self._var_at_level.extend(range(old_sentinel, self._num_vars))
-        self._level_at_var.extend(range(old_sentinel, self._num_vars))
         # Counting caches depend on the distance to the terminal level.
         self._count_cache.clear()
 
@@ -380,34 +282,25 @@ class BDDManager:
             self._low[node] = low
             self._high[node] = high
             self._refs[node] = 0
-            self._parents[node] = 0
         else:
             node = len(self._level)
             self._level.append(level)
             self._low.append(low)
             self._high.append(high)
             self._refs.append(0)
-            self._parents.append(0)
-        self._parents[low] += 1
-        self._parents[high] += 1
-        self._at_level[level].add(node)
         self._unique[key] = node
         self.stats.nodes_created += 1
         return node
 
-    def _var_bdd_at(self, level: int) -> int:
-        """The BDD testing the variable currently at ``level``."""
-        return self.mk(level, FALSE, TRUE)
-
     def var(self, var: int) -> int:
         """The BDD of the single variable with id ``var``."""
         self._check_var(var)
-        return self.mk(self._level_at_var[var], FALSE, TRUE)
+        return self.mk(var, FALSE, TRUE)
 
     def nvar(self, var: int) -> int:
         """The BDD of the negation of the variable with id ``var``."""
         self._check_var(var)
-        return self.mk(self._level_at_var[var], TRUE, FALSE)
+        return self.mk(var, TRUE, FALSE)
 
     def cube(self, assignment: Dict[int, bool]) -> int:
         """The conjunction of literals given as ``{variable: value}``.
@@ -415,17 +308,14 @@ class BDDManager:
         Used to encode a single tuple: the bits of each attribute's
         physical domain are constrained, all other bits stay wildcards.
         """
-        items = []
-        for var, value in assignment.items():
+        for var in assignment:
             self._check_var(var)
-            items.append((self._level_at_var[var], value))
-        items.sort(reverse=True)
         node = TRUE
-        for level, value in items:
+        for var, value in sorted(assignment.items(), reverse=True):
             if value:
-                node = self.mk(level, FALSE, node)
+                node = self.mk(var, FALSE, node)
             else:
-                node = self.mk(level, node, FALSE)
+                node = self.mk(var, node, FALSE)
         return node
 
     def from_keys(
@@ -653,16 +543,14 @@ class BDDManager:
         that permutations that change the relative order of variables
         are handled correctly.  Both give the same canonical node.
         """
-        perm_vars = {k: v for k, v in permutation.items() if k != v}
-        if not perm_vars:
+        perm = {k: v for k, v in permutation.items() if k != v}
+        if not perm:
             return a
-        if len(set(perm_vars.values())) != len(perm_vars):
+        if len(set(perm.values())) != len(perm):
             raise BDDError("replace permutation must be injective")
-        perm: Dict[int, int] = {}
-        for old, new in perm_vars.items():
+        for old, new in perm.items():
             self._check_var(old)
             self._check_var(new)
-            perm[self._level_at_var[old]] = self._level_at_var[new]
         key_perm = tuple(sorted(perm.items()))
         memo: Dict[int, int] = {}
 
@@ -685,7 +573,7 @@ class BDDManager:
             if lv[low] > new_level and lv[high] > new_level:
                 result = self.mk(new_level, low, high)
             else:
-                result = self.ite(self._var_bdd_at(new_level), high, low)
+                result = self.ite(self.mk(new_level, FALSE, TRUE), high, low)
             memo[node] = result
             return self._cache_store(
                 self._replace_cache, (node, key_perm), result
@@ -759,7 +647,7 @@ class BDDManager:
             if node in seen or self.is_terminal(node):
                 continue
             seen.add(node)
-            var = self._var_at_level[self._level[node]]
+            var = self._level[node]
             label = names.get(var, f"x{var}")
             lines.append(f'  node{node} [label="{label}"];')
             lines.append(
@@ -779,10 +667,8 @@ class BDDManager:
         """Cofactor ``a`` by fixing the given ``{variable: value}`` bits."""
         if not assignment:
             return a
-        by_level: Dict[int, bool] = {}
-        for var, value in assignment.items():
+        for var in assignment:
             self._check_var(var)
-            by_level[self._level_at_var[var]] = value
         memo: Dict[int, int] = {}
 
         def rec(node: int) -> int:
@@ -792,9 +678,9 @@ class BDDManager:
             if hit is not None:
                 return hit
             level = self._level[node]
-            if level in by_level:
+            if level in assignment:
                 result = rec(
-                    self._high[node] if by_level[level] else self._low[node]
+                    self._high[node] if assignment[level] else self._low[node]
                 )
             else:
                 result = self.mk(level, rec(self._low[node]), rec(self._high[node]))
@@ -816,7 +702,7 @@ class BDDManager:
             levels.add(self._level[node])
             stack.append(self._low[node])
             stack.append(self._high[node])
-        return frozenset(self._var_at_level[lv] for lv in levels)
+        return frozenset(levels)
 
     # ------------------------------------------------------------------
     # Counting and enumeration
@@ -890,7 +776,7 @@ class BDDManager:
             raise BDDError(
                 f"sat_count variables {sorted(variables)} do not cover "
                 f"support variables "
-                f"{sorted(self._var_at_level[lv] for lv in bad)}"
+                f"{sorted(bad)}"
             )
         return total << (width - below[levels[a]] - 1)
 
@@ -901,7 +787,7 @@ class BDDManager:
         assignment: Dict[int, bool] = {}
         node = a
         while not self.is_terminal(node):
-            var = self._var_at_level[self._level[node]]
+            var = self._level[node]
             if self._low[node] != FALSE:
                 assignment[var] = False
                 node = self._low[node]
@@ -952,11 +838,7 @@ class BDDManager:
                         out[level] = value
                         yield out
 
-        var_at = self._var_at_level
-        return (
-            {var_at[lv]: value for lv, value in sol.items()}
-            for sol in rec(a, 0)
-        )
+        return rec(a, 0)
 
     # ------------------------------------------------------------------
     # Shape and size (profiler support)
@@ -976,12 +858,7 @@ class BDDManager:
         return len(seen)
 
     def shape(self, a: int) -> List[int]:
-        """Node count at each level -- the BDD "shape" of section 4.3.
-
-        Indexed by current level (physical position from the root), so
-        after a reorder the profile shows where the diagram is actually
-        wide.
-        """
+        """Node count at each level -- the BDD "shape" of section 4.3."""
         counts = [0] * self._num_vars
         seen = set()
         stack = [a]
@@ -1023,439 +900,6 @@ class BDDManager:
         return order
 
     # ------------------------------------------------------------------
-    # Dynamic variable reordering (Rudell sifting)
-    # ------------------------------------------------------------------
-    #
-    # The swap primitive exchanges two adjacent levels *in place*: node
-    # indices keep denoting the same boolean function over the same
-    # variables, so every externally held handle stays valid.  A node at
-    # the upper level whose children do not test the lower level is
-    # untouched by the exchange (its function ignores the other
-    # variable) and only slides down one level; a node that does test
-    # both is rewritten through the standard cofactor identity
-    #
-    #     f = y ? (x ? f11 : f01) : (x ? f10 : f00)
-    #
-    # which creates at most two fresh nodes at the lower level and may
-    # orphan the old children.  Orphans are reclaimed immediately using
-    # the parent-edge counts so the table size seen by the sifting
-    # search is exact.
-
-    def swap_levels(self, level: int) -> int:
-        """Exchange the variables at ``level`` and ``level + 1`` in place.
-
-        External node indices remain valid (they denote the same
-        functions); all operation caches are invalidated.  Returns the
-        live node count after the swap.  May only be called at an
-        operation boundary.
-        """
-        if not 0 <= level < self._num_vars - 1:
-            raise BDDError(
-                f"swap_levels({level}): need 0 <= level < {self._num_vars - 1}"
-            )
-        self._clear_caches()
-        self._swap_adjacent(level)
-        return self.num_nodes
-
-    def _swap_adjacent(self, i: int) -> None:
-        """Core in-place exchange of levels ``i`` and ``i + 1``.
-
-        Callers must have cleared the operation caches (they may hold
-        level-keyed entries and references to nodes freed here).
-        """
-        j = i + 1
-        self.swap_count += 1
-        level, low, high = self._level, self._low, self._high
-        unique, parents = self._unique, self._parents
-        upper, lower = self._at_level[i], self._at_level[j]
-        # Partition the upper level: nodes with a child at level j must
-        # be rewritten, the rest merely slide down one level.
-        rewrite: List[int] = []
-        keep: List[int] = []
-        for n in upper:
-            if level[low[n]] == j or level[high[n]] == j:
-                rewrite.append(n)
-            else:
-                keep.append(n)
-        # Drop every stale unique-table key before re-inserting any new
-        # ones (level fields of all nodes at both levels change).
-        for n in rewrite:
-            del unique[(i, low[n], high[n])]
-        for n in keep:
-            del unique[(i, low[n], high[n])]
-        for n in lower:
-            del unique[(j, low[n], high[n])]
-        for n in keep:
-            level[n] = j
-            unique[(j, low[n], high[n])] = n
-        for n in lower:
-            level[n] = i
-            unique[(i, low[n], high[n])] = n
-        # The lower set becomes the new level-i population (rewritten
-        # nodes join it); untouched upper nodes seed level j, and mk()
-        # adds the fresh interior nodes there.
-        self._at_level[i] = lower
-        self._at_level[j] = new_lower = set(keep)
-        orphans: List[int] = []
-        for n in rewrite:
-            lo, hi = low[n], high[n]
-            # Children relabelled to level i above are exactly the nodes
-            # that sat at level j before this swap.
-            if level[lo] == i:
-                f00, f01 = low[lo], high[lo]
-            else:
-                f00 = f01 = lo
-            if level[hi] == i:
-                f10, f11 = low[hi], high[hi]
-            else:
-                f10 = f11 = hi
-            a = self.mk(j, f00, f10)
-            b = self.mk(j, f01, f11)
-            parents[lo] -= 1
-            parents[hi] -= 1
-            if parents[lo] == 0 and self._refs[lo] == 0 and level[lo] == i:
-                orphans.append(lo)
-            if parents[hi] == 0 and self._refs[hi] == 0 and level[hi] == i:
-                orphans.append(hi)
-            parents[a] += 1
-            parents[b] += 1
-            level[n] = i
-            low[n] = a
-            high[n] = b
-            unique[(i, a, b)] = n
-            lower.add(n)
-        del new_lower
-        # Reclaim nodes orphaned by the rewrites (cascading downwards).
-        while orphans:
-            n = orphans.pop()
-            if (
-                low[n] == -1
-                or parents[n] != 0
-                or self._refs[n] != 0
-            ):
-                continue
-            del unique[(level[n], low[n], high[n])]
-            self._at_level[level[n]].discard(n)
-            for child in (low[n], high[n]):
-                if child > TRUE:
-                    parents[child] -= 1
-                    if parents[child] == 0 and self._refs[child] == 0:
-                        orphans.append(child)
-            low[n] = -1
-            high[n] = -1
-            parents[n] = 0
-            self._free.append(n)
-        # Finally exchange the variable <-> level bookkeeping.
-        vx, vy = self._var_at_level[i], self._var_at_level[j]
-        self._var_at_level[i], self._var_at_level[j] = vy, vx
-        self._level_at_var[vx] = j
-        self._level_at_var[vy] = i
-
-    def set_order(self, order: Sequence[int]) -> None:
-        """Reorder so variable ``order[k]`` sits at level ``k``.
-
-        Implemented as a sequence of adjacent swaps, so external node
-        indices stay valid.  ``order`` must be a permutation of all
-        variable ids.
-        """
-        if sorted(order) != list(range(self._num_vars)):
-            raise BDDError("set_order needs a permutation of all variables")
-        self._clear_caches()
-        self.gc()
-        self._apply_order(order)
-
-    def _apply_order(self, order: Sequence[int]) -> None:
-        for target in range(len(order)):
-            current = self._level_at_var[order[target]]
-            while current > target:
-                self._swap_adjacent(current - 1)
-                current -= 1
-
-    def sift(
-        self,
-        max_growth: float = 2.0,
-        variables: Optional[Sequence[int]] = None,
-    ) -> "ReorderEvent":
-        """Rudell sifting: move each variable to its best level.
-
-        Variables are processed from the most populous level downwards;
-        each is bubbled to the bottom and the top of the order,
-        remembering the level at which the whole table was smallest, and
-        parked there.  A direction is abandoned early once the table
-        exceeds ``max_growth`` times its size at the start of that
-        variable's sift (the growth bound of the original algorithm).
-        """
-        return self.reorder(
-            groups=(), max_growth=max_growth, variables=variables,
-            trigger="manual",
-        )
-
-    def _sift_pass(
-        self, max_growth: float, variables: Optional[Sequence[int]]
-    ) -> None:
-        if variables is None:
-            candidates = list(range(self._num_vars))
-        else:
-            candidates = list(variables)
-            for v in candidates:
-                self._check_var(v)
-        # Most nodes first: shrinking a fat level helps every later sift.
-        candidates.sort(
-            key=lambda v: len(self._at_level[self._level_at_var[v]]),
-            reverse=True,
-        )
-        for v in candidates:
-            self._sift_var(v, max_growth)
-
-    def _sift_var(self, v: int, max_growth: float) -> None:
-        start_size = self.num_nodes
-        limit = int(start_size * max_growth) + 2
-        best_size = start_size
-        best_level = self._level_at_var[v]
-        # Sweep towards the nearer end first: fewer swaps wasted when the
-        # variable is already close to one boundary.
-        down_first = (
-            self._num_vars - 1 - best_level >= best_level
-        )
-        sweeps = ("up", "down") if not down_first else ("down", "up")
-        for direction in sweeps:
-            if direction == "down":
-                while self._level_at_var[v] < self._num_vars - 1:
-                    self._swap_adjacent(self._level_at_var[v])
-                    size = self.num_nodes
-                    if size < best_size:
-                        best_size = size
-                        best_level = self._level_at_var[v]
-                    if size > limit:
-                        break
-            else:
-                while self._level_at_var[v] > 0:
-                    self._swap_adjacent(self._level_at_var[v] - 1)
-                    size = self.num_nodes
-                    # <= prefers positions nearer the root on ties.
-                    if size <= best_size:
-                        best_size = size
-                        best_level = self._level_at_var[v]
-                    if size > limit:
-                        break
-        while self._level_at_var[v] < best_level:
-            self._swap_adjacent(self._level_at_var[v])
-        while self._level_at_var[v] > best_level:
-            self._swap_adjacent(self._level_at_var[v] - 1)
-
-    def sift_groups(
-        self,
-        groups: Sequence[Sequence[int]],
-        max_growth: float = 2.0,
-    ) -> "ReorderEvent":
-        """Group sifting: blocks of variables move as indivisible units.
-
-        ``groups`` lists variable-id blocks (e.g. the bits of one
-        physical domain, which Jedd's encodings keep correlated);
-        variables in no group form singleton blocks.  Each block is
-        first gathered to contiguous levels (preserving the members'
-        relative order), then blocks are sifted like single variables.
-        """
-        return self.reorder(
-            groups=groups, max_growth=max_growth, trigger="manual"
-        )
-
-    def _group_sift_pass(
-        self, groups: Sequence[Sequence[int]], max_growth: float
-    ) -> None:
-        blocks: List[List[int]] = []
-        mentioned: set = set()
-        for group in groups:
-            block = list(group)
-            if not block:
-                continue
-            for v in block:
-                self._check_var(v)
-                if v in mentioned:
-                    raise BDDError(
-                        f"variable {v} appears in two reorder groups"
-                    )
-                mentioned.add(v)
-            blocks.append(block)
-        blocks.extend(
-            [v] for v in range(self._num_vars) if v not in mentioned
-        )
-        # Gather each block contiguously, keeping blocks in the order of
-        # their topmost members and members in their current order.
-        blocks.sort(key=lambda b: min(self._level_at_var[v] for v in b))
-        blocks = [
-            sorted(b, key=lambda v: self._level_at_var[v]) for b in blocks
-        ]
-        self._apply_order([v for b in blocks for v in b])
-        # Sift blocks, heaviest first.
-        by_weight = sorted(
-            range(len(blocks)),
-            key=lambda k: sum(
-                len(self._at_level[self._level_at_var[v]])
-                for v in blocks[k]
-            ),
-            reverse=True,
-        )
-        for k in by_weight:
-            block = blocks[k]
-            self._sift_block(blocks, blocks.index(block), max_growth)
-
-    def _sift_block(
-        self, blocks: List[List[int]], idx: int, max_growth: float
-    ) -> None:
-        start_size = self.num_nodes
-        limit = int(start_size * max_growth) + 2
-        best_size = start_size
-        best_idx = idx
-        for direction in ("down", "up"):
-            if direction == "down":
-                while idx < len(blocks) - 1:
-                    self._swap_adjacent_blocks(blocks, idx)
-                    idx += 1
-                    size = self.num_nodes
-                    if size < best_size:
-                        best_size, best_idx = size, idx
-                    if size > limit:
-                        break
-            else:
-                while idx > 0:
-                    self._swap_adjacent_blocks(blocks, idx - 1)
-                    idx -= 1
-                    size = self.num_nodes
-                    if size <= best_size:
-                        best_size, best_idx = size, idx
-                    if size > limit:
-                        break
-        while idx < best_idx:
-            self._swap_adjacent_blocks(blocks, idx)
-            idx += 1
-        while idx > best_idx:
-            self._swap_adjacent_blocks(blocks, idx - 1)
-            idx -= 1
-
-    def _swap_adjacent_blocks(self, blocks: List[List[int]], idx: int) -> None:
-        """Exchange the adjacent blocks at positions ``idx``/``idx + 1``."""
-        x, y = blocks[idx], blocks[idx + 1]
-        base = sum(len(b) for b in blocks[:idx])
-        sx = len(x)
-        for t in range(len(y)):
-            # Bubble the t-th member of y up across the whole of x.
-            for lvl in range(base + sx + t, base + t, -1):
-                self._swap_adjacent(lvl - 1)
-        blocks[idx], blocks[idx + 1] = y, x
-
-    def reorder(
-        self,
-        groups: Optional[Sequence[Sequence[int]]] = None,
-        max_growth: Optional[float] = None,
-        variables: Optional[Sequence[int]] = None,
-        trigger: str = "manual",
-    ) -> ReorderEvent:
-        """Run one reordering pass and notify the reorder listeners.
-
-        ``groups=None`` uses the configured :attr:`reorder_groups` (block
-        sifting when set); pass an empty sequence to force plain
-        per-variable sifting.  Garbage is collected first so the sifting
-        search sees exact live sizes; all operation caches are cleared.
-        Returns the :class:`ReorderEvent` describing the pass.
-        """
-        if max_growth is None:
-            max_growth = self.reorder_max_growth
-        self._clear_caches()
-        self.gc()
-        before = self.num_nodes
-        swaps_before = self.swap_count
-        start = perf_counter()
-        if groups is None:
-            groups = self.reorder_groups
-            if callable(groups):
-                groups = groups()
-        if groups:
-            self._group_sift_pass(groups, max_growth)
-            method = "group-sift"
-        else:
-            self._sift_pass(max_growth, variables)
-            method = "sift"
-        event = ReorderEvent(
-            trigger=trigger,
-            seconds=perf_counter() - start,
-            nodes_before=before,
-            nodes_after=self.num_nodes,
-            order=list(self._var_at_level),
-            swaps=self.swap_count - swaps_before,
-            method=method,
-        )
-        self.reorder_count += 1
-        self.stats.reorder_runs += 1
-        self.stats.reorder_seconds += event.seconds
-        for listener in self.reorder_listeners:
-            listener(event)
-        return event
-
-    def enable_reorder(
-        self,
-        threshold: Optional[int] = None,
-        max_growth: Optional[float] = None,
-        groups=None,
-    ) -> None:
-        """Turn on automatic reordering on node-table growth.
-
-        ``threshold`` is the live node count above which
-        :meth:`maybe_reorder` sifts (it doubles after each pass that
-        leaves the table large); ``max_growth`` bounds the transient
-        growth sifting may cause; ``groups`` optionally fixes variable
-        blocks (a list of lists, or a zero-argument callable evaluated
-        at each pass) sifted as units.
-        """
-        self.reorder_enabled = True
-        if threshold is not None:
-            self.reorder_threshold = threshold
-        if max_growth is not None:
-            self.reorder_max_growth = max_growth
-        if groups is not None:
-            self.reorder_groups = groups
-
-    def disable_reorder(self) -> _ReorderGuard:
-        """Suppress automatic reordering within a ``with`` block.
-
-        Useful around hot loops whose intermediate results would make
-        sifting decisions on unrepresentative diagrams::
-
-            with manager.disable_reorder():
-                for edge in worklist:
-                    ...
-
-        Reentrant; manual :meth:`reorder` calls are still honoured.
-        To switch the feature off permanently set
-        :attr:`reorder_enabled` to False instead.
-        """
-        return _ReorderGuard(self)
-
-    def maybe_reorder(self) -> bool:
-        """Reorder if enabled, unsuppressed, and the table has grown.
-
-        Called at operation boundaries (from :meth:`maybe_gc`); returns
-        True if a pass ran.  Collects garbage first -- if that alone
-        brings the table back under the threshold, no reorder runs.
-        """
-        if (
-            not self.reorder_enabled
-            or self._reorder_suppressed > 0
-            or self.num_nodes <= self.reorder_threshold
-        ):
-            return False
-        self.gc()
-        if self.num_nodes <= self.reorder_threshold:
-            return False
-        self.reorder(trigger="auto")
-        # Back off so a table that settles at N nodes is not re-sifted
-        # on every subsequent operation.
-        self.reorder_threshold = max(
-            self.reorder_threshold, 2 * self.num_nodes
-        )
-        return True
-
-    # ------------------------------------------------------------------
     # Reference counting and garbage collection
     # ------------------------------------------------------------------
 
@@ -1475,21 +919,18 @@ class BDDManager:
         return self._refs[node]
 
     def maybe_gc(self) -> bool:
-        """Collect (and possibly reorder) if thresholds are exceeded.
+        """Collect if the node table has outgrown :attr:`gc_threshold`.
 
         Called by the relation runtime at operation boundaries, where all
         live BDDs are pinned by container reference counts.  Returns True
-        if a collection or a reordering pass ran.
+        if a collection ran.
         """
-        ran = False
-        if self.num_nodes > self.gc_threshold:
-            self.gc()
-            if self.num_nodes > self.gc_threshold * 3 // 4:
-                self.gc_threshold *= 2
-            ran = True
-        if self.maybe_reorder():
-            ran = True
-        return ran
+        if self.num_nodes <= self.gc_threshold:
+            return False
+        self.gc()
+        if self.num_nodes > self.gc_threshold * 3 // 4:
+            self.gc_threshold *= 2
+        return True
 
     def gc(self) -> int:
         """Sweep nodes unreachable from externally referenced roots.
@@ -1520,13 +961,8 @@ class BDDManager:
                 key = (self._level[node], self._low[node], self._high[node])
                 if self._unique.get(key) == node:
                     del self._unique[key]
-                self._at_level[self._level[node]].discard(node)
-                for child in (self._low[node], self._high[node]):
-                    if child > TRUE:
-                        self._parents[child] -= 1
                 self._low[node] = -1
                 self._high[node] = -1
-                self._parents[node] = 0
                 self._free.append(node)
                 freed += 1
         self._clear_caches()
@@ -1547,15 +983,15 @@ class BDDManager:
 
     def check_integrity(self) -> None:
         """Verify every table invariant; raises :class:`BDDError` if any
-        fails.  Used by the reordering tests (a swap touches the unique
-        table, the level index, and the parent counts all at once)."""
+        fails.  The differential harness runs it at the end of every
+        chain: each live node is reduced, ordered, and the unique table's
+        entry for its key, and the unique table holds nothing else."""
         free_set = set(self._free)
         live = [
             n
             for n in range(2, len(self._level))
             if n not in free_set and not self.is_terminal(n)
         ]
-        parents = {n: 0 for n in range(len(self._level))}
         for n in live:
             lo, hi = self._low[n], self._high[n]
             if lo == -1 or hi == -1:
@@ -1566,7 +1002,6 @@ class BDDManager:
             if not 0 <= lvl < self._num_vars:
                 raise BDDError(f"node {n} has bad level {lvl}")
             for child in (lo, hi):
-                parents[child] += 1
                 if self._level[child] <= lvl:
                     raise BDDError(
                         f"ordering violated: node {n} (level {lvl}) -> "
@@ -1574,36 +1009,17 @@ class BDDManager:
                     )
             if self._unique.get((lvl, lo, hi)) != n:
                 raise BDDError(f"node {n} missing from unique table")
-            if n not in self._at_level[lvl]:
-                raise BDDError(f"node {n} missing from level index {lvl}")
         if len(self._unique) != len(live):
             raise BDDError(
                 f"unique table has {len(self._unique)} entries for "
                 f"{len(live)} live nodes"
             )
-        total_indexed = sum(len(s) for s in self._at_level)
-        if total_indexed != len(live):
-            raise BDDError(
-                f"level index holds {total_indexed} nodes, expected "
-                f"{len(live)}"
-            )
-        for n in live:
-            if self._parents[n] != parents[n]:
-                raise BDDError(
-                    f"node {n}: parent count {self._parents[n]} != "
-                    f"recomputed {parents[n]}"
-                )
-        if sorted(self._var_at_level) != list(range(self._num_vars)):
-            raise BDDError("variable order is not a permutation")
-        for lvl, var in enumerate(self._var_at_level):
-            if self._level_at_var[var] != lvl:
-                raise BDDError("var<->level tables are not inverses")
 
     def eval(self, a: int, assignment: Callable[[int], bool]) -> bool:
         """Evaluate ``a`` under a total assignment ``variable -> bool``."""
         node = a
         while not self.is_terminal(node):
-            var = self._var_at_level[self._level[node]]
+            var = self._level[node]
             node = (
                 self._high[node]
                 if assignment(var)
@@ -1639,9 +1055,9 @@ def build_from_keys(
 ) -> int:
     """The diagram holding exactly the assignments encoded by ``keys``.
 
-    Bit ``p`` of every key is the value of the variable currently at
-    ``levels[p]``; the variables are visited by level, so the build is
-    correct under any variable order.  ``keys`` are sorted and
+    Bit ``p`` of every key is the value of the variable at
+    ``levels[p]``; the variables are visited by level, so ``levels``
+    may list them in any order.  ``keys`` are sorted and
     deduplicated, then the trie is built by recursing on ``bisect``
     split points and calling ``mk(level, low, high)`` once per trie
     node, with ``zero`` for an absent branch and ``one`` at a complete

@@ -30,9 +30,6 @@ change:
 * the terminal-aware ``exist``/``and_exist``/``sat_count``/
   :meth:`weighted_total`/:meth:`all_terminals`/:meth:`evaluate`/
   :meth:`terminals_of`, and the cache set and gauges.
-
-Dynamic variable reordering is not supported (``var == level`` always
-holds); the relational layer treats that as an optional capability.
 """
 
 from __future__ import annotations
@@ -169,7 +166,7 @@ class MTBDDManager(BDDManager):
         node = self._terminal_of.get(value)
         if node is not None:
             return node
-        # Freed slots already have low == high == -1 and no parents.
+        # Freed slots already have low == high == -1.
         if self._free:
             node = self._free.pop()
             self._level[node] = self._num_vars
@@ -180,7 +177,6 @@ class MTBDDManager(BDDManager):
             self._low.append(-1)
             self._high.append(-1)
             self._refs.append(1)
-            self._parents.append(0)
         self._terminal_of[value] = node
         self._value_of[node] = value
         self.stats.nodes_created += 1
@@ -518,15 +514,6 @@ class MTBDDManager(BDDManager):
                         yield out, terminal
 
         return rec(a, 0)
-
-    # ------------------------------------------------------------------
-    # No reordering: evaluate/all_terminals read levels as variables
-    # ------------------------------------------------------------------
-
-    def _no_reorder(self, *args, **kwargs):
-        raise BDDError("the mtbdd kernel does not reorder variables")
-
-    enable_reorder = reorder = _swap_adjacent = _no_reorder
 
     def check_integrity(self) -> None:
         """Verify table invariants; raises :class:`BDDError` on failure."""

@@ -96,7 +96,6 @@ _EST_DICT_ENTRY = 100
 _EST_ROW = 120
 _EST_FENCE = 120
 _EST_RESOLVED = 120
-_EST_SET_NODE = 60
 
 #: Unique-table run record: (level, low, high, node) as 4 little-endian
 #: int64s, sorted by (level, low, high) — level-major on disk.
@@ -565,101 +564,6 @@ class SpillableUniqueTable:
 
 
 # ----------------------------------------------------------------------
-# Level index without per-level node sets
-# ----------------------------------------------------------------------
-
-
-class _CountSlot:
-    """Stand-in for one level's node set: counts only.
-
-    The hot path (``mk``, ``gc``) needs just ``add`` / ``discard`` /
-    ``len``; real membership sets are materialized only for the
-    duration of a reordering pass (see
-    :meth:`OocBDDManager._materialized_levels`), because adjacent-level
-    swaps genuinely iterate level populations.
-    """
-
-    __slots__ = ("owner", "level", "count")
-
-    def __init__(self, owner: "OocBDDManager", level: int) -> None:
-        self.owner = owner
-        self.level = level
-        self.count = 0
-
-    def add(self, node: int) -> None:
-        self.count += 1
-
-    def discard(self, node: int) -> None:
-        self.count -= 1
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __contains__(self, node: int) -> bool:
-        m = self.owner
-        return node > TRUE and m._low[node] != -1 and m._level[node] == self.level
-
-    def __iter__(self) -> Iterator[int]:
-        m = self.owner
-        lvl = self.level
-        for node, (l, lo) in enumerate(zip(m._level, m._low)):
-            if node > TRUE and l == lvl and lo != -1:
-                yield node
-
-
-class _LevelIndex:
-    """``manager._at_level`` replacement: count slots normally, real
-    sets while a reordering pass is live."""
-
-    __slots__ = ("owner", "slots", "sets")
-
-    def __init__(self, owner: "OocBDDManager", num_levels: int) -> None:
-        self.owner = owner
-        self.slots = [_CountSlot(owner, i) for i in range(num_levels)]
-        self.sets: Optional[List[set]] = None
-
-    def __getitem__(self, level: int):
-        if self.sets is not None:
-            return self.sets[level]
-        return self.slots[level]
-
-    def __setitem__(self, level: int, value) -> None:
-        # Only the swap rewrite assigns whole level populations, and it
-        # only runs inside a materialized reorder pass.
-        if self.sets is None:
-            raise BDDError("level index assignment outside a reorder pass")
-        self.sets[level] = value
-
-    def __iter__(self):
-        return iter(self.sets if self.sets is not None else self.slots)
-
-    def __len__(self) -> int:
-        return len(self.slots)
-
-    def extend(self, iterable) -> None:
-        # add_vars() passes fresh set()s; substitute our slot kind.
-        for _ in iterable:
-            level = len(self.slots)
-            self.slots.append(_CountSlot(self.owner, level))
-            if self.sets is not None:
-                self.sets.append(set())
-
-    def materialize(self) -> None:
-        m = self.owner
-        sets: List[set] = [set() for _ in range(len(self.slots))]
-        for node, (lvl, lo) in enumerate(zip(m._level, m._low)):
-            if node > TRUE and lo != -1:
-                sets[lvl].add(node)
-        self.sets = sets
-
-    def release(self) -> None:
-        assert self.sets is not None
-        for slot, s in zip(self.slots, self.sets):
-            slot.count = len(s)
-        self.sets = None
-
-
-# ----------------------------------------------------------------------
 # Spillable level-bucketed sweep queues
 # ----------------------------------------------------------------------
 
@@ -837,14 +741,10 @@ class OocBDDManager(BDDManager):
         self._refs = PagedIntArray(
             self._page_cache, self._lazy_path("refs"), self._refs
         )
-        self._parents = PagedIntArray(
-            self._page_cache, self._lazy_path("parents"), self._parents
-        )
         self._free = PagedIntArray(
             self._page_cache, self._lazy_path("free"), self._free
         )
         self._unique = SpillableUniqueTable(self)
-        self._at_level = _LevelIndex(self, num_vars)
         self._active_stores: List[_SweepStore] = []
         self._active_resolved: List[dict] = []
         self._ooc: Dict[str, int] = {k: 0 for k in _OOC_COUNTERS}
@@ -892,7 +792,6 @@ class OocBDDManager(BDDManager):
             self._low,
             self._high,
             self._refs,
-            self._parents,
             self._free,
         ):
             arr.close()
@@ -919,8 +818,6 @@ class OocBDDManager(BDDManager):
             total += store.rows_in_mem * _EST_ROW
         for resolved in self._active_resolved:
             total += len(resolved) * _EST_RESOLVED
-        if self._at_level.sets is not None:
-            total += sum(len(s) for s in self._at_level.sets) * _EST_SET_NODE
         return total
 
     @property
@@ -1311,16 +1208,14 @@ class OocBDDManager(BDDManager):
     # -- replace --------------------------------------------------------
 
     def replace(self, a: int, permutation: Dict[int, int]) -> int:
-        perm_vars = {k: v for k, v in permutation.items() if k != v}
-        if not perm_vars:
+        perm = {k: v for k, v in permutation.items() if k != v}
+        if not perm:
             return a
-        if len(set(perm_vars.values())) != len(perm_vars):
+        if len(set(perm.values())) != len(perm):
             raise BDDError("replace permutation must be injective")
-        perm: Dict[int, int] = {}
-        for old, new in perm_vars.items():
+        for old, new in perm.items():
             self._check_var(old)
             self._check_var(new)
-            perm[self._level_at_var[old]] = self._level_at_var[new]
         key_perm = tuple(sorted(perm.items()))
         if self.is_terminal(a):
             return a
@@ -1380,7 +1275,7 @@ class OocBDDManager(BDDManager):
                         result = self.mk(new_level, lo, hi)
                     else:
                         result = self.ite(
-                            self._var_bdd_at(new_level), hi, lo
+                            self.mk(new_level, FALSE, TRUE), hi, lo
                         )
                     self._cache_store(
                         self._replace_cache, (node, key_perm), result
@@ -1403,41 +1298,6 @@ class OocBDDManager(BDDManager):
         lc = self._level[c]
         pending.push(lc, c)
         return (0, (lc, c))
-
-    # -- reordering -----------------------------------------------------
-
-    @contextmanager
-    def _materialized_levels(self):
-        if self._at_level.sets is not None:
-            yield  # re-entrant: already materialized by an outer pass
-            return
-        self._at_level.materialize()
-        self._note_resident()
-        try:
-            yield
-        finally:
-            self._at_level.release()
-
-    def swap_levels(self, level: int) -> int:
-        with self._materialized_levels():
-            return super().swap_levels(level)
-
-    def set_order(self, order: Sequence[int]) -> None:
-        with self._materialized_levels():
-            super().set_order(order)
-
-    def reorder(self, *args, **kwargs):
-        with self._materialized_levels():
-            return super().reorder(*args, **kwargs)
-
-    def _swap_adjacent(self, i: int) -> None:
-        if self._at_level.sets is None:
-            # Direct call outside a reordering pass (tests do this):
-            # materialize transiently for the single swap.
-            with self._materialized_levels():
-                super()._swap_adjacent(i)
-            return
-        super()._swap_adjacent(i)
 
     # -- garbage collection ---------------------------------------------
 
@@ -1484,13 +1344,8 @@ class OocBDDManager(BDDManager):
             key = (lvl, lo, hi)
             if self._unique.get(key) == node:
                 del self._unique[key]
-            self._at_level[lvl].discard(node)
-            for child in (lo, hi):
-                if child > TRUE:
-                    self._parents[child] -= 1
             low_arr[node] = -1
             high_arr[node] = -1
-            self._parents[node] = 0
             self._free.append(node)
             freed += 1
         self._clear_caches()

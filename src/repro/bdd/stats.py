@@ -50,8 +50,6 @@ class KernelStats:
         "gc_seconds",
         "gc_reclaimed",
         "last_gc_seconds",
-        "reorder_runs",
-        "reorder_seconds",
     )
 
     _SCALAR_CACHES = ("not", "exist", "and_exist", "replace", "change", "count")
@@ -78,8 +76,6 @@ class KernelStats:
         self.gc_seconds = 0.0
         self.gc_reclaimed = 0
         self.last_gc_seconds = 0.0
-        self.reorder_runs = 0
-        self.reorder_seconds = 0.0
 
     def note_live(self, live: int) -> None:
         """Update the live-node high-water mark.
@@ -124,8 +120,6 @@ class KernelStats:
         self.gc_seconds = 0.0
         self.gc_reclaimed = 0
         self.last_gc_seconds = 0.0
-        self.reorder_runs = 0
-        self.reorder_seconds = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         hits, misses = self.op_totals()

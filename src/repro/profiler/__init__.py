@@ -2,7 +2,7 @@
 
 from repro.profiler.advisor import plan_hints
 from repro.profiler.html import generate_report
-from repro.profiler.recorder import ProfileEvent, Profiler, ReorderEvent
+from repro.profiler.recorder import ProfileEvent, Profiler
 from repro.profiler.sql import (
     has_spans,
     load_executions,
@@ -18,7 +18,6 @@ from repro.profiler.sql import (
 __all__ = [
     "ProfileEvent",
     "Profiler",
-    "ReorderEvent",
     "generate_report",
     "has_spans",
     "load_executions",

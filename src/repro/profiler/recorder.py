@@ -11,9 +11,7 @@ is installed on the active session that wrapper hands each call to
 SQL and HTML modules persist and render the events.
 
 Program points come from the session's site stack, which the
-interpreter's statement spans and :meth:`Profiler.site` push; dynamic
-reordering passes arrive through the session's reorder listener on
-each manager passed to :meth:`Profiler.observe_manager`.  Because the
+interpreter's statement spans and :meth:`Profiler.site` push.  Because the
 session is always on while profiling, kernel-level attribution (the
 span tree under each program point, apply-cache behaviour, GC pauses)
 is recorded alongside; :meth:`Profiler.attach_telemetry` returns that
@@ -28,10 +26,9 @@ from time import perf_counter
 from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry as _telemetry
-from repro.bdd.manager import ReorderEvent
 from repro.relations.relation import Relation
 
-__all__ = ["ProfileEvent", "Profiler", "ReorderEvent"]
+__all__ = ["ProfileEvent", "Profiler"]
 
 #: Operations that realise a (possibly planner-reordered) relational
 #: product -- the ops callers should match when looking for "the join
@@ -78,8 +75,6 @@ class Profiler:
     def __init__(self, record_shapes: bool = True) -> None:
         self.record_shapes = record_shapes
         self.events: List[ProfileEvent] = []
-        #: Dynamic-reordering passes observed via :meth:`observe_manager`.
-        self.reorder_events: List[ReorderEvent] = []
         #: The telemetry session this profiler records from.
         self._session: Optional[_telemetry.Telemetry] = None
         #: The session :meth:`install` enabled itself (and so disables
@@ -163,13 +158,11 @@ class Profiler:
         ))
         return result
 
-    # -- dynamic reordering ------------------------------------------------
+    # -- kernel counters ---------------------------------------------------
 
     def observe_manager(self, manager) -> "Profiler":
-        """Record the manager's reordering passes as
-        :class:`ReorderEvent` entries (trigger, duration, node counts,
-        resulting order) and its kernel counters, by instrumenting it
-        in the profiler's telemetry session."""
+        """Record the manager's kernel counters and GC pauses, by
+        instrumenting it in the profiler's telemetry session."""
         if self._session is not None:
             self._session.instrument_manager(manager)
         elif manager not in self._pending:
@@ -258,6 +251,5 @@ class Profiler:
         return sum(e.seconds for e in self.events)
 
     def clear(self) -> None:
-        """Drop all recorded events, reorder history included."""
+        """Drop all recorded events."""
         self.events.clear()
-        self.reorder_events.clear()

@@ -11,7 +11,6 @@ from repro.relations.backend import (
     DiagramBackend,
     MultiTerminalBackend,
     PipelineStep,
-    UnsupportedByBackend,
     ZDDBackend,
 )
 from repro.relations.containers import RelationContainer
@@ -75,7 +74,6 @@ __all__ = [
     "Rule",
     "Schema",
     "Universe",
-    "UnsupportedByBackend",
     "WeightedRelation",
     "ZDDBackend",
     "load_checkpoint",

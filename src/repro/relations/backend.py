@@ -27,7 +27,6 @@ __all__ = [
     "ZDDBackend",
     "MultiTerminalBackend",
     "PipelineStep",
-    "UnsupportedByBackend",
     "BOOLEAN_TERMINALS",
 ]
 
@@ -60,23 +59,6 @@ class PipelineStep:
     exist_levels: Sequence[int] = ()
     b_perm: Dict[int, int] = field(default_factory=dict)
     a_perm: Dict[int, int] = field(default_factory=dict)
-
-
-class UnsupportedByBackend(Exception):
-    """An optional capability (e.g. dynamic reordering) the selected
-    diagram engine does not provide.  Mirrors how Jedd surfaces the
-    feature gaps between BuDDy, CUDD, and the ZDD backend."""
-
-
-class _NullReorderGuard:
-    """No-op stand-in for ``disable_reorder()`` on backends without
-    dynamic reordering, so hot-loop guards stay backend-portable."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
 
 
 class DiagramBackend:
@@ -208,35 +190,6 @@ class DiagramBackend:
     def maybe_gc(self) -> bool:
         return self.manager.maybe_gc()
 
-    # Dynamic variable reordering (optional capability) -------------------
-    def supports_reorder(self) -> bool:
-        """Whether this backend can reorder variables at run time."""
-        return False
-
-    def reorder(self, groups=None, max_growth=None):
-        """Run one reordering pass now; returns a ``ReorderEvent``."""
-        raise UnsupportedByBackend(
-            f"the {self.name} backend does not support dynamic "
-            f"variable reordering"
-        )
-
-    def enable_reorder(
-        self, threshold=None, max_growth=None, groups=None
-    ) -> None:
-        """Enable automatic reordering on node-table growth."""
-        raise UnsupportedByBackend(
-            f"the {self.name} backend does not support dynamic "
-            f"variable reordering"
-        )
-
-    def disable_reorder(self):
-        """Context manager suppressing automatic reordering.
-
-        A no-op on backends without reordering, so relation code can
-        guard hot loops without checking :meth:`supports_reorder`.
-        """
-        return _NullReorderGuard()
-
     # Fused relational products -------------------------------------------
     def relprod_pipeline(self, a: int, steps: Sequence[PipelineStep]) -> int:
         """Chain join -> project -> rename steps without materialising
@@ -247,27 +200,25 @@ class DiagramBackend:
         overrides it to fuse each conjunction+quantification into a
         single ``and_exist`` kernel call.  Intermediate handles are
         never wrapped in :class:`Relation` objects, so no garbage
-        collection can run between steps; automatic reordering is
-        suppressed for the duration so level sets stay valid.
+        collection can run between steps.
         """
         node = a
-        with self.disable_reorder():
-            for step in steps:
-                if step.a_perm:
-                    node = self.replace(node, step.a_perm)
-                b = step.b
-                if step.b_perm:
-                    b = self.replace(b, step.b_perm)
-                node = self.match(
-                    node,
-                    b,
-                    step.cmp_levels,
-                    step.a_only_levels,
-                    step.b_only_levels,
-                    False,
-                )
-                if step.exist_levels:
-                    node = self.project(node, step.exist_levels)
+        for step in steps:
+            if step.a_perm:
+                node = self.replace(node, step.a_perm)
+            b = step.b
+            if step.b_perm:
+                b = self.replace(b, step.b_perm)
+            node = self.match(
+                node,
+                b,
+                step.cmp_levels,
+                step.a_only_levels,
+                step.b_only_levels,
+                False,
+            )
+            if step.exist_levels:
+                node = self.project(node, step.exist_levels)
         return node
 
 
@@ -342,22 +293,6 @@ class BDDBackend(DiagramBackend):
     def all_sat(self, a, levels):
         return self.manager.all_sat(a, levels)
 
-    def supports_reorder(self) -> bool:
-        return True
-
-    def reorder(self, groups=None, max_growth=None):
-        return self.manager.reorder(groups=groups, max_growth=max_growth)
-
-    def enable_reorder(
-        self, threshold=None, max_growth=None, groups=None
-    ) -> None:
-        self.manager.enable_reorder(
-            threshold=threshold, max_growth=max_growth, groups=groups
-        )
-
-    def disable_reorder(self):
-        return self.manager.disable_reorder()
-
     @_traced("bdd.relprod_pipeline", "kernel")
     def relprod_pipeline(self, a: int, steps: Sequence[PipelineStep]) -> int:
         # Each step becomes one and_exist (bdd_appex): the conjunction
@@ -366,17 +301,16 @@ class BDDBackend(DiagramBackend):
         # engine's kernel savings come from.
         m = self.manager
         node = a
-        with self.disable_reorder():
-            for step in steps:
-                if step.a_perm:
-                    node = m.replace(node, step.a_perm)
-                b = step.b
-                if step.b_perm:
-                    b = m.replace(b, step.b_perm)
-                if step.exist_levels:
-                    node = m.and_exist(node, b, step.exist_levels)
-                else:
-                    node = m.apply_and(node, b)
+        for step in steps:
+            if step.a_perm:
+                node = m.replace(node, step.a_perm)
+            b = step.b
+            if step.b_perm:
+                b = m.replace(b, step.b_perm)
+            if step.exist_levels:
+                node = m.and_exist(node, b, step.exist_levels)
+            else:
+                node = m.apply_and(node, b)
         return node
 
 
@@ -454,15 +388,10 @@ class MultiTerminalBackend(BDDBackend):
     a join is still a conjunction and projection is still
     ``or``-abstraction.  On top of that the backend exposes the weighted
     operations the aggregate executor needs: pointwise arithmetic
-    combinators and sum/max/min-abstraction.  Dynamic reordering is not
-    offered (the kernel keeps ``var == level``).
+    combinators and sum/max/min-abstraction.
     """
 
     name = "mtbdd"
-
-    supports_reorder = DiagramBackend.supports_reorder
-    reorder = DiagramBackend.reorder
-    enable_reorder = DiagramBackend.enable_reorder
 
     def terminal_domain(self):
         return None  # any numeric terminal

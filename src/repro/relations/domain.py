@@ -35,7 +35,6 @@ from typing import (
 )
 
 from repro.bdd import BDDManager, ZDDManager
-from repro.relations.backend import _backend_for
 
 __all__ = [
     "Domain",
@@ -428,68 +427,6 @@ class Universe:
             return load_universe(fp)
 
     # ------------------------------------------------------------------
-    # Dynamic variable reordering
-    # ------------------------------------------------------------------
-
-    def physdom_groups(self) -> List[List[int]]:
-        """The bit positions of each physical domain, as sift groups.
-
-        The SAT-driven domain assignment (section 3.3) decides *which*
-        physical domain stores each attribute; keeping a domain's bits
-        together while reordering preserves that structure, so these are
-        the default blocks for group sifting.  Includes scratch domains.
-        """
-        if not self.finalized:
-            raise JeddError("finalize() before reordering")
-        return [
-            list(pd.levels)
-            for pd in self._physdom_order
-            if pd.levels is not None
-        ]
-
-    def enable_reorder(
-        self,
-        threshold: Optional[int] = None,
-        max_growth: Optional[float] = None,
-        group_by_physdom: bool = True,
-    ) -> None:
-        """Enable automatic sifting when the node table grows.
-
-        With ``group_by_physdom`` (the default) the bits of one physical
-        domain move as a block, so the user-specified relative bit
-        ordering within each domain survives; pass False to let every
-        bit sift independently (can find better orders, but decouples
-        bits the encodings correlate).  Raises
-        :class:`~repro.relations.backend.UnsupportedByBackend` on the
-        ZDD backend.
-        """
-        if not self.finalized:
-            raise JeddError("finalize() before enabling reordering")
-        _backend_for(self.manager).enable_reorder(
-            threshold=threshold, max_growth=max_growth
-        )
-        # Set (or clear) the group policy explicitly so toggling
-        # group_by_physdom across calls behaves as written.
-        self.manager.reorder_groups = (
-            self.physdom_groups if group_by_physdom else None
-        )
-
-    def disable_reorder(self):
-        """Context manager suppressing automatic reordering (no-op on
-        backends without reordering)."""
-        if not self.finalized:
-            raise JeddError("finalize() before disabling reordering")
-        return _backend_for(self.manager).disable_reorder()
-
-    def reorder(self, groups=None, max_growth: Optional[float] = None):
-        """Run one reordering pass now; returns the ``ReorderEvent``."""
-        if not self.finalized:
-            raise JeddError("finalize() before reordering")
-        return _backend_for(self.manager).reorder(
-            groups=groups, max_growth=max_growth
-        )
-
-    # ------------------------------------------------------------------
     # Plan cache generations
     # ------------------------------------------------------------------
 
@@ -498,14 +435,9 @@ class Universe:
         """Cache generation for the query planner (``repro.relations.ir``).
 
         Cached plans are keyed by (shape, generation): the generation
-        advances with every dynamic reordering pass — node-count
-        estimates predating a reorder are stale — and with every
-        explicit :meth:`invalidate_plans` call.
+        advances with every explicit :meth:`invalidate_plans` call.
         """
-        gen = self._plan_epoch
-        if self.manager is not None:
-            gen += self.manager.stats.reorder_runs
-        return gen
+        return self._plan_epoch
 
     def invalidate_plans(self) -> None:
         """Force re-planning: bump the generation every cached query

@@ -37,7 +37,7 @@ from repro.bdd.io import (
     loads_diagram_binary,
 )
 from repro.relations.domain import JeddError, Universe
-from repro.relations.relation import Relation, WeightedRelation
+from repro.relations.relation import Relation, Schema, WeightedRelation
 
 __all__ = [
     "save_tsv",
@@ -108,12 +108,48 @@ def load_tsv(
     return Relation.from_tuples(universe, attrs, rows, physdoms)
 
 
+def _schema_line(relation: Relation, variables: bool = True) -> str:
+    """The checkpoint header: ``attr:PD:v.v.v`` per column, naming the
+    variable ids of each physical domain's bits (least significant
+    first), so a loader can tell when its bit order differs.
+
+    The JDDU container passes ``variables=False`` and writes the plain
+    ``attr:PD`` form: it rebuilds the universe, bit order included,
+    from its own header, so its relations cannot meet another layout.
+    """
+    specs = " ".join(
+        f"{attr.name}:{pd.name}:{'.'.join(map(str, pd.levels))}"
+        if variables
+        else f"{attr.name}:{pd.name}"
+        for attr, pd in relation.schema.pairs
+    )
+    return f"schema {specs}\n"
+
+
+def _parse_schema(universe: Universe, line: str) -> Schema:
+    """The schema of a checkpoint header line, checked against the
+    variable ids ``universe`` gives each physical domain.  Headers
+    written before the ids were recorded (``attr:PD``) are trusted."""
+    if not line.startswith("schema "):
+        raise JeddError("missing checkpoint schema header")
+    pairs = []
+    for spec in line[len("schema "):].split():
+        attr_name, _, rest = spec.partition(":")
+        pd_name, _, saved = rest.partition(":")
+        pd = universe.get_physdom(pd_name)
+        here = ".".join(map(str, pd.levels))
+        if saved and saved != here:
+            raise JeddError(
+                f"checkpoint stored {pd_name} at variables {saved}, but "
+                f"this universe puts it at {here}: the bit order differs"
+            )
+        pairs.append((universe.get_attribute(attr_name), pd))
+    return Schema(pairs)
+
+
 def save_checkpoint(relation: Relation, fp: TextIO) -> None:
     """Persist the schema and the raw diagram of ``relation``."""
-    header = " ".join(
-        f"{attr.name}:{pd.name}" for attr, pd in relation.schema.pairs
-    )
-    fp.write(f"schema {header}\n")
+    fp.write(_schema_line(relation))
     fp.write(dumps_diagram(relation.universe.manager, relation.node))
 
 
@@ -121,23 +157,13 @@ def load_checkpoint(universe: Universe, fp: TextIO) -> Relation:
     """Restore a checkpoint into a universe with the same declarations.
 
     Attribute and physical-domain names must exist in ``universe`` and
-    the physical domains must occupy the same bit levels as when saved
-    (i.e. the universe was built by the same declaration sequence).
+    the physical domains must occupy the same variables as when saved
+    (the universe was built by the same declarations and bit order);
+    a layout mismatch raises :class:`JeddError`.
     """
-    text = fp.read()
-    first, _, rest = text.partition("\n")
-    if not first.startswith("schema "):
-        raise JeddError("missing checkpoint schema header")
-    pairs = []
-    for spec in first[len("schema "):].split():
-        attr_name, _, pd_name = spec.partition(":")
-        pairs.append(
-            (universe.get_attribute(attr_name), universe.get_physdom(pd_name))
-        )
-    node = loads_diagram(universe.manager, rest)
-    from repro.relations.relation import Schema
-
-    return Relation(universe, Schema(pairs), node)
+    first, _, rest = fp.read().partition("\n")
+    schema = _parse_schema(universe, first)
+    return Relation(universe, schema, loads_diagram(universe.manager, rest))
 
 
 def save_checkpoint_binary(relation: Relation, fp: BinaryIO) -> int:
@@ -147,32 +173,26 @@ def save_checkpoint_binary(relation: Relation, fp: BinaryIO) -> int:
     :func:`repro.bdd.io.dumps_diagram_binary`.  Returns the number of
     bytes written.
     """
-    header = " ".join(
-        f"{attr.name}:{pd.name}" for attr, pd in relation.schema.pairs
-    )
-    data = f"schema {header}\n".encode("utf-8")
-    data += dumps_diagram_binary(relation.universe.manager, relation.node)
+    data = _checkpoint_binary(relation)
     fp.write(data)
     return len(data)
+
+
+def _checkpoint_binary(relation: Relation, variables: bool = True) -> bytes:
+    header = _schema_line(relation, variables).encode("utf-8")
+    return header + dumps_diagram_binary(relation.universe.manager, relation.node)
 
 
 def load_checkpoint_binary(universe: Universe, fp: BinaryIO) -> Relation:
     """Restore a binary checkpoint (see :func:`load_checkpoint` for the
     universe-compatibility requirements)."""
-    blob = fp.read()
-    first, sep, rest = blob.partition(b"\n")
-    if not sep or not first.startswith(b"schema "):
+    first, sep, rest = fp.read().partition(b"\n")
+    if not sep:
         raise JeddError("missing checkpoint schema header")
-    pairs = []
-    for spec in first.decode("utf-8")[len("schema "):].split():
-        attr_name, _, pd_name = spec.partition(":")
-        pairs.append(
-            (universe.get_attribute(attr_name), universe.get_physdom(pd_name))
-        )
-    node = loads_diagram_binary(universe.manager, rest)
-    from repro.relations.relation import Schema
-
-    return Relation(universe, Schema(pairs), node)
+    schema = _parse_schema(universe, first.decode("utf-8", "replace"))
+    return Relation(
+        universe, schema, loads_diagram_binary(universe.manager, rest)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -285,12 +305,8 @@ def save_universe(
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     _write_uvarint(out, len(header_bytes))
     out += header_bytes
-    import io as _io
-
     for name, rel in relations.items():
-        buf = _io.BytesIO()
-        save_checkpoint_binary(rel, buf)
-        blob = buf.getvalue()
+        blob = _checkpoint_binary(rel, variables=False)
         _write_uvarint(out, len(blob))
         out += blob
     fp.write(bytes(out))

@@ -27,7 +27,7 @@ quantification / projection pushdown).
 Plans are frozen dataclasses of primitives.  :class:`Planner` caches
 them by (structural shape, universe generation, anchor): re-planning
 happens only when the shape is new or the universe's plan generation
-moved (a reordering pass or an explicit invalidation).
+moved (an explicit invalidation).
 """
 
 from __future__ import annotations
@@ -364,8 +364,8 @@ class Planner:
 
     Keys are ``(shape, generation, anchor, optimize, report)``: the
     structural key of the product (or any caller-chosen hashable shape),
-    the universe's plan generation (bumped by dynamic variable
-    reordering and :meth:`Universe.invalidate_plans`), the anchored
+    the universe's plan generation (bumped by
+    :meth:`Universe.invalidate_plans`), the anchored
     part, and whether the caller reports the plan (EXPLAIN or
     telemetry).  The estimate thunk is only invoked on a miss, and only
     for a plan with a choice (:func:`has_choice`) or one to be

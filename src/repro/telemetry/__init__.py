@@ -9,7 +9,7 @@ kernels, following Figure 1 top to bottom:
 - the relational ops they trigger (``relations/relation.py``) and the
   BDD/ZDD/SAT kernel calls underneath nest inside them,
 - kernel counters (apply-cache hits per op tag, unique-table load, GC
-  pauses, reorder passes, CDCL conflicts/decisions/propagations) land in
+  pauses, CDCL conflicts/decisions/propagations) land in
   a metrics registry,
 
 and the result exports as a Chrome trace-event JSON (``chrome://tracing``

@@ -4,7 +4,7 @@ The registry is deliberately tiny.  Kernel hot paths (``bdd/manager.py``,
 ``bdd/zdd.py``) do *not* call into it — they bump plain integer fields on
 their always-on ``KernelStats`` objects, and the registry pulls those raw
 numbers in at snapshot time (see ``repro.telemetry.session``).  Push-style
-updates (SAT solve results, GC pauses, reorder passes) happen at most a
+updates (SAT solve results, GC pauses) happen at most a
 few times per second, so a dict lookup there is fine.
 
 A metric name plus a sorted tuple of ``(label, value)`` pairs identifies a
@@ -75,7 +75,7 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming distribution (GC pause, reorder duration, span length).
+    """Streaming distribution (GC pause, span length).
 
     Keeps count/sum/min/max plus fixed buckets; enough for a text report
     or Chrome-trace args without storing every observation.

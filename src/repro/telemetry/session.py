@@ -3,13 +3,12 @@
 A ``Telemetry`` object owns a :class:`MetricsRegistry` and a
 :class:`SpanTracer` and knows how to attach itself to the kernels:
 
-- ``instrument_manager`` subscribes to a BDD/ZDD manager's GC and
-  reorder listeners and remembers the manager so snapshots can pull its
+- ``instrument_manager`` subscribes to a BDD/ZDD manager's GC
+  listeners and remembers the manager so snapshots can pull its
   raw ``KernelStats`` counters (the kernels never call the registry on
   their hot paths — see ``repro.bdd.stats``);
 - ``profiler`` is the installed section 4.3 profiler, if any: the
-  ``traced`` wrapper hands it every relational operation and the
-  reorder listener hands it every reordering pass;
+  ``traced`` wrapper hands it every relational operation;
 - ``record_sat`` folds a solver's per-solve stat deltas into counters;
 - ``metrics_snapshot`` / ``text_report`` / ``write_chrome_trace`` are
   the read side.
@@ -151,24 +150,6 @@ class Telemetry:
             gc_listeners.append(on_gc)
             self._listeners.append((gc_listeners, on_gc))
 
-        reorder_listeners = getattr(manager, "reorder_listeners", None)
-        if reorder_listeners is not None:
-            def on_reorder(event: object, _prefix: str = prefix) -> None:
-                seconds = getattr(event, "seconds", 0.0)
-                before = getattr(event, "nodes_before", 0)
-                after = getattr(event, "nodes_after", 0)
-                registry.histogram(f"{_prefix}.reorder.seconds").observe(seconds)
-                registry.counter(f"{_prefix}.reorder.nodes_removed").inc(max(0, before - after))
-                tracer.add_complete(
-                    f"{_prefix}.reorder", seconds, cat="gc",
-                    nodes_before=before, nodes_after=after,
-                    trigger=getattr(event, "trigger", "?"),
-                )
-                if self.profiler is not None:
-                    self.profiler.reorder_events.append(event)
-
-            reorder_listeners.append(on_reorder)
-            self._listeners.append((reorder_listeners, on_reorder))
         return prefix
 
     def instrument_universe(self, universe: object, name: Optional[str] = None) -> str:
@@ -255,8 +236,6 @@ class Telemetry:
                 registry.counter(f"{prefix}.nodes_created").set_total(stats.nodes_created)
                 registry.counter(f"{prefix}.gc.runs").set_total(stats.gc_runs)
                 registry.gauge(f"{prefix}.gc.total_seconds").set(stats.gc_seconds)
-                registry.counter(f"{prefix}.reorder.runs").set_total(stats.reorder_runs)
-                registry.gauge(f"{prefix}.reorder.total_seconds").set(stats.reorder_seconds)
             table = getattr(manager, "table_stats", None)
             if table is not None:
                 for key, value in table().items():

@@ -5,7 +5,7 @@ exposes (``--file SNAP.json`` for the sampler's file mode, ``--url``
 for a :class:`~repro.telemetry.sampler.MetricsServer`'s
 ``/metrics.json``) and renders the health numbers an operator watches
 during a long solve: node tables vs. their high-water marks, cache
-occupancy, RSS and GC/reorder totals.
+occupancy, RSS and GC totals.
 
 ``--once`` prints a single frame (the mode CI and tests use);
 otherwise the screen refreshes every ``--interval`` seconds until
@@ -82,7 +82,6 @@ def render(doc: Dict[str, object], width: int = 72) -> str:
             f"{prefix:<8} nodes {_fmt(live)}/{_fmt(peak)} peak"
             f"  load {get('table.load'):.2f}"
             f"  gc {_fmt(get('gc.runs'))}"
-            f"  reorders {_fmt(get('reorder.runs'))}"
         )
         caches = {
             name.split("cache=", 1)[1].rstrip("}"): value

@@ -17,7 +17,6 @@ def repro_line(
     seed: int,
     chain_index: int,
     pair: str,
-    reorder: bool = False,
 ) -> str:
     """One-line replay recipe for a diverging chain.
 
@@ -25,9 +24,8 @@ def repro_line(
     ``"reference-bdd vs ooc-bdd"``); ``seed`` alone is sufficient to
     replay, the chain index and pair localize the failure for a human.
     """
-    mode = "reorder" if reorder else "plain"
     return (
         f"REPRO: {REPLAY_ENV}={seed} PYTHONPATH=src python -m pytest "
         f"{test_file} -k replay -q  "
-        f"# chain {chain_index}, mode {mode}, diverged: {pair}"
+        f"# chain {chain_index}, diverged: {pair}"
     )

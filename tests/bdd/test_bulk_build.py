@@ -7,15 +7,14 @@ manager, so hash-consing makes "same function" mean "same handle".
 Hypothesis draws the key width, which variables the key bits land on
 (in a random bit-to-variable order), and the keys themselves, with
 empty inputs, single keys, duplicates, and shuffled or reversed
-orders.  On the reordering kernels it also draws a variable order, so
-variables sit at levels other than their ids.  The multi-terminal
+orders.  The multi-terminal
 kernel is checked with per-key weight leaves against the
 ``add(node, mul(cube, terminal))`` fold.
 
 Above the kernel, ``Relation.from_tuples`` / ``from_csv`` /
 ``from_weighted_tuples`` are checked against the same fold over
 ``encode_bits`` cubes, including physical domains wider than their
-domains and a reorder pass before the build, and the jedit fact
+domains and both of the universe's bit layouts, and the jedit fact
 relations are pinned to zero apply work.
 """
 
@@ -44,7 +43,6 @@ KERNELS = {
     "mtbdd": MTBDDManager,
     "zdd": ZDDManager,
 }
-REORDERING = ("reference", "ooc")
 MAX_VARS = 9
 
 
@@ -59,25 +57,23 @@ def fold(m, variables, keys):
 
 
 @st.composite
-def key_sets(draw, reorder=False):
-    """``(num_vars, variables, keys, order)``: the key bits land on a
-    random subset of the variables in random order; ``order`` is a
-    variable order to install first, or ``None``."""
+def key_sets(draw):
+    """``(num_vars, variables, keys)``: the key bits land on a random
+    subset of the variables in random order."""
     num_vars = draw(st.integers(min_value=0, max_value=MAX_VARS))
     width = draw(st.integers(min_value=0, max_value=num_vars))
     variables = draw(st.permutations(range(num_vars)))[:width]
     keys = draw(st.lists(
         st.integers(min_value=0, max_value=(1 << width) - 1), max_size=40
     ))
-    order = draw(st.permutations(range(num_vars))) if reorder else None
-    return num_vars, variables, keys, order
+    return num_vars, variables, keys
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
 @settings(deadline=None, max_examples=60)
 @given(case=key_sets())
 def test_bulk_build_equals_fold(kernel, case):
-    num_vars, variables, keys, _ = case
+    num_vars, variables, keys = case
     m = KERNELS[kernel](num_vars)
     built = m.from_keys(variables, keys)
     assert built == fold(m, variables, keys)
@@ -86,19 +82,6 @@ def test_bulk_build_equals_fold(kernel, case):
     shuffled = keys + keys
     random.Random(len(keys)).shuffle(shuffled)
     assert m.from_keys(variables, shuffled) == built
-
-
-@pytest.mark.parametrize("kernel", REORDERING)
-@settings(deadline=None, max_examples=60)
-@given(case=key_sets(reorder=True))
-def test_bulk_build_after_reorder(kernel, case):
-    num_vars, variables, keys, order = case
-    m = KERNELS[kernel](num_vars)
-    m.set_order(order)
-    assert [m.level_of_var(v) for v in range(num_vars)] == [
-        order.index(v) for v in range(num_vars)
-    ]
-    assert m.from_keys(variables, keys) == fold(m, variables, keys)
 
 
 @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -139,7 +122,7 @@ weights = st.one_of(
     data=st.data(),
 )
 def test_mtbdd_weight_leaves_equal_add_mul_fold(case, data):
-    num_vars, variables, keys, _ = case
+    num_vars, variables, keys = case
     keys = sorted(set(keys))
     random.Random(num_vars).shuffle(keys)
     ws = data.draw(st.lists(weights, min_size=len(keys), max_size=len(keys)))
@@ -201,9 +184,9 @@ UNIVERSES = [
 ]
 
 
-def make_universe(backend, kernel):
+def make_universe(backend, kernel, ordering="interleaved"):
     """Two domains whose physical domains are wider than needed."""
-    u = Universe(backend=backend, kernel=kernel)
+    u = Universe(backend=backend, kernel=kernel, ordering=ordering)
     a = u.domain("A", 5)
     b = u.domain("B", 12)
     u.attribute("x", a)
@@ -236,13 +219,12 @@ rows_strategy = st.lists(
 
 @pytest.mark.parametrize("backend,kernel", UNIVERSES)
 @settings(deadline=None, max_examples=30)
-@given(rows=rows_strategy, reorder=st.booleans(), seed=st.integers(0, 99))
-def test_from_tuples_equals_fold(backend, kernel, rows, reorder, seed):
-    u = make_universe(backend, kernel)
-    if reorder and backend == "bdd":
-        order = list(range(u.manager.num_vars))
-        random.Random(seed).shuffle(order)
-        u.manager.set_order(order)
+@given(
+    rows=rows_strategy,
+    ordering=st.sampled_from(["interleaved", "sequential"]),
+)
+def test_from_tuples_equals_fold(backend, kernel, rows, ordering):
+    u = make_universe(backend, kernel, ordering)
     rel = Relation.from_tuples(u, ["x", "y"], rows, ["PA", "PB"])
     assert rel.node == relation_fold(u, rel, rows)
     assert set(rel.tuples()) == set(rows)
@@ -312,7 +294,7 @@ def reachable(m, roots):
     return len(seen)
 
 
-@pytest.mark.parametrize("kernel", REORDERING)
+@pytest.mark.parametrize("kernel", ["reference", "ooc"])
 def test_jedit_fact_encoding_does_no_apply_work(kernel):
     """Building ``alloc``/``assign``/``store``/``load`` misses no apply
     cache and creates only nodes the built diagrams hold."""

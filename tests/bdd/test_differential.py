@@ -1,27 +1,21 @@
 """Randomized differential testing across every kernel and backend.
 
-Each *chain* builds the same random relational program four ways -- on
+Each *chain* builds the same random relational program five ways -- on
 the reference BDD kernel, on the out-of-core streaming kernel
-(:mod:`repro.bdd.ooc`), on the ZDD backend, and against a plain-Python
-oracle that stores relations as sets of ``{attribute: value}`` rows --
-and asserts they all agree on the exact tuple set after every
-operation.  Between the two BDD kernels the check is stronger than
-tuple-set equality: hash-consing makes reduced ordered BDDs canonical,
-so under the same variable order both must build *node-for-node
-identical* diagrams.  The harness asserts that by comparing serialized
-wire bytes (:func:`repro.bdd.io.dumps_diagram_binary`) after every
-operation.
-
-The suite runs each chain twice, with automatic variable reordering off
-and on, so sifting is proven semantics-preserving under real operation
-mixes (not just on static diagrams) for every kernel.
-
-The plain-mode chains run a third time with an mtbdd lane
-(``test_differential_chains_mtbdd``; the multi-terminal backend does
-not reorder).  Its relations are {0, 1}-terminal MTBDDs, which must
-match the oracle's tuple sets and, node for node, the reference
-kernel's diagrams: the same ``node_count`` and the same
-``(var, low, high)`` table up to renumbering.
+(:mod:`repro.bdd.ooc`), on the ZDD backend, on the multi-terminal
+(mtbdd) backend, and against a plain-Python oracle that stores
+relations as sets of ``{attribute: value}`` rows -- and asserts they
+all agree on the exact tuple set after every operation.  Between the
+two BDD kernels the check is stronger than tuple-set equality:
+hash-consing makes reduced ordered BDDs canonical, so under the same
+variable order both must build *node-for-node identical* diagrams.  The
+harness asserts that by comparing serialized wire bytes
+(:func:`repro.bdd.io.dumps_diagram_binary`) after every operation.  The
+mtbdd lane's relations are {0, 1}-terminal MTBDDs, which must match,
+node for node, the reference kernel's diagrams: the same
+``node_count`` and the same ``(var, low, high)`` table up to
+renumbering.  At the end of every chain the reference, ooc and mtbdd
+managers run ``check_integrity()``.
 
 Chains are seeded by index: on the first divergence the harness prints
 a one-line replay recipe (seed + chain index + which pair of
@@ -44,9 +38,9 @@ ATTRS = ["a", "b", "c", "d", "e", "f"]
 PHYSDOMS = ["P1", "P2", "P3", "P4", "P5", "P6"]
 DOMAIN_SIZE = 8
 
-#: chains per (backend-comparison, reorder-mode); the tier-1 run does
-#: 2 x 500 = 1000 randomized chains, the stress jobs add longer ones.
-N_CHAINS = 500
+#: The tier-1 run's chain seeds: 1000 distinct randomized chains.  The
+#: kernel stress job adds longer ones.
+SEEDS = list(range(500)) + list(range(90_000, 90_500))
 N_CHAINS_STRESS = 250
 OPS_PER_CHAIN = 6
 OPS_PER_CHAIN_STRESS = 14
@@ -55,17 +49,11 @@ THIS_FILE = "tests/bdd/test_differential.py"
 
 #: Context for repro lines, set by run_chain for the duration of a
 #: chain so assertion sites can emit a replayable recipe.
-_CTX = {"seed": 0, "chain_index": 0, "reorder": False}
+_CTX = {"seed": 0, "chain_index": 0}
 
 
 def _repro(pair: str) -> str:
-    return repro_line(
-        THIS_FILE,
-        _CTX["seed"],
-        _CTX["chain_index"],
-        pair,
-        _CTX["reorder"],
-    )
+    return repro_line(THIS_FILE, _CTX["seed"], _CTX["chain_index"], pair)
 
 
 def build_universe(backend, kernel="reference"):
@@ -200,8 +188,7 @@ def structure(manager, root):
 
 class Quint:
     """The same relation on every lane -- the two BDD kernels, the
-    ZDD engine and, in the mtbdd chains, the multi-terminal backend --
-    plus the oracle."""
+    ZDD engine and the multi-terminal backend -- plus the oracle."""
 
     def __init__(self, rels, oracle):
         self.rels = rels
@@ -231,16 +218,10 @@ class Quint:
             assert rel.size() == len(expected)
         # Canonicity: under the same variable order, both BDD kernels
         # must hold node-for-node identical diagrams, not merely the
-        # same tuple set.  Identical inputs drive identical (size
-        # triggered, deterministic) sift decisions, so the orders never
-        # drift apart either.
+        # same tuple set.
         m_ref = ref.universe.manager
         ooc = self.rels["ooc"]
         m_ooc = ooc.universe.manager
-        assert m_ref.current_order() == m_ooc.current_order(), (
-            "variable orders diverged between reference and ooc kernels\n"
-            + _repro("reference-bdd vs ooc-bdd")
-        )
         wire_ref = dumps_diagram_binary(m_ref, ref.node)
         wire_ooc = dumps_diagram_binary(m_ooc, ooc.node)
         assert wire_ref == wire_ooc, (
@@ -252,14 +233,13 @@ class Quint:
         # A 0/1 MTBDD is the reduced BDD of the same function.  Its wire
         # kind differs (kind 2 carries a terminal table), so compare the
         # node tables directly.
-        mt = self.rels.get("mtbdd")
-        if mt is not None:
-            m_mt = mt.universe.manager
-            assert m_mt.node_count(mt.node) == m_ref.node_count(ref.node)
-            assert structure(m_mt, mt.node) == structure(m_ref, ref.node), (
-                f"mtbdd diverged from the reference kernel's node table "
-                f"over {names}\n" + _repro("reference-bdd vs mtbdd")
-            )
+        mt = self.rels["mtbdd"]
+        m_mt = mt.universe.manager
+        assert m_mt.node_count(mt.node) == m_ref.node_count(ref.node)
+        assert structure(m_mt, mt.node) == structure(m_ref, ref.node), (
+            f"mtbdd diverged from the reference kernel's node table "
+            f"over {names}\n" + _repro("reference-bdd vs mtbdd")
+        )
 
 
 def random_base(rng, universes):
@@ -353,29 +333,16 @@ def apply_random_op(rng, pool, universes):
     raise AssertionError(op)
 
 
-def run_chain(seed, reorder, n_ops, chain_index=0, mtbdd=False):
-    """Run one seeded chain; ``mtbdd`` adds the multi-terminal lane,
-    which does not reorder (so it runs with ``reorder`` off only)."""
-    assert not (mtbdd and reorder)
-    _CTX.update(seed=seed, chain_index=chain_index, reorder=reorder)
+def run_chain(seed, n_ops, chain_index=0):
+    """Run one seeded chain of ``n_ops`` random operations."""
+    _CTX.update(seed=seed, chain_index=chain_index)
     rng = random.Random(seed)
     universes = {
         "ref": build_universe("bdd", kernel="reference"),
         "ooc": build_universe("bdd", kernel="ooc"),
         "zdd": build_universe("zdd"),
+        "mtbdd": build_universe("mtbdd"),
     }
-    if mtbdd:
-        universes["mtbdd"] = build_universe("mtbdd")
-    bdd_universes = [universes[k] for k in ("ref", "ooc")]
-    if reorder:
-        # Tiny threshold so sifting actually fires mid-chain, with both
-        # grouping policies exercised across seeds.  Every BDD kernel
-        # gets identical settings: their tables are identical, so their
-        # sift decisions must coincide (check() asserts it).
-        threshold = rng.choice([20, 60])
-        group = bool(seed % 2)
-        for u in bdd_universes:
-            u.enable_reorder(threshold=threshold, group_by_physdom=group)
     pool = [random_base(rng, universes)]
     pool[0].check()
     for _ in range(n_ops):
@@ -386,78 +353,43 @@ def run_chain(seed, reorder, n_ops, chain_index=0, mtbdd=False):
         pool.append(result)
         if len(pool) > 6:
             pool.pop(0)
-        if reorder and rng.random() < 0.1:
-            # Manual pass at an operation boundary, then re-check every
-            # live relation's tuples survived it.
-            for u in bdd_universes:
-                u.reorder()
-            for t in pool:
-                t.check()
-    if reorder:
-        for u in bdd_universes:
-            u.manager.check_integrity()
-    if mtbdd:
-        universes["mtbdd"].manager.check_integrity()
+    for lane in ("ref", "ooc", "mtbdd"):
+        universes[lane].manager.check_integrity()
 
 
-# Ten batches per mode keep single-test runtimes small while totalling
-# N_CHAINS chains per mode (the acceptance floor is 1000 overall).
-BATCHES = 10
-
-
-@pytest.mark.parametrize("reorder", [False, True], ids=["plain", "reorder"])
-@pytest.mark.parametrize("batch", range(BATCHES))
-def test_differential_chains(reorder, batch):
-    per_batch = N_CHAINS // BATCHES
-    base = batch * per_batch
-    for i in range(per_batch):
-        seed = 90_000 + base + i if reorder else base + i
-        run_chain(seed, reorder, OPS_PER_CHAIN, chain_index=base + i)
+# Twenty batches keep single-test runtimes small while totalling the
+# 1000 chains of SEEDS.
+BATCHES = 20
 
 
 @pytest.mark.parametrize("batch", range(BATCHES))
-def test_differential_chains_mtbdd(batch):
-    """The plain-mode chains again with the mtbdd lane added: tuple
-    sets against the oracle and node tables against the reference
-    kernel (``-k mtbdd`` selects these)."""
-    per_batch = N_CHAINS // BATCHES
+def test_differential_chains(batch):
+    per_batch = len(SEEDS) // BATCHES
     base = batch * per_batch
     for i in range(per_batch):
-        run_chain(
-            base + i, False, OPS_PER_CHAIN, chain_index=base + i, mtbdd=True
-        )
-
-
-@pytest.mark.reorder_stress
-@pytest.mark.parametrize("reorder", [False, True], ids=["plain", "reorder"])
-def test_differential_chains_stress(reorder):
-    for i in range(N_CHAINS_STRESS):
-        seed = 500_000 + i if reorder else 400_000 + i
-        run_chain(seed, reorder, OPS_PER_CHAIN_STRESS, chain_index=i)
+        run_chain(SEEDS[base + i], OPS_PER_CHAIN, chain_index=base + i)
 
 
 @pytest.mark.kernel_stress
-@pytest.mark.parametrize("reorder", [False, True], ids=["plain", "reorder"])
-def test_kernel_stress_chains(reorder):
+def test_kernel_stress_chains():
     """Longer chains aimed at the ooc kernel's machinery.
 
     Same harness, but with enough operations per chain that the ooc
     kernel's streaming sweeps process deep request queues.
     """
     for i in range(N_CHAINS_STRESS):
-        seed = 700_000 + i if reorder else 600_000 + i
-        run_chain(seed, reorder, OPS_PER_CHAIN_STRESS, chain_index=i)
+        for seed in (400_000 + i, 600_000 + i):
+            run_chain(seed, OPS_PER_CHAIN_STRESS, chain_index=i)
 
 
 def test_replay_chain():
     """Replay hook for the repro lines printed on divergence.
 
     ``JEDD_DIFF_SEED=<seed> pytest tests/bdd/test_differential.py -k
-    replay`` reruns exactly the chain that failed (both reorder modes,
-    long enough to cover stress-length chains).
+    replay`` reruns exactly the chain that failed (long enough to cover
+    stress-length chains).
     """
     seed = os.environ.get(REPLAY_ENV)
     if seed is None:
         pytest.skip(f"set {REPLAY_ENV}=<seed> to replay a chain")
-    run_chain(int(seed), False, OPS_PER_CHAIN_STRESS, mtbdd=True)
-    run_chain(int(seed), True, OPS_PER_CHAIN_STRESS)
+    run_chain(int(seed), OPS_PER_CHAIN_STRESS)

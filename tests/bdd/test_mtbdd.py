@@ -104,15 +104,6 @@ class TestSharedCore:
         full.update({NVARS: False, NVARS + 1: True})
         assert m.evaluate(new, full) == 2.5
 
-    def test_reordering_refused(self):
-        m = MTBDDManager(NVARS)
-        with pytest.raises(BDDError, match="reorder"):
-            m.enable_reorder()
-        with pytest.raises(BDDError, match="reorder"):
-            m.reorder()
-        with pytest.raises(BDDError, match="reorder"):
-            m.swap_levels(0)
-
 
 class TestApplyOperators:
     @given(xs=functions, ys=functions)

@@ -16,8 +16,7 @@ file checks the machinery that is unique to the out-of-core design:
   way back up, and reduces exactly the levels it requested;
 - JDDB wire round-trips of *spilled* diagrams (tiny
   ``memory_cap_bytes`` so the node table lives partly in sorted runs
-  and evicted pages while being serialized), including dumps taken
-  after a reordering pass.
+  and evicted pages while being serialized).
 """
 
 import random
@@ -319,30 +318,6 @@ def test_wire_roundtrip_of_spilled_diagram(expr):
     m_back = BDDManager(num_vars=N_VARS)
     n_back = loads_diagram_binary(m_back, wire2)
     assert dumps_diagram_binary(m_back, n_back) == wire
-
-
-@settings(deadline=None, max_examples=25)
-@given(expr=exprs, data=st.data())
-def test_wire_equal_after_reorder_of_spilled_diagram(expr, data):
-    """Dumps taken *after* a set_order pass agree across kernels.
-
-    Reordering a capped ooc manager transiently materializes its level
-    sets and rewrites spilled pages; the post-reorder node table must
-    still be bit-identical to the reference kernel's.
-    """
-    order = data.draw(st.permutations(range(N_VARS)))
-    m_ref = BDDManager(num_vars=N_VARS)
-    m_ooc = OocBDDManager(num_vars=N_VARS, memory_cap_bytes=TINY_CAP)
-    n_ref = build(m_ref, expr)
-    n_ooc = build(m_ooc, expr)
-    # Reordering assumes live roots are referenced; pin them.
-    m_ref.ref(n_ref)
-    m_ooc.ref(n_ooc)
-    m_ref.set_order(order)
-    m_ooc.set_order(order)
-    assert m_ref.current_order() == m_ooc.current_order()
-    assert_same_diagram(m_ref, n_ref, m_ooc, n_ooc)
-    m_ooc.check_integrity()
 
 
 # ----------------------------------------------------------------------

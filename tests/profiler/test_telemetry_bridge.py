@@ -143,19 +143,6 @@ class TestOnePipeline:
 
 
 class TestRobustness:
-    def test_clear_drops_reorder_events(self, u):
-        from repro.profiler import ReorderEvent
-
-        prof = Profiler()
-        prof.reorder_events.append(
-            ReorderEvent(
-                trigger="manual", seconds=0.0, nodes_before=1,
-                nodes_after=1, order=(0,),
-            )
-        )
-        prof.clear()
-        assert prof.reorder_events == []
-
     def test_raising_operation_recorded_and_reraised(self, u):
         a = Relation.from_tuples(u, ["x"], [("a",)], ["P1"])
         b = Relation.from_tuples(u, ["y"], [("b",)], ["P2"])

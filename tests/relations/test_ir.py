@@ -410,7 +410,7 @@ class TestPlanner:
             plan, two[0], estimates(), self.WEIGHT
         ) == ir.plan_product(*two, estimates(), self.WEIGHT, anchor=1)
 
-    def test_reorder_bumps_plan_generation(self, u):
+    def test_invalidate_plans_bumps_plan_generation(self, u):
         before = u.plan_generation
         u.invalidate_plans()
         assert u.plan_generation == before + 1

@@ -131,8 +131,6 @@ class TestOpenUniverse:
                 a = u.relation_of(["src", "dst"], [(0, 1)], ["N1", "N2"])
                 b = sc.keep(a | a)
             assert b.size() == 1
-            u.enable_reorder(threshold=10**9)
-            u.disable_reorder()
 
 
 class TestEqualityAcrossUniverses:
