@@ -38,9 +38,11 @@ ATTRS = ["a", "b", "c", "d", "e", "f"]
 PHYSDOMS = ["P1", "P2", "P3", "P4", "P5", "P6"]
 DOMAIN_SIZE = 8
 
-#: The tier-1 run's chain seeds: 1000 distinct randomized chains.  The
-#: kernel stress job adds longer ones.
-SEEDS = list(range(500)) + list(range(90_000, 90_500))
+#: The tier-1 run's chain seeds: 1000 distinct randomized chains in two
+#: banks of 500, each run by its own test below.  The kernel stress job
+#: adds longer ones.
+PLAIN_SEEDS = range(500)
+MTBDD_SEEDS = range(90_000, 90_500)
 N_CHAINS_STRESS = 250
 OPS_PER_CHAIN = 6
 OPS_PER_CHAIN_STRESS = 14
@@ -357,17 +359,29 @@ def run_chain(seed, n_ops, chain_index=0):
         universes[lane].manager.check_integrity()
 
 
-# Twenty batches keep single-test runtimes small while totalling the
-# 1000 chains of SEEDS.
-BATCHES = 20
+# Ten batches per seed bank keep single-test runtimes small.
+BATCHES = 10
+
+
+def _run_batch(seeds, batch):
+    per_batch = len(seeds) // BATCHES
+    base = batch * per_batch
+    for i in range(per_batch):
+        run_chain(seeds[base + i], OPS_PER_CHAIN, chain_index=base + i)
+
+
+@pytest.mark.parametrize("batch", range(BATCHES), ids=lambda b: f"{b}-plain")
+def test_differential_chains(batch):
+    """Seeds 0-499, every lane (the ``<batch>-plain`` ids are the ones
+    these seeds have always run under)."""
+    _run_batch(PLAIN_SEEDS, batch)
 
 
 @pytest.mark.parametrize("batch", range(BATCHES))
-def test_differential_chains(batch):
-    per_batch = len(SEEDS) // BATCHES
-    base = batch * per_batch
-    for i in range(per_batch):
-        run_chain(SEEDS[base + i], OPS_PER_CHAIN, chain_index=base + i)
+def test_differential_chains_mtbdd(batch):
+    """Seeds 90,000-90,499, every lane; the CI mtbdd job selects these
+    with ``-k mtbdd``."""
+    _run_batch(MTBDD_SEEDS, batch)
 
 
 @pytest.mark.kernel_stress
