@@ -39,6 +39,22 @@ nodes.  Collection is never triggered implicitly in the middle of an
 operation; the Jedd runtime calls :meth:`BDDManager.maybe_gc` at operation
 boundaries, which is sound because at that point every live BDD is pinned
 by a reference count (see ``repro.relations.containers``).
+
+Hot paths
+---------
+
+``and``/``or``/``diff``/``xor``, ``and_exist``, ``exist`` and
+``replace`` each recurse through a closure over locals bound once per
+top-level call (node arrays, unique table, free list, the op's cache,
+``stats``, ``cache_limit``), never in ``__init__``: subclasses swap the
+arrays or the stats object after construction, and ``cache_limit`` may
+change between calls.  They build nodes with :meth:`~BDDManager.mk`
+inlined, so a subclass that overrides ``mk`` overrides them too (the
+ooc kernel does); every other builder keeps calling ``self.mk``.  The
+quantifier-suffix and permutation ids that key their caches are shared
+across calls and survive :meth:`~BDDManager.gc`.  Hit/miss counters and
+``nodes_created`` are those of the plain recursions.  See "Reference
+kernel hot paths" in docs/KERNEL.md.
 """
 
 from __future__ import annotations
@@ -138,10 +154,16 @@ class BDDManager:
         # Operation caches (cleared by gc()).
         self._apply_cache: Dict[Tuple[int, int, int], int] = {}
         self._not_cache: Dict[int, int] = {}
-        self._exist_cache: Dict[Tuple[int, Tuple[int, ...]], int] = {}
-        self._and_exist_cache: Dict[Tuple[int, int, Tuple[int, ...]], int] = {}
-        self._replace_cache: Dict[Tuple[int, Tuple[Tuple[int, int], ...]], int] = {}
+        # exist/and_exist/replace entries are keyed by the operand node(s)
+        # and an id from _key_ids (see _quantifier_keys).
+        self._exist_cache: Dict[Tuple[int, int], int] = {}
+        self._and_exist_cache: Dict[Tuple[int, int, int], int] = {}
+        self._replace_cache: Dict[Tuple[int, int], int] = {}
         self._count_cache: Dict[Tuple[int, int], int] = {}
+        #: Interned ids of the quantifier suffixes and permutations that
+        #: key those caches.  Manager-wide and never cleared (gc() keeps
+        #: it): equal tuples get equal ids in every call.
+        self._key_ids: Dict[tuple, int] = {}
         self.gc_threshold = gc_threshold
         #: Entry bound per operation cache (``None`` = unbounded).
         self.cache_limit = cache_limit
@@ -355,54 +377,99 @@ class BDDManager:
         return self._apply(_OP_XOR, a, b)
 
     def _apply(self, op: int, a: int, b: int) -> int:
-        # Terminal short-cuts.
-        if op == _OP_AND:
-            if a == FALSE or b == FALSE:
-                return FALSE
-            if a == TRUE:
-                return b
-            if b == TRUE:
-                return a
-            if a == b:
-                return a
-        elif op == _OP_OR:
-            if a == TRUE or b == TRUE:
-                return TRUE
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-            if a == b:
-                return a
-        elif op == _OP_DIFF:
-            if a == FALSE or b == TRUE or a == b:
-                return FALSE
-            if b == FALSE:
-                return a
-        elif op == _OP_XOR:
-            if a == b:
-                return FALSE
-            if a == FALSE:
-                return b
-            if b == FALSE:
-                return a
-        # Normalise commutative operations for better cache hit rates.
-        if op in (_OP_AND, _OP_OR, _OP_XOR) and a > b:
-            a, b = b, a
-        key = (op, a, b)
-        cached = self._apply_cache.get(key)
-        if cached is not None:
-            self.stats.op_hits[op] += 1
-            return cached
-        self.stats.op_misses[op] += 1
-        la, lb = self._level[a], self._level[b]
-        level = min(la, lb)
-        a0, a1 = (self._low[a], self._high[a]) if la == level else (a, a)
-        b0, b1 = (self._low[b], self._high[b]) if lb == level else (b, b)
-        result = self.mk(
-            level, self._apply(op, a0, b0), self._apply(op, a1, b1)
+        return self._apply_rec(op)(a, b)
+
+    def _apply_rec(self, op: int) -> Callable[[int, int], int]:
+        """The apply recursion of ``op``, bound to the current tables
+        (see "Hot paths" in the module docstring)."""
+        level_of, low_of, high_of, refs = (
+            self._level, self._low, self._high, self._refs
         )
-        return self._cache_store(self._apply_cache, key, result)
+        unique, free = self._unique, self._free
+        cache = self._apply_cache
+        stats = self.stats
+        hits, misses = stats.op_hits, stats.op_misses
+        limit = self.cache_limit
+        # Normalise commutative operations for better cache hit rates.
+        commutative = op != _OP_DIFF
+
+        def rec(a: int, b: int) -> int:
+            # Terminal short-cuts.
+            if op == _OP_AND:
+                if a == FALSE or b == FALSE:
+                    return FALSE
+                if a == TRUE:
+                    return b
+                if b == TRUE or a == b:
+                    return a
+            elif op == _OP_OR:
+                if a == TRUE or b == TRUE:
+                    return TRUE
+                if a == FALSE:
+                    return b
+                if b == FALSE or a == b:
+                    return a
+            elif op == _OP_DIFF:
+                if a == FALSE or b == TRUE or a == b:
+                    return FALSE
+                if b == FALSE:
+                    return a
+            else:  # _OP_XOR
+                if a == b:
+                    return FALSE
+                if a == FALSE:
+                    return b
+                if b == FALSE:
+                    return a
+            if commutative and a > b:
+                a, b = b, a
+            key = (op, a, b)
+            result = cache.get(key)
+            if result is not None:
+                hits[op] += 1
+                return result
+            misses[op] += 1
+            la = level_of[a]
+            lb = level_of[b]
+            level = la if la < lb else lb
+            if la == level:
+                a0 = low_of[a]
+                a1 = high_of[a]
+            else:
+                a0 = a1 = a
+            if lb == level:
+                b0 = low_of[b]
+                b1 = high_of[b]
+            else:
+                b0 = b1 = b
+            low = rec(a0, b0)
+            high = rec(a1, b1)
+            if low == high:
+                result = low
+            else:  # mk, inlined
+                node_key = (level, low, high)
+                result = unique.get(node_key)
+                if result is None:
+                    if free:
+                        result = free.pop()
+                        level_of[result] = level
+                        low_of[result] = low
+                        high_of[result] = high
+                        refs[result] = 0
+                    else:
+                        result = len(level_of)
+                        level_of.append(level)
+                        low_of.append(low)
+                        high_of.append(high)
+                        refs.append(0)
+                    unique[node_key] = result
+                    stats.nodes_created += 1
+            if limit is not None and len(cache) >= limit:
+                cache.clear()
+            cache[key] = result
+            return result
+
+        return rec
 
     def apply_not(self, a: int) -> int:
         """Complement (the full relation minus ``a``)."""
@@ -452,30 +519,79 @@ class BDDManager:
             return a
         return self._exist(a, lv)
 
+    def _quantifier_keys(self, levels: Tuple[int, ...]) -> List[int]:
+        """Per-level cache-key ids for quantifying the sorted ``levels``.
+
+        Entry ``t`` (for ``t <= levels[-1]``) stands for the suffix of
+        ``levels`` at or below level ``t``: its interned id in
+        :attr:`_key_ids`, complemented (``~id``, negative) where level
+        ``t`` is itself quantified.  A node's level fixes the entry, so
+        ``(node, entry)`` keys the cache exactly as ``(node, suffix)``
+        would, without a fresh tuple per node.
+        """
+        ids = self._key_ids
+        table: List[int] = []
+        for i, level in enumerate(levels):
+            sid = ids.setdefault(levels[i:], len(ids))
+            table += [sid] * (level - len(table))
+            table.append(~sid)
+        return table
+
     def _exist(self, a: int, levels: Tuple[int, ...]) -> int:
-        if self.is_terminal(a):
-            return a
-        la = self._level[a]
-        # Drop quantified levels above this node: they no longer occur.
-        idx = 0
-        while idx < len(levels) and levels[idx] < la:
-            idx += 1
-        levels = levels[idx:]
-        if not levels:
-            return a
-        key = (a, levels)
-        cached = self._exist_cache.get(key)
-        if cached is not None:
-            self.stats.exist_hits += 1
-            return cached
-        self.stats.exist_misses += 1
-        low = self._exist(self._low[a], levels)
-        high = self._exist(self._high[a], levels)
-        if la == levels[0]:
-            result = self.apply_or(low, high)
-        else:
-            result = self.mk(la, low, high)
-        return self._cache_store(self._exist_cache, key, result)
+        level_of, low_of, high_of, refs = (
+            self._level, self._low, self._high, self._refs
+        )
+        unique, free = self._unique, self._free
+        cache = self._exist_cache
+        stats = self.stats
+        limit = self.cache_limit
+        apply_or = self._apply_rec(_OP_OR)
+        keys = self._quantifier_keys(levels)
+        last = levels[-1]
+
+        def rec(a: int) -> int:
+            la = level_of[a]
+            # No quantified level at or below this node (terminals sit
+            # below every level).
+            if la > last:
+                return a
+            qkey = keys[la]
+            key = (a, qkey)
+            result = cache.get(key)
+            if result is not None:
+                stats.exist_hits += 1
+                return result
+            stats.exist_misses += 1
+            low = rec(low_of[a])
+            high = rec(high_of[a])
+            if qkey < 0:  # la is quantified
+                result = apply_or(low, high)
+            elif low == high:
+                result = low
+            else:  # mk, inlined
+                node_key = (la, low, high)
+                result = unique.get(node_key)
+                if result is None:
+                    if free:
+                        result = free.pop()
+                        level_of[result] = la
+                        low_of[result] = low
+                        high_of[result] = high
+                        refs[result] = 0
+                    else:
+                        result = len(level_of)
+                        level_of.append(la)
+                        low_of.append(low)
+                        high_of.append(high)
+                        refs.append(0)
+                    unique[node_key] = result
+                    stats.nodes_created += 1
+            if limit is not None and len(cache) >= limit:
+                cache.clear()
+            cache[key] = result
+            return result
+
+        return rec(a)
 
     def and_exist(self, a: int, b: int, variables: Iterable[int]) -> int:
         """``exist(a AND b, variables)`` in one pass (relational composition).
@@ -495,35 +611,86 @@ class BDDManager:
             return FALSE
         if a == TRUE and b == TRUE:
             return TRUE
-        la, lb = self._level[a], self._level[b]
-        top = min(la, lb)
-        idx = 0
-        while idx < len(levels) and levels[idx] < top:
-            idx += 1
-        levels = levels[idx:]
-        if not levels:
-            return self.apply_and(a, b)
-        if a > b:  # AND is commutative
-            a, b = b, a
-            la, lb = lb, la
-        key = (a, b, levels)
-        cached = self._and_exist_cache.get(key)
-        if cached is not None:
-            self.stats.and_exist_hits += 1
-            return cached
-        self.stats.and_exist_misses += 1
-        a0, a1 = (self._low[a], self._high[a]) if la == top else (a, a)
-        b0, b1 = (self._low[b], self._high[b]) if lb == top else (b, b)
-        low = self._and_exist(a0, b0, levels)
-        if top == levels[0]:
-            # Quantified level: OR the cofactors.  Short-circuit on TRUE.
-            if low == TRUE:
-                result = TRUE
+        level_of, low_of, high_of, refs = (
+            self._level, self._low, self._high, self._refs
+        )
+        unique, free = self._unique, self._free
+        cache = self._and_exist_cache
+        stats = self.stats
+        limit = self.cache_limit
+        apply_and = self._apply_rec(_OP_AND)
+        apply_or = self._apply_rec(_OP_OR)
+        keys = self._quantifier_keys(levels)
+        last = levels[-1]
+
+        def rec(a: int, b: int) -> int:
+            # Callers pass no FALSE operand; TRUE AND TRUE falls through
+            # to apply_and, below every level.
+            la = level_of[a]
+            lb = level_of[b]
+            top = la if la < lb else lb
+            if top > last:  # nothing left to quantify
+                return apply_and(a, b)
+            if a > b:  # AND is commutative
+                a, b, la, lb = b, a, lb, la
+            qkey = keys[top]
+            key = (a, b, qkey)
+            result = cache.get(key)
+            if result is not None:
+                stats.and_exist_hits += 1
+                return result
+            stats.and_exist_misses += 1
+            if la == top:
+                a0 = low_of[a]
+                a1 = high_of[a]
             else:
-                result = self.apply_or(low, self._and_exist(a1, b1, levels))
-        else:
-            result = self.mk(top, low, self._and_exist(a1, b1, levels))
-        return self._cache_store(self._and_exist_cache, key, result)
+                a0 = a1 = a
+            if lb == top:
+                b0 = low_of[b]
+                b1 = high_of[b]
+            else:
+                b0 = b1 = b
+            low = FALSE if a0 == FALSE or b0 == FALSE else rec(a0, b0)
+            if qkey < 0:
+                # Quantified level: OR the cofactors.  Short-circuit on TRUE.
+                if low == TRUE:
+                    result = TRUE
+                else:
+                    high = FALSE if a1 == FALSE or b1 == FALSE else rec(a1, b1)
+                    if low == FALSE or high == TRUE:
+                        result = high
+                    elif high == FALSE or low == high:
+                        result = low
+                    else:
+                        result = apply_or(low, high)
+            else:
+                high = FALSE if a1 == FALSE or b1 == FALSE else rec(a1, b1)
+                if low == high:
+                    result = low
+                else:  # mk, inlined
+                    node_key = (top, low, high)
+                    result = unique.get(node_key)
+                    if result is None:
+                        if free:
+                            result = free.pop()
+                            level_of[result] = top
+                            low_of[result] = low
+                            high_of[result] = high
+                            refs[result] = 0
+                        else:
+                            result = len(level_of)
+                            level_of.append(top)
+                            low_of.append(low)
+                            high_of.append(high)
+                            refs.append(0)
+                        unique[node_key] = result
+                        stats.nodes_created += 1
+            if limit is not None and len(cache) >= limit:
+                cache.clear()
+            cache[key] = result
+            return result
+
+        return rec(a, b)
 
     # ------------------------------------------------------------------
     # Variable permutation (physical domain moves)
@@ -552,32 +719,62 @@ class BDDManager:
             self._check_var(old)
             self._check_var(new)
         key_perm = tuple(sorted(perm.items()))
+        ids = self._key_ids
+        pkey = ids.setdefault(key_perm, len(ids))
+        level_of, low_of, high_of, refs = (
+            self._level, self._low, self._high, self._refs
+        )
+        unique, free = self._unique, self._free
+        cache = self._replace_cache
+        stats = self.stats
+        limit = self.cache_limit
+        mk, ite = self.mk, self.ite
         memo: Dict[int, int] = {}
 
         def rec(node: int) -> int:
-            if self.is_terminal(node):
+            low = low_of[node]
+            if low < 0:  # a terminal
                 return node
-            cached = self._replace_cache.get((node, key_perm))
-            if cached is not None:
-                self.stats.replace_hits += 1
-                return cached
-            hit = memo.get(node)
-            if hit is not None:
-                return hit
-            self.stats.replace_misses += 1
-            level = self._level[node]
+            key = (node, pkey)
+            result = cache.get(key)
+            if result is not None:
+                stats.replace_hits += 1
+                return result
+            result = memo.get(node)
+            if result is not None:
+                return result
+            stats.replace_misses += 1
+            level = level_of[node]
             new_level = perm.get(level, level)
-            low = rec(self._low[node])
-            high = rec(self._high[node])
-            lv = self._level
-            if lv[low] > new_level and lv[high] > new_level:
-                result = self.mk(new_level, low, high)
-            else:
-                result = self.ite(self.mk(new_level, FALSE, TRUE), high, low)
+            low = rec(low)
+            high = rec(high_of[node])
+            if level_of[low] <= new_level or level_of[high] <= new_level:
+                result = ite(mk(new_level, FALSE, TRUE), high, low)
+            elif low == high:
+                result = low
+            else:  # mk, inlined
+                node_key = (new_level, low, high)
+                result = unique.get(node_key)
+                if result is None:
+                    if free:
+                        result = free.pop()
+                        level_of[result] = new_level
+                        low_of[result] = low
+                        high_of[result] = high
+                        refs[result] = 0
+                    else:
+                        result = len(level_of)
+                        level_of.append(new_level)
+                        low_of.append(low)
+                        high_of.append(high)
+                        refs.append(0)
+                    unique[node_key] = result
+                    stats.nodes_created += 1
             memo[node] = result
-            return self._cache_store(
-                self._replace_cache, (node, key_perm), result
-            )
+            if limit is not None and len(cache) >= limit:
+                cache.clear()
+            cache[key] = result
+            return result
 
         return rec(a)
 

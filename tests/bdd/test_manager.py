@@ -446,3 +446,47 @@ class TestCacheLimit:
         m.cache_limit = 1
         m.apply_and(m.var(2), m.var(3))
         assert len(m._apply_cache) <= 1
+
+    # The quantifier and permutation caches honour the bound too.
+
+    @staticmethod
+    def _quantify_and_rename(mgr):
+        """and_exist, exist and replace over a few overlapping functions;
+        returns each result's truth table over the manager's 8 variables."""
+        f = mgr.apply_or(
+            mgr.apply_and(mgr.var(0), mgr.var(3)),
+            mgr.apply_and(mgr.var(5), mgr.nvar(6)),
+        )
+        g = mgr.apply_or(mgr.apply_and(mgr.var(3), mgr.nvar(1)), mgr.var(7))
+        results = [
+            mgr.and_exist(f, g, [3, 5]),
+            mgr.and_exist(g, f, [0, 3, 7]),
+            mgr.exist(f, [3, 6]),
+            mgr.exist(mgr.apply_and(f, g), [0, 1, 5]),
+            mgr.replace(f, {0: 2, 3: 4, 5: 1}),
+            mgr.replace(g, {7: 0, 3: 6, 1: 5}),
+        ]
+        return [
+            [mgr.eval(r, lambda v, bits=bits: bool(bits >> v & 1))
+             for bits in range(1 << 8)]
+            for r in results
+        ]
+
+    @pytest.mark.parametrize("limit", [1, 2, 5])
+    def test_bounded_quantifier_and_replace_caches_preserve_results(self, limit):
+        bounded = BDDManager(8, cache_limit=limit)
+        free = BDDManager(8)
+        assert self._quantify_and_rename(bounded) == self._quantify_and_rename(free)
+        assert bounded.stats.and_exist_misses > free.stats.and_exist_misses
+
+    @pytest.mark.parametrize(
+        "cache", ["_apply_cache", "_and_exist_cache", "_exist_cache", "_replace_cache"]
+    )
+    def test_limit_set_after_construction_bounds_each_cache(self, cache):
+        m = BDDManager(8)
+        self._quantify_and_rename(m)
+        assert len(getattr(m, cache)) > 1
+        m.gc()
+        m.cache_limit = 1
+        self._quantify_and_rename(m)
+        assert len(getattr(m, cache)) <= 1
