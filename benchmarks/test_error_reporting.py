@@ -63,6 +63,17 @@ def test_error_message_shape():
     assert message.endswith("over physical domain T1")
 
 
+def test_error_message_is_pinned():
+    """The message byte for byte: the unsat core (and with it the
+    attributes the message names) depends on the solver's search."""
+    with pytest.raises(AssignmentError) as err:
+        compile_source(BROKEN)
+    assert str(err.value) == (
+        "Conflict between Compose_expression:rectype at 18,21 and "
+        "Compose_expression:supertype at 18,21 over physical domain T1"
+    )
+
+
 def test_fix_compiles_and_assigns_t3():
     compiled = compile_source(FIXED)
     result_var = compiled.tp.lookup_var(None, "result")

@@ -3,8 +3,8 @@
 For each of the five analyses (and all five combined), reports the
 number of relational expressions, attributes and physical domains, the
 conflict/equality/assignment constraint counts, the SAT problem size
-(equality components, variables, clauses, literals), and the solving
-time.  The SAT columns describe the equality quotient's CNF: one set of
+(equality components, variables, clauses, literals), the solver's
+conflicts and decisions, and the solving time.  The SAT columns describe the equality quotient's CNF: one set of
 ``e_c:p`` variables per equality component (Comps), where the paper's
 encoding has one per attribute.
 
@@ -26,7 +26,8 @@ from repro.jedd.typecheck import check
 HEADER = (
     f"{'Analysis':26s} {'Exprs':>6s} {'Attrs':>6s} {'Doms':>5s} "
     f"{'Confl':>6s} {'Equal':>6s} {'Assig':>6s} {'Comps':>6s} "
-    f"{'Vars':>7s} {'Clauses':>8s} {'Lits':>8s} {'Time(s)':>8s}"
+    f"{'Vars':>7s} {'Clauses':>8s} {'Lits':>8s} {'Conflicts':>9s} "
+    f"{'Decisions':>9s} {'Time(s)':>8s}"
 )
 
 
@@ -37,6 +38,7 @@ def _row(name, stats):
         f"{stats['equality']:6d} {stats['assignment']:6d} "
         f"{stats['sat_components']:6d} {stats['sat_vars']:7d} "
         f"{stats['sat_clauses']:8d} {stats['sat_literals']:8d} "
+        f"{stats['conflicts']:9d} {stats['decisions']:9d} "
         f"{stats['solve_seconds']:8.3f}"
     )
 

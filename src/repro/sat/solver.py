@@ -4,15 +4,29 @@ The paper delegates the (NP-complete) physical domain assignment problem
 to the zchaff solver and uses zchaff's *unsatisfiable core extraction*
 [30] to produce meaningful error messages (section 3.3.3).  This module
 is the reproduction's solver: conflict-driven clause learning with
-two-watched-literal propagation, first-UIP learning, VSIDS-style
-activities, phase saving, and Luby restarts.
+two-watched-literal propagation, first-UIP learning, chronological
+backtracking, VSIDS-style activities, phase saving, and Luby restarts.
+
+Backtracking is chronological (Nadel and Ryvchin, "Chronological
+Backtracking", SAT 2018, with the corrections of Moehle and Biere,
+"Backing Backtracking", SAT 2019).  An implied literal takes the highest
+level among its reason's other literals, which can be below the current
+decision level, so levels on the trail are not sorted.  A conflict's
+level is the highest level in the conflicting clause, and the solver
+undoes that level only: with one literal there, the clause implies it
+at the second-highest level; otherwise the first-UIP clause learned
+against the conflict level implies its asserting literal at its
+backjump level.  A learned unit thus goes to level 0 while the
+decisions below the conflict stay, where a jump to level 0 would undo
+them and, through phase saving, make nearly all of them again.
 
 Core extraction works by tracking, for every learned clause, the set of
 *original* clause indices used in its derivation (the leaves of the
-resolution proof).  When a conflict is derived at decision level 0, the
-union of the conflict's origins with the origin closures of its
-falsifying level-0 assignments is an unsatisfiable subset of the input
--- the core reported to the caller.  Like zchaff's, the core is small in
+resolution proof).  When a conflict has all its literals at level 0
+(whatever the current decision level), the union of the conflict's
+origins with the origin closures of its falsifying level-0 assignments
+is an unsatisfiable subset of the input -- the core reported to the
+caller.  Like zchaff's, the core is small in
 practice but not guaranteed minimal.
 """
 
@@ -208,13 +222,22 @@ class Solver:
         return len(self.trail_lim)
 
     def _assign(
-        self, lit: int, reason_cid: Optional[int], unit_origin: Optional[int]
+        self,
+        lit: int,
+        reason_cid: Optional[int],
+        unit_origin: Optional[int],
+        level: Optional[int] = None,
     ) -> None:
+        """Assign ``lit`` at ``level``, by default the current decision
+        level.  A level-0 assignment also gets its origin closure, whatever
+        the current decision level."""
         var = lit if lit > 0 else -lit
         self.lval[lit] = True
         self.lval[-lit] = False
         self.reason[var] = reason_cid
-        level = self.level[var] = len(self.trail_lim)
+        if level is None:
+            level = len(self.trail_lim)
+        self.level[var] = level
         self.saved_phase[var] = lit > 0
         if level == 0:
             acc: Set[int] = set()
@@ -229,23 +252,35 @@ class Solver:
         self.trail.append(lit)
 
     def _backtrack(self, target_level: int) -> None:
+        """Undo every assignment above ``target_level``.
+
+        Implied literals can sit above the decisions of higher levels, so
+        the undone part of the trail may hold literals at or below
+        ``target_level``; they stay, in trail order, and propagate again.
+        """
         trail, trail_lim = self.trail, self.trail_lim
-        if len(trail_lim) > target_level:
-            boundary = trail_lim[target_level]
-            del trail_lim[target_level:]
-            undone = trail[boundary:]
-            del trail[boundary:]
-            lval, reason = self.lval, self.reason
-            activity, queued, order = self.activity, self.queued, self.order
-            for lit in undone:
-                lval[lit] = lval[-lit] = None
-                var = lit if lit > 0 else -lit
-                reason[var] = None
-                a = activity[var]
-                if queued[var] != a:
-                    queued[var] = a
-                    heapq.heappush(order, (-a, var))
-        self.prop_head = len(trail)
+        if len(trail_lim) <= target_level:
+            return
+        boundary = trail_lim[target_level]
+        del trail_lim[target_level:]
+        kept: List[int] = []
+        lval, reason, level = self.lval, self.reason, self.level
+        activity, queued, order = self.activity, self.queued, self.order
+        for lit in trail[boundary:]:
+            var = lit if lit > 0 else -lit
+            if level[var] <= target_level:
+                kept.append(lit)
+                continue
+            lval[lit] = lval[-lit] = None
+            reason[var] = None
+            a = activity[var]
+            if queued[var] != a:
+                queued[var] = a
+                heapq.heappush(order, (-a, var))
+        del trail[boundary:]
+        trail.extend(kept)
+        if self.prop_head > boundary:
+            self.prop_head = boundary
 
     # ------------------------------------------------------------------
     # Propagation (two watched literals)
@@ -254,6 +289,8 @@ class Solver:
     def _propagate(self) -> Optional[int]:
         """Propagate pending assignments; returns a conflicting cid or None.
 
+        An implied literal takes the highest level among its reason's
+        other literals, which may be below the current decision level.
         Above level 0 the implied assignments are made inline; at level 0
         they go through :meth:`_assign`, which builds origin closures.
 
@@ -312,14 +349,25 @@ class Solver:
                     watching[w] = cid
                     w += 1
                 if first_val is None:
-                    if dl == 0:
-                        self._assign(first, cid, None)
+                    # Implied at the highest level among the clause's
+                    # other literals, all false; ``false_lit`` is one.
+                    lvl = level[lit if lit > 0 else -lit]
+                    if lvl < dl and len(clause) > 2:
+                        for k in range(2, len(clause)):
+                            other = clause[k]
+                            k_lvl = level[other if other > 0 else -other]
+                            if k_lvl > lvl:
+                                lvl = k_lvl
+                                if lvl == dl:
+                                    break
+                    if lvl == 0:
+                        self._assign(first, cid, None, 0)
                     else:
                         lval[first] = True
                         lval[-first] = False
                         var = first if first > 0 else -first
                         reason[var] = cid
-                        level[var] = dl
+                        level[var] = lvl
                         phase[var] = first > 0
                         trail.append(first)
                 elif first_val is False:
@@ -367,8 +415,16 @@ class Solver:
         order.sort()
         self.order = order
 
-    def _analyze(self, conflict_cid: int) -> Tuple[List[int], int, FrozenSet[int]]:
-        """Derive a 1UIP clause; returns (learnt, backjump_level, origins)."""
+    def _analyze(
+        self, conflict_cid: int, conflict_level: int
+    ) -> Tuple[List[int], int, FrozenSet[int]]:
+        """Derive a 1UIP clause; returns (learnt, backjump_level, origins).
+
+        The conflict clause has two or more literals at ``conflict_level``,
+        its highest level.  Literals of other levels can sit among that
+        level's on the trail, so the walk looks for marked literals of
+        ``conflict_level`` only; literals above it are never marked.
+        """
         clauses, zero = self.clauses, self.zero_origins
         level, trail = self.level, self.trail
         bump = self._bump
@@ -380,7 +436,6 @@ class Solver:
         lits = clauses[conflict_cid]
         trail_idx = len(trail) - 1
         p: Optional[int] = None
-        current = len(self.trail_lim)
         while True:
             for q in lits:
                 if q == p:
@@ -393,16 +448,17 @@ class Solver:
                 if not seen[var]:
                     seen[var] = True
                     bump(var)
-                    if q_level == current:
+                    if q_level == conflict_level:
                         counter += 1
                     else:
                         learnt.append(q)
-            # Walk the trail back to the next marked literal.
-            while not seen[abs(trail[trail_idx])]:
+            # Walk the trail back to the next marked conflict-level literal.
+            while True:
+                p = trail[trail_idx]
                 trail_idx -= 1
-            p = trail[trail_idx]
-            p_var = abs(p)
-            trail_idx -= 1
+                p_var = p if p > 0 else -p
+                if seen[p_var] and level[p_var] == conflict_level:
+                    break
             seen[p_var] = False
             counter -= 1
             if counter == 0:
@@ -422,6 +478,61 @@ class Solver:
         for lit in self.clauses[conflict_cid]:
             acc.update(self.zero_origins[abs(lit)])
         return sorted(acc)
+
+    def check_trail(self) -> List[str]:
+        """The trail's invariants, as a list of violations (empty if all
+        hold); the solver's counterpart of ``BDDManager.check_integrity``,
+        for tests:
+
+        * every literal on the trail is true, and no variable is on it
+          twice;
+        * every decision sits at its ``trail_lim`` position, at its level;
+        * every implied literal's level is the highest level among its
+          reason's other literals, which are all false;
+        * every reasonless literal off ``trail_lim`` is at level 0;
+        * every level-0 literal has a nonempty ``zero_origins`` entry.
+        """
+        problems: List[str] = []
+        lval, level, reason = self.lval, self.level, self.reason
+        decision_at = {pos: i + 1 for i, pos in enumerate(self.trail_lim)}
+        if len(decision_at) != len(self.trail_lim) or any(
+            pos >= len(self.trail) for pos in decision_at
+        ):
+            problems.append(f"bad trail_lim {self.trail_lim}")
+        seen: Set[int] = set()
+        for pos, lit in enumerate(self.trail):
+            var = abs(lit)
+            if var in seen:
+                problems.append(f"variable {var} is on the trail twice")
+            seen.add(var)
+            if lval[lit] is not True:
+                problems.append(f"trail literal {lit} is not true")
+            cid, lvl = reason[var], level[var]
+            if pos in decision_at:
+                if cid is not None or lvl != decision_at[pos]:
+                    problems.append(
+                        f"decision {lit} at {pos}: reason {cid}, level {lvl},"
+                        f" expected level {decision_at[pos]}"
+                    )
+            elif cid is not None:
+                clause = self.clauses[cid]
+                if clause is None or lit not in clause:
+                    problems.append(f"{lit}'s reason {cid} does not hold it")
+                    continue
+                others = [o for o in clause if o != lit]
+                if any(lval[o] is not False for o in others):
+                    problems.append(f"{lit}'s reason {cid} is not unit")
+                implied = max((level[abs(o)] for o in others), default=0)
+                if lvl != implied:
+                    problems.append(
+                        f"{lit} implied by {cid} at level {lvl}, its "
+                        f"reason's other literals reach level {implied}"
+                    )
+            elif lvl != 0:
+                problems.append(f"reasonless {lit} at level {lvl}")
+            if lvl == 0 and not self.zero_origins[var]:
+                problems.append(f"level-0 {lit} has no origins")
+        return problems
 
     # ------------------------------------------------------------------
     # Main loop
@@ -462,7 +573,7 @@ class Solver:
                 var = abs(lit)
                 core = sorted({idx} | self.zero_origins[var])
                 return SATResult(False, core=core)
-            self._assign(lit, None, idx)
+            self._assign(lit, None, idx, 0)
         conflict = self._propagate()
         if conflict is not None:
             return SATResult(
@@ -472,13 +583,17 @@ class Solver:
                 decisions=self.n_decisions,
                 propagations=self.n_propagations,
             )
+        clauses, level = self.clauses, self.level
         restart_count = 0
         conflicts_until_restart = 64 * _luby(1)
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.n_conflicts += 1
-                if self._decision_level() == 0:
+                # Backtrack chronologically: undo the conflict level only.
+                lits = clauses[conflict]
+                conflict_level = max(level[abs(lit)] for lit in lits)
+                if conflict_level == 0:
                     return SATResult(
                         False,
                         core=self._conflict_core_at_zero(conflict),
@@ -486,9 +601,20 @@ class Solver:
                         decisions=self.n_decisions,
                         propagations=self.n_propagations,
                     )
-                learnt, backjump, origins = self._analyze(conflict)
-                self._backtrack(backjump)
-                self._learn(learnt, origins)
+                top = [l for l in lits if level[abs(l)] == conflict_level]
+                if len(top) == 1:
+                    # One literal at the conflict level: the clause implies
+                    # it at the second-highest level.
+                    forced = top[0]
+                    second = max(level[abs(l)] for l in lits if l != forced)
+                    self._backtrack(second)
+                    self._assign(forced, conflict, None, second)
+                    continue
+                learnt, backjump, origins = self._analyze(
+                    conflict, conflict_level
+                )
+                self._backtrack(conflict_level - 1)
+                self._learn(learnt, origins, backjump)
                 self.var_inc /= self.var_decay
                 self.cla_inc /= self.cla_decay
                 conflicts_until_restart -= 1
@@ -515,7 +641,11 @@ class Solver:
             lit = var if self.saved_phase[var] else -var
             self._assign(lit, None, None)
 
-    def _learn(self, learnt: List[int], origins: FrozenSet[int]) -> None:
+    def _learn(
+        self, learnt: List[int], origins: FrozenSet[int], backjump: int
+    ) -> None:
+        """Add ``learnt`` and imply its asserting literal at ``backjump``,
+        the highest level among its other literals."""
         self.n_learned += 1
         asserting = learnt[-1]
         if len(learnt) == 1:
@@ -542,7 +672,7 @@ class Solver:
             self.watches[-lit].append(cid)
         self.learned_cids.append(cid)
         self.clause_activity[cid] = self.cla_inc
-        self._assign(asserting, cid, None)
+        self._assign(asserting, cid, None, backjump)
         if len(self.learned_cids) > self.max_learned:
             self._reduce_db()
 

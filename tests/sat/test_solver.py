@@ -5,6 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat import CNF, CNFError, brute_force_solve, solve
+from repro.sat.solver import Solver
+
+
+class TrailCheckingSolver(Solver):
+    """A :class:`Solver` that checks :meth:`Solver.check_trail` after
+    every propagation, conflicting or not."""
+
+    def _propagate(self):
+        conflict = super()._propagate()
+        problems = self.check_trail()
+        assert not problems, problems
+        return conflict
+
+
+def checked_solve(cnf):
+    return TrailCheckingSolver(cnf).solve()
 
 
 def cnf_of(num_vars, clauses):
@@ -226,7 +242,7 @@ random_cnfs = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_agrees_with_brute_force(clauses):
     cnf = cnf_of(N, clauses)
-    res = solve(cnf)
+    res = checked_solve(cnf)
     brute = brute_force_solve(cnf)
     if brute is None:
         assert not res.satisfiable
@@ -239,7 +255,7 @@ def test_agrees_with_brute_force(clauses):
 @settings(max_examples=200, deadline=None)
 def test_unsat_cores_are_unsat(clauses):
     cnf = cnf_of(N, clauses)
-    res = solve(cnf)
+    res = checked_solve(cnf)
     if res.satisfiable:
         return
     assert res.core is not None and res.core
@@ -256,7 +272,7 @@ def test_solver_deterministic(clauses):
     """Two fresh solvers on one CNF return the same result, field by
     field: answer, model, core and search counters."""
     cnf = cnf_of(N, clauses)
-    first, second = solve(cnf), solve(cnf)
+    first, second = checked_solve(cnf), checked_solve(cnf)
     # SATResult is a dataclass: == compares satisfiable, model, core,
     # conflicts, decisions and propagations.
     assert first == second
@@ -272,8 +288,6 @@ class TestVSIDSRescale:
         solver._assign(lit, None, None)
 
     def test_next_decision_is_most_active_after_rescale(self):
-        from repro.sat.solver import Solver
-
         solver = Solver(CNF(3))
         solver.var_inc = 0.99e100
         # Variable 1 is bumped once, unassigned, and re-queued under its
@@ -294,8 +308,6 @@ class TestVSIDSRescale:
         assert solver._pick_branch_var() == 1
 
     def test_solve_across_rescales_stays_correct(self):
-        from repro.sat.solver import Solver
-
         # Start var_inc just below the threshold so that the first bumps
         # already rescale, then keep rescaling through a real search.
         holes = 5
@@ -343,8 +355,6 @@ class TestClauseDatabaseReduction:
         return cnf
 
     def test_reduction_triggers_and_stays_correct(self):
-        from repro.sat.solver import Solver
-
         cnf = self._hard_instance(7)
         solver = Solver(cnf)
         solver.max_learned = 30  # force frequent reductions
@@ -360,8 +370,6 @@ class TestClauseDatabaseReduction:
         assert not solve(sub).satisfiable
 
     def test_reduction_preserves_sat_answers(self):
-        from repro.sat.solver import Solver
-
         # A satisfiable instance exercised with a tiny learned budget.
         cnf = self._hard_instance(6)
         # make it satisfiable: 6 pigeons into 6 holes
@@ -388,10 +396,8 @@ class TestClauseDatabaseReduction:
 @settings(max_examples=100, deadline=None)
 def test_agrees_with_brute_force_under_tiny_db(clauses):
     """Aggressive clause deletion must never change answers."""
-    from repro.sat.solver import Solver
-
     cnf = cnf_of(N, clauses)
-    solver = Solver(cnf)
+    solver = TrailCheckingSolver(cnf)
     solver.max_learned = 2
     res = solver.solve()
     brute = brute_force_solve(cnf)
@@ -405,7 +411,8 @@ class TestRandomFuzz:
     sweep over formula shapes (varying variable count, clause count,
     and clause width), checking the full result contract each time:
     SAT answers carry a genuine model, UNSAT answers carry a core that
-    is itself unsatisfiable.
+    is itself unsatisfiable.  The trail invariants are checked after
+    every propagation.
     """
 
     N_FORMULAS = 200
@@ -431,7 +438,7 @@ class TestRandomFuzz:
         sat = unsat = 0
         for _ in range(self.N_FORMULAS):
             cnf = self._random_cnf(rng)
-            res = solve(cnf)
+            res = checked_solve(cnf)
             brute = brute_force_solve(cnf)
             assert res.satisfiable == (brute is not None), cnf.to_dimacs()
             if res.satisfiable:
