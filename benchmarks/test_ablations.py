@@ -171,57 +171,3 @@ class TestTypeFilterAblation:
             ).solve().size()
         )
         assert result >= 0
-
-
-class TestAdvisorAblation:
-    """The bit-ordering advisor (repro.profiler.advisor) vs the default
-    round-robin interleaving, measured on the Jedd-interpreted
-    points-to program."""
-
-    def _setup(self):
-        from repro.analyses.facts import synthesize
-        from repro.analyses.jedd_sources import pointsto_source
-        from repro.jedd.compiler import compile_source
-
-        facts = synthesize("advise", n_classes=60, n_signatures=10,
-                           methods_per_class=3.0, vars_per_method=3.0,
-                           assigns_per_method=3.0, seed=31)
-        c = facts.counts()
-        bits = dict(
-            type_bits=max(2, (c["classes"]).bit_length()),
-            var_bits=max(2, (c["variables"]).bit_length()),
-            obj_bits=max(2, (c["alloc_sites"]).bit_length()),
-            field_bits=max(2, (c["fields"]).bit_length()),
-        )
-        cp = compile_source(pointsto_source(**bits))
-        return facts, cp
-
-    def _run(self, facts, cp, bit_order):
-        it = cp.interpreter(bit_order=bit_order)
-        it.set_global("alloc", it.relation_of(["var", "obj"], facts.allocs))
-        it.set_global(
-            "assignEdge", it.relation_of(["dstvar", "srcvar"], facts.assigns)
-        )
-        it.set_global(
-            "storeEdge",
-            it.relation_of(["basevar", "field", "srcvar"], facts.stores),
-        )
-        it.set_global(
-            "loadEdge",
-            it.relation_of(["dstvar", "basevar", "field"], facts.loads),
-        )
-        it.call("solvePointsTo")
-        return set(it.global_relation("pt").tuples())
-
-    def test_advised_matches_default(self):
-        facts, cp = self._setup()
-        default = self._run(facts, cp, None)
-        advised = self._run(facts, cp, cp.suggested_bit_order())
-        assert default == advised
-
-    @pytest.mark.parametrize("advised", [False, True], ids=["default", "advised"])
-    def test_order_benchmark(self, benchmark, advised):
-        facts, cp = self._setup()
-        order = cp.suggested_bit_order() if advised else None
-        result = benchmark(lambda: len(self._run(facts, cp, order)))
-        assert result > 0

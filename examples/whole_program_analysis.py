@@ -12,11 +12,9 @@ and cross-checks every result against a naive set-based oracle.
 Run:  python examples/whole_program_analysis.py [preset]
       (preset one of: javac-s compress javac sablecc jedit)
 
-The analyses run on the semi-naive fixpoint engine by default; pass
-``--engine naive`` to use the original whole-relation loops instead
-(both engines produce identical relations -- the differential suite
-asserts it).  In a traced run every fixpoint round appears as a
-``fixpoint.iteration`` span carrying the per-relation delta sizes.
+The analyses run on the semi-naive fixpoint engine.  In a traced run
+every fixpoint round appears as a ``fixpoint.iteration`` span carrying
+the per-relation delta sizes.
 
 With ``--trace FILE`` the run executes under the telemetry layer: every
 phase becomes a span, kernel metrics (apply-cache hit rates, GC pauses,
@@ -83,36 +81,16 @@ def _jedd_pointsto_segment(session, facts):
     one semi-naive loop, ``repro.relations.saturate``; each round shows
     up as a ``fix.iteration`` span with per-relation delta sizes."""
     from repro.analyses import naive_points_to
-    from repro.analyses.jedd_sources import pointsto_fix_source
-    from repro.jedd.compiler import compile_source
+    from repro.analyses.jedd_sources import (
+        PointsToProgram,
+        pointsto_fix_source,
+    )
 
-    c = facts.counts()
-    bits = dict(
-        type_bits=max(2, c["classes"].bit_length()),
-        sig_bits=max(2, c["signatures"].bit_length()),
-        method_bits=max(2, len(facts.methods).bit_length()),
-        var_bits=max(2, c["variables"].bit_length()),
-        obj_bits=max(2, c["alloc_sites"].bit_length()),
-        field_bits=max(2, c["fields"].bit_length()),
-        site_bits=max(2, c["virtual_calls"].bit_length()),
-    )
     with session.span("jedd.compile", cat="host"):
-        cp = compile_source(pointsto_fix_source(**bits))
-    it = cp.interpreter()
+        program = PointsToProgram(facts, pointsto_fix_source)
+    it = program.interpreter()
     session.instrument_universe(it.universe)
-    it.set_global("alloc", it.relation_of(["var", "obj"], facts.allocs))
-    it.set_global(
-        "assignEdge", it.relation_of(["dstvar", "srcvar"], facts.assigns)
-    )
-    it.set_global(
-        "storeEdge",
-        it.relation_of(["basevar", "field", "srcvar"], facts.stores),
-    )
-    it.set_global(
-        "loadEdge",
-        it.relation_of(["dstvar", "basevar", "field"], facts.loads),
-    )
-    it.call("solvePointsTo")
+    program.solve(it)
     pt = it.global_relation("pt")
     npt, _ = naive_points_to(facts)
     assert set(pt.tuples()) == npt
@@ -129,28 +107,14 @@ def main() -> None:
     if "--trace" in argv:
         i = argv.index("--trace")
         if i + 1 >= len(argv):
-            print("usage: whole_program_analysis.py [preset] "
-                  "[--engine seminaive|naive] --trace FILE",
+            print("usage: whole_program_analysis.py [preset] --trace FILE",
                   file=sys.stderr)
             raise SystemExit(2)
         trace_path = argv[i + 1]
         argv = argv[:i] + argv[i + 2:]
-    engine = "seminaive"
-    if "--engine" in argv:
-        i = argv.index("--engine")
-        if i + 1 >= len(argv) or argv[i + 1] not in ("seminaive", "naive"):
-            print("--engine takes 'seminaive' or 'naive'", file=sys.stderr)
-            raise SystemExit(2)
-        engine = argv[i + 1]
-        argv = argv[:i] + argv[i + 2:]
-    # The command-line flags collapse into one ExecutionPolicy shared
-    # by every analysis below.
-    from repro.relations import ExecutionPolicy
-
-    policy = ExecutionPolicy(engine=engine)
     name = argv[0] if argv else "compress"
     facts = preset(name)
-    print(f"benchmark {name}: {facts.counts()} [{policy} engine]")
+    print(f"benchmark {name}: {facts.counts()}")
 
     session = telemetry.enable() if trace_path else None
 
@@ -173,9 +137,9 @@ def main() -> None:
 
     t0 = time.perf_counter()
     with _phase(session, "points-to"):
-        pta = PointsTo(au, policy=policy)
+        pta = PointsTo(au)
         pt = pta.solve()
-    print(f"[2] points-to ({engine}): {pt.count()} (var, obj) pairs in "
+    print(f"[2] points-to: {pt.count()} (var, obj) pairs in "
           f"{pta.iterations} iterations ({time.perf_counter() - t0:.3f}s); "
           f"pt BDD has {pt.node_count()} nodes")
     npt, _ = naive_points_to(facts)
@@ -183,7 +147,7 @@ def main() -> None:
 
     t0 = time.perf_counter()
     with _phase(session, "call-graph"):
-        cg = CallGraph(au, pt, policy)
+        cg = CallGraph(au, pt)
         edges = cg.build()
     print(f"[3] call graph: {edges.count()} caller/callee edges "
           f"({time.perf_counter() - t0:.3f}s)")
@@ -198,7 +162,7 @@ def main() -> None:
 
     t0 = time.perf_counter()
     with _phase(session, "side-effects"):
-        se = SideEffects(au, pt, edges, policy)
+        se = SideEffects(au, pt, edges)
         reads, writes = se.solve()
     print(f"[4] side effects: {reads.count()} reads, {writes.count()} writes "
           f"({time.perf_counter() - t0:.3f}s)")

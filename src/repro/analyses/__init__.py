@@ -5,8 +5,10 @@ the shared relational universe; ``hierarchy``, ``vcall``, ``pointsto``,
 ``callgraph`` and ``sideeffects`` implement the analyses against the
 public relational API (as jeddc-generated code would), each paired with
 a naive set-based reference used as the test oracle; ``jedd_sources``
-holds the same analyses as Jedd source text for the Table 1 benchmark;
-``lowlevel`` is the hand-coded direct-BDD baseline for Table 2.
+holds the same analyses as Jedd source text for the Table 1 benchmark,
+and runs the paper's points-to program for Table 2
+(``PointsToProgram``); ``lowlevel`` is the hand-coded direct-BDD
+baseline for Table 2.
 """
 
 from repro.analyses.callgraph import CallGraph, naive_call_graph

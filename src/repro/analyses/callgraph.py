@@ -31,7 +31,6 @@ class CallGraph:
         self.au = au
         self.pt = pt
         self.policy = ExecutionPolicy.of(policy)
-        self.engine = self.policy.engine
         self.resolver = VirtualCallResolver(au, self.policy)
         self.site_targets: Relation | None = None
         self.edges: Relation | None = None
@@ -73,25 +72,14 @@ class CallGraph:
     def reachable_from(self, roots: Relation) -> Relation:
         """Methods transitively reachable from ``roots`` (schema: method)."""
         assert self.edges is not None, "build() first"
-        if self.engine != "naive":
-            eng = FixpointEngine(self.au.universe, self.policy)
-            eng.fact("calls", self.edges)
-            eng.relation("reached", roots)
-            eng.rule("reached", ("callee",), [
-                ("reached", {"method": "caller"}),
-                ("calls", {"caller": "caller", "callee": "callee"}),
-            ])
-            return eng.solve()["reached"]
-        edges = self.edges.rename({"caller": "method"})  # (method, callee)
-        reached = roots
-        while True:
-            step = reached.compose(edges, ["method"], ["method"]).rename(
-                {"callee": "method"}
-            )
-            new = reached | step
-            if new == reached:
-                return reached
-            reached = new
+        eng = FixpointEngine(self.au.universe, self.policy)
+        eng.fact("calls", self.edges)
+        eng.relation("reached", roots)
+        eng.rule("reached", ("callee",), [
+            ("reached", {"method": "caller"}),
+            ("calls", {"caller": "caller", "callee": "callee"}),
+        ])
+        return eng.solve()["reached"]
 
 
 def naive_call_graph(facts: ProgramFacts) -> Set[Tuple[str, str]]:

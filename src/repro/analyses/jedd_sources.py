@@ -14,9 +14,12 @@ matching the fact base.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Callable, Dict, List, Optional
+
+from repro.jedd.compiler import compile_source
 
 __all__ = [
+    "PointsToProgram",
     "declarations",
     "hierarchy_source",
     "vcall_source",
@@ -25,6 +28,7 @@ __all__ = [
     "sideeffects_source",
     "combined_source",
     "ANALYSIS_SOURCES",
+    "source_widths",
 ]
 
 
@@ -441,3 +445,63 @@ ANALYSIS_SOURCES = {
     "Call Graph": callgraph_source,
     "All 5 combined": combined_source,
 }
+
+
+def source_widths(facts) -> Dict[str, int]:
+    """Domain widths (the ``**bits`` of every builder above) that hold
+    every entity of ``facts``, a :class:`~repro.analyses.facts.
+    ProgramFacts`."""
+    c = facts.counts()
+    return dict(
+        type_bits=max(2, c["classes"].bit_length()),
+        sig_bits=max(2, c["signatures"].bit_length()),
+        method_bits=max(2, len(facts.methods).bit_length()),
+        var_bits=max(2, c["variables"].bit_length()),
+        obj_bits=max(2, c["alloc_sites"].bit_length()),
+        field_bits=max(2, c["fields"].bit_length()),
+        site_bits=max(2, c["virtual_calls"].bit_length()),
+    )
+
+
+class PointsToProgram:
+    """A points-to program compiled by jeddc's front end for ``facts``
+    and run by the interpreter.
+
+    ``source`` is a builder taking the widths of :func:`source_widths`
+    (by default :func:`pointsto_source`, the paper's do/while loop);
+    ``bit_order`` is passed to every interpreter, as
+    ``CompiledProgram.interpreter(bit_order=...)``.  Compiling happens
+    once, here; :meth:`solve` runs the program.
+    """
+
+    def __init__(
+        self,
+        facts,
+        source: Callable[..., str] = pointsto_source,
+        bit_order: Optional[List[List[str]]] = None,
+    ) -> None:
+        self.facts = facts
+        self.bit_order = bit_order
+        self.compiled = compile_source(source(**source_widths(facts)))
+
+    def interpreter(self):
+        """A fresh interpreter (its own universe) for the program."""
+        return self.compiled.interpreter(bit_order=self.bit_order)
+
+    def solve(self, it=None):
+        """Load the facts as ``alloc``/``assignEdge``/``storeEdge``/
+        ``loadEdge`` into ``it`` (a fresh :meth:`interpreter` when
+        None), run ``solvePointsTo`` and return the interpreter; its
+        ``pt`` and ``hpt`` globals hold the answer."""
+        if it is None:
+            it = self.interpreter()
+        facts = self.facts
+        for name, attrs, tuples in (
+            ("alloc", ["var", "obj"], facts.allocs),
+            ("assignEdge", ["dstvar", "srcvar"], facts.assigns),
+            ("storeEdge", ["basevar", "field", "srcvar"], facts.stores),
+            ("loadEdge", ["dstvar", "basevar", "field"], facts.loads),
+        ):
+            it.set_global(name, it.relation_of(attrs, tuples))
+        it.call("solvePointsTo")
+        return it

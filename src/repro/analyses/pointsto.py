@@ -13,16 +13,15 @@ Rules iterated to a simultaneous fixpoint:
 3. field store:  ``b.f = s``              => hpt(o_b, f, o_s)
 4. field load:   ``d = b.f``              => pt(d, *) >= hpt(pt(b), f, *)
 
-By default the rules run on the semi-naive
+The rules run on the semi-naive
 :class:`~repro.relations.fixpoint.FixpointEngine` (each round joins
 only the previous round's delta), with rules 3 and 4 split through the
 intermediate joins ``sp(baseobj, field, srcvar)`` and
 ``lp(dstvar, field, baseobj)`` so that every rule body is one binary
-join, as in the hand-coded solver; how they run is one
-:class:`~repro.relations.ExecutionPolicy` value —
-``policy="naive"`` selects the original whole-relation loop, kept for
-differential testing.  The naive version runs the same chaotic
-iteration on Python sets.
+join, as in the hand-coded solver.  The whole-relation loop of the
+paper is its own Jedd program (``jedd_sources.POINTSTO_BODY``);
+:func:`naive_points_to` runs the same chaotic iteration on Python sets
+as the test oracle.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ class PointsTo:
         self.load = au.load()
         self.type_filter = type_filter
         self.policy = ExecutionPolicy.of(policy)
-        self.engine = self.policy.engine
         self.fixpoint: FixpointEngine | None = None
         self.compat: Relation | None = None
         self.pt: Relation | None = None
@@ -89,11 +87,6 @@ class PointsTo:
         """Run to fixpoint; returns ``pt`` (schema var, obj)."""
         if self.type_filter:
             self.compat = self._compatibility()
-        if self.engine != "naive":
-            return self._solve_seminaive()
-        return self._solve_naive()
-
-    def _solve_seminaive(self) -> Relation:
         au = self.au
         eng = FixpointEngine(au.universe, self.policy)
         self.fixpoint = eng
@@ -159,41 +152,6 @@ class PointsTo:
         self.hpt = solution["hpt"]
         self.iterations = eng.iterations
         return self.pt
-
-    def _solve_naive(self) -> Relation:
-        au = self.au
-        pt = self.alloc
-        if self.compat is not None:
-            pt = pt & self.compat
-        hpt = Relation.empty(
-            au.universe, ["baseobj", "field", "srcobj"], ["H1", "F1", "H2"]
-        )
-        while True:
-            self.iterations += 1
-            # rule 2: assignments (dst inherits src's points-to set)
-            flow = self.assign.compose(
-                pt.rename({"var": "srcvar"}), ["srcvar"], ["srcvar"]
-            ).rename({"dstvar": "var"})
-            new_pt = pt | flow
-            # rule 3: stores populate the heap
-            pt_base = pt.rename({"var": "basevar", "obj": "baseobj"})
-            pt_src = pt.rename({"var": "srcvar", "obj": "srcobj"})
-            s1 = self.store.compose(pt_base, ["basevar"], ["basevar"])
-            s2 = s1.compose(pt_src, ["srcvar"], ["srcvar"])
-            new_hpt = hpt | s2
-            # rule 4: loads read the heap
-            l1 = self.load.compose(pt_base, ["basevar"], ["basevar"])
-            l2 = l1.compose(
-                new_hpt, ["baseobj", "field"], ["baseobj", "field"]
-            )
-            new_pt = new_pt | l2.rename({"dstvar": "var", "srcobj": "obj"})
-            if self.type_filter:
-                new_pt = new_pt & self.compat
-            if new_pt == pt and new_hpt == hpt:
-                self.pt = pt
-                self.hpt = hpt
-                return pt
-            pt, hpt = new_pt, new_hpt
 
 
 def naive_points_to(

@@ -34,7 +34,6 @@ class SideEffects:
         self.pt = pt
         self.call_edges = call_edges  # (caller, callee)
         self.policy = ExecutionPolicy.of(policy)
-        self.engine = self.policy.engine
         self.writes: Relation | None = None
         self.reads: Relation | None = None
 
@@ -63,42 +62,25 @@ class SideEffects:
         until a fixpoint.
         """
         reads, writes = self._direct()
-        if self.engine != "naive":
-            eng = FixpointEngine(self.au.universe, self.policy)
-            eng.fact("calls", self.call_edges)
-            eng.relation("reads", reads)
-            eng.relation("writes", writes)
-            for name in ("reads", "writes"):
-                # caller inherits callee effects
-                eng.rule(
-                    name,
-                    {"method": "caller", "baseobj": "baseobj",
-                     "field": "field"},
-                    [
-                        ("calls", {"caller": "caller", "callee": "callee"}),
-                        (name, {"method": "callee", "baseobj": "baseobj",
-                                "field": "field"}),
-                    ],
-                )
-            solution = eng.solve()
-            self.reads = solution["reads"]
-            self.writes = solution["writes"]
-            return self.reads, self.writes
-        edges = self.call_edges  # (caller, callee)
-        while True:
+        eng = FixpointEngine(self.au.universe, self.policy)
+        eng.fact("calls", self.call_edges)
+        eng.relation("reads", reads)
+        eng.relation("writes", writes)
+        for name in ("reads", "writes"):
             # caller inherits callee effects
-            inherited_w = edges.compose(
-                writes.rename({"method": "callee"}), ["callee"], ["callee"]
-            ).rename({"caller": "method"})
-            inherited_r = edges.compose(
-                reads.rename({"method": "callee"}), ["callee"], ["callee"]
-            ).rename({"caller": "method"})
-            new_writes = writes | inherited_w
-            new_reads = reads | inherited_r
-            if new_writes == writes and new_reads == reads:
-                self.reads, self.writes = reads, writes
-                return reads, writes
-            reads, writes = new_reads, new_writes
+            eng.rule(
+                name,
+                {"method": "caller", "baseobj": "baseobj", "field": "field"},
+                [
+                    ("calls", {"caller": "caller", "callee": "callee"}),
+                    (name, {"method": "callee", "baseobj": "baseobj",
+                            "field": "field"}),
+                ],
+            )
+        solution = eng.solve()
+        self.reads = solution["reads"]
+        self.writes = solution["writes"]
+        return self.reads, self.writes
 
 
 def naive_side_effects(

@@ -47,8 +47,7 @@ class CompiledProgram:
         """A fresh execution engine for this program.
 
         ``bit_order`` optionally fixes the relative bit ordering of the
-        physical domains (groups of names, interleaved within a group);
-        :meth:`suggested_bit_order` derives one from the assignment.
+        physical domains (groups of names, interleaved within a group).
         """
         return Interpreter(
             self.tp,
@@ -59,12 +58,6 @@ class CompiledProgram:
             ordering=ordering,
             bit_order=bit_order,
         )
-
-    def suggested_bit_order(self):
-        """Advisor-chosen bit ordering (see repro.profiler.advisor)."""
-        from repro.profiler.advisor import suggest_bit_order_for
-
-        return suggest_bit_order_for(self)
 
     @property
     def stats(self) -> Dict[str, float]:

@@ -80,7 +80,7 @@ class Interpreter:
         for name, bits in tp.physdoms.items():
             self.universe.physical_domain(name, bits)
         if bit_order is not None:
-            # A user- or advisor-chosen relative bit ordering (3.2.1).
+            # A user-chosen relative bit ordering (3.2.1).
             self.universe.set_bit_order(bit_order)
         self.universe.finalize()
         #: replace operations actually performed (for the Table 2 story

@@ -1,89 +1,17 @@
-"""Bit-ordering advisor: turning profiles into variable orders.
+"""Tuning hints from executed query plans (section 4.3).
 
 Section 4.3 motivates the profiler with the tuning loop: find the
 expensive operations, then adjust the physical domain assignment and
-the relative bit ordering.  The paper leaves picking a good ordering to
-the researcher ("we do not know of any easy ways to determine a
-near-optimal physical domain assignment even by hand"); this module
-automates the standard heuristic the hand-coded solvers use: physical
-domains that occur together in the same relation want their bits
-*interleaved*, unrelated domains want separate blocks.
-
-The advisor reads co-occurrence straight out of a compiled program's
-domain assignment (every expression's attribute->domain map) and emits
-groups suitable for :meth:`repro.relations.domain.Universe.set_bit_order`.
+the relative bit ordering.  :func:`plan_hints` points that loop at the
+program points whose query plans were chosen on cost estimates that
+did not describe the data.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, List, Tuple
 
-__all__ = ["suggest_bit_order", "suggest_bit_order_for", "plan_hints"]
-
-
-def suggest_bit_order(
-    owner_domains: Mapping[object, Dict[str, str]],
-    all_physdoms: List[str],
-    max_group_size: int = 4,
-) -> List[List[str]]:
-    """Group physical domains by co-occurrence.
-
-    ``owner_domains`` maps each relation-valued owner (expression,
-    variable, wrapper) to its attribute->physical-domain assignment;
-    domains frequently assigned together are clustered (greedy
-    agglomeration, groups capped at ``max_group_size``).  Groups are
-    ordered by how often their domains occur, busiest first; domains
-    never observed come last as singletons.  The result covers
-    ``all_physdoms`` exactly once.
-    """
-    affinity: Counter = Counter()
-    usage: Counter = Counter()
-    for mapping in owner_domains.values():
-        pds = sorted(set(mapping.values()))
-        for pd in pds:
-            usage[pd] += 1
-        for i in range(len(pds)):
-            for j in range(i + 1, len(pds)):
-                affinity[(pds[i], pds[j])] += 1
-    # Greedy agglomeration over affinity-sorted pairs.
-    group_of: Dict[str, int] = {}
-    groups: Dict[int, List[str]] = {}
-    next_group = 0
-
-    def group_for(pd: str) -> int:
-        nonlocal next_group
-        if pd not in group_of:
-            group_of[pd] = next_group
-            groups[next_group] = [pd]
-            next_group += 1
-        return group_of[pd]
-
-    ranked: List[Tuple[int, str, str]] = sorted(
-        ((count, a, b) for (a, b), count in affinity.items()),
-        key=lambda t: (-t[0], t[1], t[2]),
-    )
-    for count, a, b in ranked:
-        ga, gb = group_for(a), group_for(b)
-        if ga == gb:
-            continue
-        if len(groups[ga]) + len(groups[gb]) > max_group_size:
-            continue
-        groups[ga].extend(groups[gb])
-        for pd in groups[gb]:
-            group_of[pd] = ga
-        del groups[gb]
-    for pd in all_physdoms:
-        group_for(pd)
-    ordered = sorted(
-        groups.values(),
-        key=lambda members: (
-            -max(usage.get(pd, 0) for pd in members),
-            members[0],
-        ),
-    )
-    return [sorted(members, key=lambda pd: (-usage.get(pd, 0), pd))
-            for members in ordered]
+__all__ = ["plan_hints"]
 
 
 def plan_hints(
@@ -127,11 +55,3 @@ def plan_hints(
             "or revisit the site's physical domain assignment"
         )
     return hints
-
-
-def suggest_bit_order_for(compiled) -> List[List[str]]:
-    """Advise an ordering for a :class:`~repro.jedd.compiler.
-    CompiledProgram` (pass the result to ``interpreter(bit_order=...)``)."""
-    return suggest_bit_order(
-        compiled.assignment.owner_domains, sorted(compiled.tp.physdoms)
-    )

@@ -355,9 +355,8 @@ class FixpointEngine:
     """Declare rules over relations; solve them semi-naively.
 
     ``policy`` (an :class:`~repro.relations.policy.ExecutionPolicy`, or
-    an engine-name shorthand string) selects how each semi-naive round
-    evaluates its rule bodies; the engine itself accepts only
-    ``"seminaive"`` (default), which runs them one after another.
+    its ``"seminaive"`` shorthand) selects how each semi-naive round
+    evaluates its rule bodies, which run one after another.
 
     ``policy.optimize=False`` turns the query planner's conjunct
     reordering and early quantification off — rule bodies evaluate
@@ -374,15 +373,9 @@ class FixpointEngine:
         policy: Optional["ExecutionPolicy | str"] = None,
     ) -> None:
         policy = ExecutionPolicy.of(policy)
-        if policy.engine != "seminaive":
-            raise JeddError(
-                f"unknown fixpoint engine {policy.engine!r} "
-                "(expected 'seminaive')"
-            )
         self.universe = universe
         #: The resolved execution policy this engine runs under.
         self.policy = policy
-        self.engine = policy.engine
         self.optimize = policy.optimize
         self._planner = Planner(optimize=policy.optimize)
         self._weight = default_weight(universe)
@@ -637,7 +630,6 @@ class FixpointEngine:
             cat="fixpoint",
             rules=len(self._rules),
             relations=list(self._order),
-            engine=self.engine,
         ):
             for name in self._order:
                 self._full[name] = self._apply_filter(

@@ -1,8 +1,7 @@
 """ExecutionPolicy: one value describing *how* a solve should run.
 
 :class:`~repro.relations.fixpoint.FixpointEngine` and all four
-analyses take the engine and planning options as this one frozen
-dataclass::
+analyses take the planning options as this one frozen dataclass::
 
     from repro.relations import ExecutionPolicy, FixpointEngine
 
@@ -10,8 +9,9 @@ dataclass::
     eng = FixpointEngine(universe, policy)
     pta = PointsTo(au, policy=policy)
 
-Every accepting call site also takes a plain engine name as shorthand
-(``policy="naive"`` means ``ExecutionPolicy(engine="naive")``).
+Every accepting call site also takes the string ``"seminaive"`` (the
+name of the one fixpoint engine, and the service's wire value) as
+shorthand for the default policy.
 """
 
 from __future__ import annotations
@@ -19,23 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Union
 
-__all__ = ["ExecutionPolicy", "POLICY_ENGINES"]
-
-#: Engine names an :class:`ExecutionPolicy` accepts.  ``"naive"`` is
-#: only meaningful to the analyses (their original whole-relation
-#: loops, kept for differential testing); the fixpoint engine itself
-#: rejects it.
-POLICY_ENGINES = ("seminaive", "naive")
+__all__ = ["ExecutionPolicy"]
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
-    """How rule bodies are evaluated: engine and planning.
+    """How rule bodies are evaluated by the semi-naive engine.
 
     Fields:
 
-    - ``engine`` — ``"seminaive"`` (default) or (for the analyses
-      only) ``"naive"``;
     - ``optimize`` — let the query planner reorder conjuncts (pass
       False for the source-order baseline);
     - ``collect_plans`` — record one ``PlanReport`` per executed rule
@@ -45,18 +37,8 @@ class ExecutionPolicy:
     sessions); derive variants with :meth:`with_options`.
     """
 
-    engine: str = "seminaive"
     optimize: bool = True
     collect_plans: bool = False
-
-    def __post_init__(self) -> None:
-        from repro.relations.domain import JeddError
-
-        if self.engine not in POLICY_ENGINES:
-            raise JeddError(
-                f"unknown engine {self.engine!r} "
-                f"(expected one of {', '.join(POLICY_ENGINES)})"
-            )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -67,19 +49,20 @@ class ExecutionPolicy:
         cls, value: Union["ExecutionPolicy", str, None]
     ) -> "ExecutionPolicy":
         """Coerce ``value`` to a policy: an existing policy passes
-        through, a string is an engine-name shorthand, None is the
-        default policy."""
-        if value is None:
+        through, None and ``"seminaive"`` are the default policy."""
+        from repro.relations.domain import JeddError
+
+        if value is None or value == "seminaive":
             return cls()
         if isinstance(value, cls):
             return value
         if isinstance(value, str):
-            return cls(engine=value)
-        from repro.relations.domain import JeddError
-
+            raise JeddError(
+                f"unknown engine {value!r} (expected 'seminaive')"
+            )
         raise JeddError(
             f"cannot interpret {value!r} as an ExecutionPolicy "
-            "(expected a policy, an engine name, or None)"
+            "(expected a policy, 'seminaive', or None)"
         )
 
     def with_options(self, **changes: object) -> "ExecutionPolicy":
@@ -87,7 +70,4 @@ class ExecutionPolicy:
         return replace(self, **changes)
 
     def __str__(self) -> str:
-        parts = [self.engine]
-        if not self.optimize:
-            parts.append("unoptimized")
-        return " ".join(parts)
+        return "seminaive" if self.optimize else "seminaive unoptimized"

@@ -42,12 +42,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
-from repro.relations import (
-    ExecutionPolicy,
-    FixpointEngine,
-    JeddError,
-    Relation,
-)
+from repro.relations import FixpointEngine, JeddError, Relation
 
 __all__ = [
     "JeddService",
@@ -249,10 +244,10 @@ class JeddService:
             universe = session.shell.universe
             if universe is None:
                 raise ServiceError("finalize the universe first")
-            policy = params.get("policy")
-            engine = FixpointEngine(
-                universe, ExecutionPolicy.of(policy) if policy else None
-            )
+            # Only an absent key or null means the default; every other
+            # wire value goes to ExecutionPolicy.of, which rejects it
+            # unless it is "seminaive".
+            engine = FixpointEngine(universe, params.get("policy"))
             for rel_name in params.get("facts", []):
                 engine.fact(rel_name, session.shell._lookup(rel_name))
             for rel_name, seed_name in dict(

@@ -16,29 +16,16 @@ from repro.analyses import (
     naive_subtypes,
     synthesize,
 )
-from repro.analyses.jedd_sources import combined_source
+from repro.analyses.jedd_sources import combined_source, source_widths
 from repro.jedd.codegen import generate
 from repro.jedd.compiler import compile_source
 from repro.relations import Relation
 
 
-def _bits_for(facts):
-    c = facts.counts()
-    return dict(
-        type_bits=max(2, (c["classes"]).bit_length()),
-        sig_bits=max(2, (c["signatures"]).bit_length()),
-        method_bits=max(2, (len(facts.methods)).bit_length()),
-        var_bits=max(2, (c["variables"]).bit_length()),
-        obj_bits=max(2, (c["alloc_sites"]).bit_length()),
-        field_bits=max(2, (c["fields"]).bit_length()),
-        site_bits=max(2, (c["virtual_calls"]).bit_length()),
-    )
-
-
 @pytest.fixture(scope="module")
 def pipeline():
     facts = synthesize("gen", n_classes=7, n_signatures=4, seed=21)
-    cp = compile_source(combined_source(**_bits_for(facts)))
+    cp = compile_source(combined_source(**source_widths(facts)))
     code = generate(cp.tp, cp.assignment)
     namespace = {}
     exec(compile(code, "<jeddc-combined>", "exec"), namespace)

@@ -5,9 +5,10 @@ import pytest
 from repro.analyses import naive_points_to, naive_subtypes, synthesize
 from repro.analyses.jedd_sources import (
     ANALYSIS_SOURCES,
+    PointsToProgram,
     combined_source,
     hierarchy_source,
-    pointsto_source,
+    source_widths,
 )
 from repro.jedd.assignment import validate_assignment
 from repro.jedd.compiler import compile_source
@@ -35,39 +36,11 @@ def test_combined_is_largest():
             assert combined["sat_clauses"] >= s["sat_clauses"]
 
 
-def _bits_for(facts):
-    c = facts.counts()
-    return dict(
-        type_bits=max(2, (c["classes"]).bit_length()),
-        sig_bits=max(2, (c["signatures"]).bit_length()),
-        method_bits=max(2, (len(facts.methods)).bit_length()),
-        var_bits=max(2, (c["variables"]).bit_length()),
-        obj_bits=max(2, (c["alloc_sites"]).bit_length()),
-        field_bits=max(2, (c["fields"]).bit_length()),
-        site_bits=max(2, (c["virtual_calls"]).bit_length()),
-    )
-
-
 class TestPointsToExecution:
     @pytest.fixture(scope="class")
     def executed(self):
         facts = synthesize("exec", n_classes=8, n_signatures=5, seed=3)
-        cp = compile_source(pointsto_source(**_bits_for(facts)))
-        it = cp.interpreter()
-        it.set_global("alloc", it.relation_of(["var", "obj"], facts.allocs))
-        it.set_global(
-            "assignEdge", it.relation_of(["dstvar", "srcvar"], facts.assigns)
-        )
-        it.set_global(
-            "storeEdge",
-            it.relation_of(["basevar", "field", "srcvar"], facts.stores),
-        )
-        it.set_global(
-            "loadEdge",
-            it.relation_of(["dstvar", "basevar", "field"], facts.loads),
-        )
-        it.call("solvePointsTo")
-        return facts, it
+        return facts, PointsToProgram(facts).solve()
 
     def test_pt_matches_reference(self, executed):
         facts, it = executed
@@ -83,7 +56,7 @@ class TestPointsToExecution:
 class TestHierarchyExecution:
     def test_subtype_closure(self):
         facts = synthesize("exec", n_classes=9, n_signatures=4, seed=12)
-        cp = compile_source(hierarchy_source(**_bits_for(facts)))
+        cp = compile_source(hierarchy_source(**source_widths(facts)))
         it = cp.interpreter()
         it.set_global(
             "extend", it.relation_of(["subtype", "supertype"], facts.extends)
@@ -109,7 +82,7 @@ class TestCombinedExecution:
         )
 
         facts = synthesize("exec", n_classes=7, n_signatures=4, seed=21)
-        cp = compile_source(combined_source(**_bits_for(facts)))
+        cp = compile_source(combined_source(**source_widths(facts)))
         it = cp.interpreter()
         it.set_global(
             "extend", it.relation_of(["subtype", "supertype"], facts.extends)

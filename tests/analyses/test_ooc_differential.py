@@ -25,7 +25,6 @@ from repro.analyses import (
 )
 from repro.bdd.io import dumps_diagram_binary
 from repro.relations import (
-    ExecutionPolicy,
     FixpointEngine,
     Relation,
     open_universe,
@@ -72,16 +71,11 @@ def setup():
     return facts, au_ref, au_ooc
 
 
-ENGINES = [("seminaive", {})]
-ENGINE_IDS = ["serial"]
-
-
 class TestPointsToOoc:
-    @pytest.mark.parametrize(("engine", "kw"), ENGINES, ids=ENGINE_IDS)
-    def test_bit_identical(self, setup, engine, kw):
+    def test_bit_identical(self, setup):
         _, au_ref, au_ooc = setup
         ref = PointsTo(au_ref, policy="seminaive")
-        ooc = PointsTo(au_ooc, policy=ExecutionPolicy(engine=engine, **kw))
+        ooc = PointsTo(au_ooc, policy="seminaive")
         pt_ref = ref.solve()
         pt_ooc = ooc.solve()
         assert_same_relation(au_ref, pt_ref, au_ooc, pt_ooc, "var", "obj")
@@ -99,8 +93,7 @@ class TestPointsToOoc:
 
 
 class TestVirtualCallOoc:
-    @pytest.mark.parametrize(("engine", "kw"), ENGINES, ids=ENGINE_IDS)
-    def test_bit_identical(self, setup, engine, kw):
+    def test_bit_identical(self, setup):
         facts, au_ref, au_ooc = setup
         recv = {(c, s) for c in facts.classes for s in facts.signatures[:4]}
         cols = ("rectype", "signature", "tgttype", "method")
@@ -109,22 +102,19 @@ class TestVirtualCallOoc:
         res_ref = VirtualCallResolver(au_ref, policy="seminaive").resolve(
             rel_ref
         )
-        res_ooc = VirtualCallResolver(
-            au_ooc, policy=ExecutionPolicy(engine=engine, **kw)
-        ).resolve(rel_ooc)
+        res_ooc = VirtualCallResolver(au_ooc, policy="seminaive").resolve(
+            rel_ooc
+        )
         assert_same_relation(au_ref, res_ref, au_ooc, res_ooc, *cols)
 
 
 class TestCallGraphOoc:
-    @pytest.mark.parametrize(("engine", "kw"), ENGINES, ids=ENGINE_IDS)
-    def test_edges_and_reachability(self, setup, engine, kw):
+    def test_edges_and_reachability(self, setup):
         facts, au_ref, au_ooc = setup
         pt_ref = PointsTo(au_ref, policy="seminaive").solve()
         pt_ooc = PointsTo(au_ooc, policy="seminaive").solve()
         cg_ref = CallGraph(au_ref, pt_ref, policy="seminaive")
-        cg_ooc = CallGraph(
-            au_ooc, pt_ooc, policy=ExecutionPolicy(engine=engine, **kw)
-        )
+        cg_ooc = CallGraph(au_ooc, pt_ooc, policy="seminaive")
         edges_ref = cg_ref.build()
         edges_ooc = cg_ooc.build()
         assert_same_relation(
@@ -143,18 +133,14 @@ class TestCallGraphOoc:
 
 
 class TestSideEffectsOoc:
-    @pytest.mark.parametrize(("engine", "kw"), ENGINES, ids=ENGINE_IDS)
-    def test_reads_writes(self, setup, engine, kw):
+    def test_reads_writes(self, setup):
         _, au_ref, au_ooc = setup
         pt_ref = PointsTo(au_ref, policy="seminaive").solve()
         pt_ooc = PointsTo(au_ooc, policy="seminaive").solve()
         edges_ref = CallGraph(au_ref, pt_ref, policy="seminaive").build()
         edges_ooc = CallGraph(au_ooc, pt_ooc, policy="seminaive").build()
         se_ref = SideEffects(au_ref, pt_ref, edges_ref, policy="seminaive")
-        se_ooc = SideEffects(
-            au_ooc, pt_ooc, edges_ooc,
-            policy=ExecutionPolicy(engine=engine, **kw),
-        )
+        se_ooc = SideEffects(au_ooc, pt_ooc, edges_ooc, policy="seminaive")
         reads_ref, writes_ref = se_ref.solve()
         reads_ooc, writes_ooc = se_ooc.solve()
         cols = ("method", "baseobj", "field")

@@ -7,7 +7,7 @@ import pytest
 
 from repro import telemetry
 from repro.analyses import PointsTo, preset
-from repro.analyses.jedd_sources import pointsto_fix_source
+from repro.analyses.jedd_sources import pointsto_fix_source, source_widths
 from repro.analyses.universe import AnalysisUniverse
 from repro.bdd.io import dumps_diagram_binary
 from repro.jedd import ast
@@ -243,19 +243,6 @@ class TestTelemetry:
 # ----------------------------------------------------------------------
 
 
-def _bits_for(facts):
-    c = facts.counts()
-    return dict(
-        type_bits=max(2, c["classes"].bit_length()),
-        sig_bits=max(2, c["signatures"].bit_length()),
-        method_bits=max(2, len(facts.methods).bit_length()),
-        var_bits=max(2, c["variables"].bit_length()),
-        obj_bits=max(2, c["alloc_sites"].bit_length()),
-        field_bits=max(2, c["fields"].bit_length()),
-        site_bits=max(2, c["virtual_calls"].bit_length()),
-    )
-
-
 def _closure_case():
     return FIX_SRC, [("edge", ["src", "dst"], EDGES)], "close", ["path"]
 
@@ -268,7 +255,7 @@ def _pointsto_case():
         ("storeEdge", ["basevar", "field", "srcvar"], facts.stores),
         ("loadEdge", ["dstvar", "basevar", "field"], facts.loads),
     ]
-    src = pointsto_fix_source(**_bits_for(facts))
+    src = pointsto_fix_source(**source_widths(facts))
     return src, inputs, "solvePointsTo", ["pt", "hpt"]
 
 

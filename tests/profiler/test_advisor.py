@@ -1,61 +1,15 @@
-"""Tests for the bit-ordering advisor."""
+"""A user-chosen bit ordering reaches the interpreter (section 3.2.1).
+
+Section 4.3's tuning loop ends in a new physical domain assignment or
+relative bit ordering; ``CompiledProgram.interpreter(bit_order=...)``
+is how an ordering chosen by hand is applied to a compiled program.
+"""
 
 from repro.jedd.compiler import compile_source
-from repro.profiler.advisor import suggest_bit_order, suggest_bit_order_for
 from tests.jedd.helpers import FIGURE4, FIGURE4_DATA
 
 
-class TestSuggest:
-    def test_covers_every_domain_exactly_once(self):
-        owners = {
-            1: {"a": "P1", "b": "P2"},
-            2: {"a": "P1", "c": "P3"},
-        }
-        groups = suggest_bit_order(owners, ["P1", "P2", "P3", "P4"])
-        flat = [pd for group in groups for pd in group]
-        assert sorted(flat) == ["P1", "P2", "P3", "P4"]
-
-    def test_cooccurring_domains_grouped(self):
-        owners = {
-            i: {"a": "P1", "b": "P2"} for i in range(5)
-        }
-        owners[99] = {"c": "P3"}
-        groups = suggest_bit_order(owners, ["P1", "P2", "P3"])
-        together = next(g for g in groups if "P1" in g)
-        assert "P2" in together
-        assert "P3" not in together
-
-    def test_group_size_cap(self):
-        owners = {
-            0: {c: f"P{i}" for i, c in enumerate("abcdefgh")},
-        }
-        groups = suggest_bit_order(
-            owners, [f"P{i}" for i in range(8)], max_group_size=3
-        )
-        assert all(len(g) <= 3 for g in groups)
-
-    def test_busiest_groups_first(self):
-        owners = {}
-        for i in range(10):
-            owners[("hot", i)] = {"a": "HOT1", "b": "HOT2"}
-        owners["cold"] = {"c": "COLD"}
-        groups = suggest_bit_order(owners, ["HOT1", "HOT2", "COLD"])
-        assert "HOT1" in groups[0]
-
-    def test_unused_domains_appended(self):
-        groups = suggest_bit_order({}, ["P1", "P2"])
-        flat = [pd for group in groups for pd in group]
-        assert sorted(flat) == ["P1", "P2"]
-
-
 class TestCompiledIntegration:
-    def test_figure4_advice_is_valid_bit_order(self):
-        cp = compile_source(FIGURE4)
-        order = suggest_bit_order_for(cp)
-        flat = [pd for group in order for pd in group]
-        assert sorted(flat) == sorted(cp.tp.physdoms)
-        assert order == cp.suggested_bit_order()
-
     def test_advised_interpreter_matches_default(self):
         cp = compile_source(FIGURE4)
 
@@ -76,8 +30,19 @@ class TestCompiledIntegration:
                     ["subtype", "supertype"], FIGURE4_DATA["extend"]
                 ),
             )
-            return set(it.global_relation("answer").tuples())
+            return it, set(it.global_relation("answer").tuples())
 
-        default = run()
-        advised = run(bit_order=cp.suggested_bit_order())
-        assert default == advised == FIGURE4_DATA["answer"]
+        _, default = run()
+        # Signatures on top, the three type domains interleaved below.
+        order = [["S1"], ["T1", "T2", "T3"], ["M1"]]
+        it, ordered = run(bit_order=order)
+        levels = {
+            pd: sorted(it.universe.get_physdom(pd).levels)
+            for pd in ("S1", "T1", "M1")
+        }
+        assert levels == {
+            "S1": [0, 1, 2, 3],
+            "T1": [4, 7, 10, 13],
+            "M1": [16, 17, 18, 19],
+        }
+        assert default == ordered == FIGURE4_DATA["answer"]

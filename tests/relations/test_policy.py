@@ -1,9 +1,9 @@
 """ExecutionPolicy: the one value describing how a solve runs.
 
-Covers the dataclass itself (validation, coercion, derivation) and the
-entry points that accept it: ``FixpointEngine`` and the four analyses
-take a policy (or an engine-name shorthand) and nothing else — the
-per-option keyword arguments the policy replaced are gone.
+Covers the dataclass itself (coercion, derivation) and the entry points
+that accept it: ``FixpointEngine`` and the four analyses take a policy
+(or its ``"seminaive"`` shorthand) and nothing else — the per-option
+keyword arguments the policy replaced are gone.
 """
 
 import dataclasses
@@ -24,61 +24,57 @@ from repro.relations import (
     Relation,
     open_universe,
 )
-from repro.relations.policy import POLICY_ENGINES
 
 
 class TestDataclass:
     def test_defaults(self):
         policy = ExecutionPolicy()
-        assert policy.engine == "seminaive"
         assert policy.optimize is True
         assert policy.collect_plans is False
         assert [f.name for f in dataclasses.fields(policy)] == [
-            "engine", "optimize", "collect_plans",
+            "optimize", "collect_plans",
         ]
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(JeddError, match="unknown engine"):
-            ExecutionPolicy(engine="threads")
-        with pytest.raises(
-            JeddError, match=r"expected one of seminaive, naive"
-        ):
-            ExecutionPolicy(engine="parallel")
+        for name in ("threads", "parallel", "naive"):
+            with pytest.raises(
+                JeddError, match=r"unknown engine .* \(expected 'seminaive'\)"
+            ):
+                ExecutionPolicy.of(name)
+        with pytest.raises(TypeError, match="engine"):
+            ExecutionPolicy(engine="seminaive")
 
     def test_bad_workers_rejected(self):
         with pytest.raises(TypeError, match="workers"):
             ExecutionPolicy(workers=2)
 
     def test_frozen_and_hashable(self):
-        policy = ExecutionPolicy(engine="naive", optimize=False)
+        policy = ExecutionPolicy(optimize=False)
         with pytest.raises(Exception):
-            policy.engine = "naive"
+            policy.optimize = True
         assert policy in {policy}
 
     def test_of_coercions(self):
         assert ExecutionPolicy.of(None) == ExecutionPolicy()
-        assert ExecutionPolicy.of("naive").engine == "naive"
+        assert ExecutionPolicy.of("seminaive") == ExecutionPolicy()
         policy = ExecutionPolicy(optimize=False)
         assert ExecutionPolicy.of(policy) is policy
 
     def test_of_rejects_other_types(self):
-        with pytest.raises(JeddError, match="ExecutionPolicy"):
-            ExecutionPolicy.of(42)
+        for value in (42, 0, False, [], {}):
+            with pytest.raises(JeddError, match="ExecutionPolicy"):
+                ExecutionPolicy.of(value)
 
     def test_with_options(self):
         base = ExecutionPolicy()
-        derived = base.with_options(engine="naive", optimize=False)
-        assert derived.engine == "naive"
+        derived = base.with_options(optimize=False, collect_plans=True)
         assert derived.optimize is False
-        assert base.engine == "seminaive"
+        assert derived.collect_plans is True
+        assert base == ExecutionPolicy()
 
     def test_str_forms(self):
         assert str(ExecutionPolicy()) == "seminaive"
-        assert str(ExecutionPolicy(engine="naive")) == "naive"
-        assert "unoptimized" in str(ExecutionPolicy(optimize=False))
-
-    def test_engine_names_documented(self):
-        assert set(POLICY_ENGINES) == {"seminaive", "naive"}
+        assert str(ExecutionPolicy(optimize=False)) == "seminaive unoptimized"
 
 
 def tc_universe():
@@ -152,35 +148,37 @@ class TestAnalysisShims:
 
     def test_pointsto_policy(self, au):
         pta = PointsTo(au, policy=ExecutionPolicy())
-        assert pta.engine == "seminaive"
+        assert pta.policy == ExecutionPolicy()
         assert pta.solve().size() > 0
+        with pytest.raises(JeddError, match="unknown engine"):
+            PointsTo(au, policy="turbo")
 
-    # The engine= keyword each analysis used to take is gone; the engine
-    # now comes only from the policy (or its engine-name shorthand).
-    def test_pointsto_legacy_engine_warns(self, au):
+    # The engine= keyword each analysis used to take is gone; how a
+    # solve runs comes only from the policy (or its shorthand).
+    def test_pointsto_engine_kwarg_rejected(self, au):
         with pytest.raises(TypeError, match="engine"):
             PointsTo(au, engine="naive")
-        assert PointsTo(au, policy="naive").policy.engine == "naive"
+        assert PointsTo(au, policy="seminaive").policy == ExecutionPolicy()
 
-    def test_vcall_legacy_engine_warns(self, au):
+    def test_vcall_engine_kwarg_rejected(self, au):
         with pytest.raises(TypeError, match="engine"):
             VirtualCallResolver(au, engine="naive")
-        resolver = VirtualCallResolver(au, policy="naive")
-        assert resolver.policy.engine == "naive"
+        resolver = VirtualCallResolver(au, policy="seminaive")
+        assert resolver.policy == ExecutionPolicy()
 
-    def test_callgraph_legacy_engine_warns(self, au):
+    def test_callgraph_engine_kwarg_rejected(self, au):
         pt = PointsTo(au).solve()
         with pytest.raises(TypeError, match="engine"):
             CallGraph(au, pt, engine="seminaive")
-        assert CallGraph(au, pt, "seminaive").policy.engine == "seminaive"
+        assert CallGraph(au, pt, "seminaive").policy == ExecutionPolicy()
 
-    def test_sideeffects_legacy_engine_warns(self, au):
+    def test_sideeffects_engine_kwarg_rejected(self, au):
         pt = PointsTo(au).solve()
         edges = CallGraph(au, pt).build()
         with pytest.raises(TypeError, match="engine"):
             SideEffects(au, pt, edges, engine="seminaive")
         se = SideEffects(au, pt, edges, "seminaive")
-        assert se.policy.engine == "seminaive"
+        assert se.policy == ExecutionPolicy()
 
     def test_removed_workers_kwarg_rejected(self, au):
         pt = PointsTo(au).solve()

@@ -45,14 +45,6 @@ def test_whole_program_analysis():
     assert "verified against the naive oracles" in result.stdout
 
 
-def test_whole_program_analysis_rejects_parallel_engine():
-    result = run_example(
-        "whole_program_analysis.py", "javac-s", "--engine", "parallel"
-    )
-    assert result.returncode == 2
-    assert "--engine takes 'seminaive' or 'naive'" in result.stderr
-
-
 def test_pointsto_multiplicity():
     result = run_example("pointsto_multiplicity.py", "javac-s")
     assert result.returncode == 0, result.stderr

@@ -221,19 +221,38 @@ class TestStandingQueries:
         fresh_universe(client, "sq8")
         with pytest.raises(
             ServiceError,
-            match=r"unknown engine 'parallel' "
-                  r"\(expected one of seminaive, naive\)",
+            match=r"unknown engine 'parallel' \(expected 'seminaive'\)",
         ):
             client.request(
                 "query.create", universe="sq8", query="tc",
                 facts=["edge"], relations={"path": "path"},
                 rules=TC_RULES, policy="parallel",
             )
-        # The same connection goes on to serve a valid request.
+        # Malformed values are rejected too, never read as the default.
+        for bad, message in (
+            ("", r"unknown engine ''"),
+            (0, r"cannot interpret 0 as"),
+            (False, r"cannot interpret False as"),
+            ([], r"cannot interpret \[\] as"),
+        ):
+            with pytest.raises(ServiceError, match=message):
+                client.request(
+                    "query.create", universe="sq8", query="tc",
+                    facts=["edge"], relations={"path": "path"},
+                    rules=TC_RULES, policy=bad,
+                )
+        # The same connection goes on to serve valid requests: the
+        # default engine by name, and by an absent or null policy.
+        for qname, policy in (("tc", "seminaive"), ("tc2", None)):
+            result = client.request(
+                "query.create", universe="sq8", query=qname,
+                facts=["edge"], relations={"path": "path"}, rules=TC_RULES,
+                policy=policy,
+            )
+            assert result["sizes"]["path"] == 6
         result = client.request(
-            "query.create", universe="sq8", query="tc",
+            "query.create", universe="sq8", query="tc3",
             facts=["edge"], relations={"path": "path"}, rules=TC_RULES,
-            policy="seminaive",
         )
         assert result["sizes"]["path"] == 6
 
