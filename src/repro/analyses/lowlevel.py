@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analyses.facts import ProgramFacts
-from repro.bdd import FALSE, BDDManager
+from repro.bdd import FALSE, BDDError, BDDManager
 
 __all__ = ["LowLevelPointsTo"]
 
@@ -167,22 +167,23 @@ class LowLevelPointsTo:
     # -- extraction (for the tests' cross-check) ----------------------------
 
     def pt_tuples(self) -> Set[Tuple[str, str]]:
-        """Decode the pt BDD back to (variable, object) pairs."""
-        inv_vars = {i: v for v, i in self._vars.items()}
-        inv_objs = {i: o for o, i in self._objs.items()}
+        """Decode the pt BDD back to (variable, object) pairs.
+
+        Raises :class:`BDDError` if a pair holds an index that no
+        variable or object was given, rather than dropping it.
+        """
+        inv_vars = list(self._vars)
+        inv_objs = list(self._objs)
+        v_bits = self.V1.bits
+        v_mask = (1 << v_bits) - 1
         out: Set[Tuple[str, str]] = set()
         levels = self.V1.levels + self.H1.levels
-        for assignment in self.m.all_sat(self.pt, levels):
-            v = sum(
-                1 << j
-                for j in range(self.V1.bits)
-                if assignment[self.V1.levels[j]]
-            )
-            o = sum(
-                1 << j
-                for j in range(self.H1.bits)
-                if assignment[self.H1.levels[j]]
-            )
-            if v in inv_vars and o in inv_objs:
-                out.add((inv_vars[v], inv_objs[o]))
+        for key in self.m.to_keys(self.pt, levels):
+            v, o = key & v_mask, key >> v_bits
+            if v >= len(inv_vars) or o >= len(inv_objs):
+                raise BDDError(
+                    f"pt holds ({v}, {o}), outside the {len(inv_vars)} "
+                    f"variable(s) and {len(inv_objs)} object(s) interned"
+                )
+            out.add((inv_vars[v], inv_objs[o]))
         return out

@@ -196,19 +196,14 @@ class FDDManager:
         self, node: int, *domains: FiniteDomain | str
     ) -> Iterator[Tuple[int, ...]]:
         """Iterate integer tuples over the given domains."""
-        doms = [self._dom(d) for d in domains]
+        fields = []
         levels: List[int] = []
-        for dom in doms:
+        for domain in domains:
+            dom = self._dom(domain)
+            fields.append((len(levels), (1 << dom.bits) - 1))
             levels.extend(dom.levels)
-        for assignment in self.manager.all_sat(node, levels):
-            yield tuple(
-                sum(
-                    1 << j
-                    for j in range(dom.bits)
-                    if assignment[dom.levels[j]]
-                )
-                for dom in doms
-            )
+        for key in self.manager.to_keys(node, levels):
+            yield tuple([key >> shift & mask for shift, mask in fields])
 
     def _dom(self, domain: FiniteDomain | str) -> FiniteDomain:
         if isinstance(domain, FiniteDomain):

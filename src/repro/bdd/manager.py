@@ -11,8 +11,10 @@ exact operation set Jedd's code generator needs:
   BuDDy's ``bdd_appex`` / CUDD's ``bddAndAbstract``),
 - variable permutation (``replace`` -- BuDDy's ``bdd_replace`` / CUDD's
   ``SwapVariables``), used to move data between physical domains,
-- satisfying-assignment counting and enumeration (relation ``size()`` and
-  iterators),
+- satisfying-assignment counting (``sat_count``, relation ``size()``;
+  per-node counts persist across calls until the next GC) and
+  enumeration as integer keys (``to_keys``, the inverse of
+  ``from_keys``; relation iterators decode them by shift and mask),
 - bulk construction of a set of tuples in one bottom-up pass
   (``from_keys``; :func:`build_from_keys` is shared with the ZDD kernel),
 - per-level node counts (the "shape" of a BDD, used by the profiler).
@@ -52,7 +54,8 @@ change between calls.  They build nodes with :meth:`~BDDManager.mk`
 inlined, so a subclass that overrides ``mk`` overrides them too (the
 ooc kernel does); every other builder keeps calling ``self.mk``.  The
 quantifier-suffix and permutation ids that key their caches are shared
-across calls and survive :meth:`~BDDManager.gc`.  Hit/miss counters and
+across calls and survive :meth:`~BDDManager.gc`; each cache key packs
+them and the operand node ids into one int.  Hit/miss counters and
 ``nodes_created`` are those of the plain recursions.  See "Reference
 kernel hot paths" in docs/KERNEL.md.
 """
@@ -65,7 +68,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -151,18 +153,23 @@ class BDDManager:
         self._refs: List[int] = [1, 1]  # terminals are permanently live
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._free: List[int] = []
-        # Operation caches (cleared by gc()).
-        self._apply_cache: Dict[Tuple[int, int, int], int] = {}
+        # Operation caches (cleared by gc()).  Each key is one int: the
+        # operand node ids (below 2**32) in the low 32 or 64 bits, and
+        # above them the op tag (apply) or an id from _key_ids
+        # (exist/and_exist via _quantifier_keys, replace, sat_count).  An
+        # int key takes half the memory of the equivalent tuple.  The ooc
+        # and MTBDD kernels' own recursions keep tuple keys, which never
+        # equal an int.
+        self._apply_cache: Dict[int, int] = {}
         self._not_cache: Dict[int, int] = {}
-        # exist/and_exist/replace entries are keyed by the operand node(s)
-        # and an id from _key_ids (see _quantifier_keys).
-        self._exist_cache: Dict[Tuple[int, int], int] = {}
-        self._and_exist_cache: Dict[Tuple[int, int, int], int] = {}
-        self._replace_cache: Dict[Tuple[int, int], int] = {}
-        self._count_cache: Dict[Tuple[int, int], int] = {}
-        #: Interned ids of the quantifier suffixes and permutations that
-        #: key those caches.  Manager-wide and never cleared (gc() keeps
-        #: it): equal tuples get equal ids in every call.
+        self._exist_cache: Dict[int, int] = {}
+        self._and_exist_cache: Dict[int, int] = {}
+        self._replace_cache: Dict[int, int] = {}
+        self._count_cache: Dict[int, int] = {}
+        #: Interned ids of the quantifier suffixes, permutations and
+        #: counted level sets that key those caches.  Manager-wide and
+        #: never cleared (gc() keeps it): equal tuples get equal ids in
+        #: every call.
         self._key_ids: Dict[tuple, int] = {}
         self.gc_threshold = gc_threshold
         #: Entry bound per operation cache (``None`` = unbounded).
@@ -390,6 +397,7 @@ class BDDManager:
         stats = self.stats
         hits, misses = stats.op_hits, stats.op_misses
         limit = self.cache_limit
+        tag = op << 64
         # Normalise commutative operations for better cache hit rates.
         commutative = op != _OP_DIFF
 
@@ -423,7 +431,7 @@ class BDDManager:
                     return a
             if commutative and a > b:
                 a, b = b, a
-            key = (op, a, b)
+            key = tag | a << 32 | b
             result = cache.get(key)
             if result is not None:
                 hits[op] += 1
@@ -546,7 +554,7 @@ class BDDManager:
         stats = self.stats
         limit = self.cache_limit
         apply_or = self._apply_rec(_OP_OR)
-        keys = self._quantifier_keys(levels)
+        keys = [k << 32 for k in self._quantifier_keys(levels)]
         last = levels[-1]
 
         def rec(a: int) -> int:
@@ -556,7 +564,7 @@ class BDDManager:
             if la > last:
                 return a
             qkey = keys[la]
-            key = (a, qkey)
+            key = qkey | a
             result = cache.get(key)
             if result is not None:
                 stats.exist_hits += 1
@@ -620,7 +628,7 @@ class BDDManager:
         limit = self.cache_limit
         apply_and = self._apply_rec(_OP_AND)
         apply_or = self._apply_rec(_OP_OR)
-        keys = self._quantifier_keys(levels)
+        keys = [k << 64 for k in self._quantifier_keys(levels)]
         last = levels[-1]
 
         def rec(a: int, b: int) -> int:
@@ -634,7 +642,7 @@ class BDDManager:
             if a > b:  # AND is commutative
                 a, b, la, lb = b, a, lb, la
             qkey = keys[top]
-            key = (a, b, qkey)
+            key = qkey | a << 32 | b
             result = cache.get(key)
             if result is not None:
                 stats.and_exist_hits += 1
@@ -720,7 +728,7 @@ class BDDManager:
             self._check_var(new)
         key_perm = tuple(sorted(perm.items()))
         ids = self._key_ids
-        pkey = ids.setdefault(key_perm, len(ids))
+        pkey = ids.setdefault(key_perm, len(ids)) << 32
         level_of, low_of, high_of, refs = (
             self._level, self._low, self._high, self._refs
         )
@@ -735,7 +743,7 @@ class BDDManager:
             low = low_of[node]
             if low < 0:  # a terminal
                 return node
-            key = (node, pkey)
+            key = pkey | node
             result = cache.get(key)
             if result is not None:
                 stats.replace_hits += 1
@@ -794,7 +802,7 @@ class BDDManager:
             return FALSE
         if care == TRUE or self.is_terminal(f):
             return f
-        key = (-1, f, care)  # share the apply cache with a private tag
+        key = -1 << 64 | f << 32 | care  # the apply cache, a private tag
         cached = self._apply_cache.get(key)
         if cached is not None:
             self.stats.op_hits[_OP_SIMPLIFY_STAT] += 1
@@ -912,13 +920,25 @@ class BDDManager:
         given set must not occur in ``a``'s support; the relation layer
         passes the union of its attributes' physical domain bits, and all
         other bits are wildcards (quantified out of relation BDDs).
+
+        Per-node counts persist in :attr:`_count_cache` under the node
+        and an id interned in :attr:`_key_ids` from the width and the
+        sorted level set, so a recount after an update
+        walks only the nodes the update created.  A call that raises a
+        coverage error leaves none of its entries behind; :meth:`gc` and
+        :meth:`add_vars` clear them all.
         """
         if variables is None:
-            level_set = None
-            width = self._num_vars
+            sorted_levels = tuple(range(self._num_vars))
         else:
-            level_set = frozenset(self._to_levels(variables))
-            width = len(level_set)
+            sorted_levels = tuple(sorted(set(self._to_levels(variables))))
+        width = len(sorted_levels)
+        if a == FALSE:
+            return 0
+        if a == TRUE:
+            return 1 << width
+        ids = self._key_ids
+        kid = ids.setdefault((width, sorted_levels), len(ids)) << 32
         # Count assignments over *relevant* levels only: between a parent
         # at level l and a child at level m, the number of skipped
         # relevant levels determines the wildcard multiplier.
@@ -929,15 +949,19 @@ class BDDManager:
         # counts every relevant level strictly below the parent.
         below: List[Optional[int]] = [None] * (self._num_vars + 1)
         below[self._num_vars] = -1
-        sorted_levels = (
-            sorted(level_set) if level_set is not None else range(width)
-        )
         for i, lvl in enumerate(sorted_levels):
             below[lvl] = width - i - 1
         levels, lows, highs = self._level, self._low, self._high
-        memo: Dict[int, int] = {}
-        # Support levels outside ``level_set``, found by the counting
-        # walk itself (it visits every node) instead of a support() pass.
+        cache = self._count_cache
+        stats = self.stats
+        limit = self.cache_limit
+        # This call's new entries, dropped again if the walk finds a
+        # support level outside the set.
+        added: List[int] = []
+        # Support levels outside the set, found by the counting walk
+        # itself (it visits every uncached node) instead of a support()
+        # pass.  A cached node was counted over this same set, so
+        # nothing below it is uncovered.
         bad: set = set()
 
         def count(node: int) -> int:
@@ -947,9 +971,12 @@ class BDDManager:
                 return 0
             if node == TRUE:
                 return 1
-            hit = memo.get(node)
+            key = kid | node
+            hit = cache.get(key)
             if hit is not None:
+                stats.count_hits += 1
                 return hit
+            stats.count_misses += 1
             low, high = lows[node], highs[node]
             c_low, c_high = count(low), count(high)
             here = below[levels[node]]
@@ -961,17 +988,18 @@ class BDDManager:
                     total = c_low << (here - below[levels[low]] - 1)
                 if c_high:
                     total += c_high << (here - below[levels[high]] - 1)
-            memo[node] = total
+            if limit is not None and len(cache) >= limit:
+                cache.clear()
+            cache[key] = total
+            added.append(key)
             return total
 
-        if a == FALSE:
-            return 0
-        if a == TRUE:
-            return 1 << width
         total = count(a)
         if bad:
+            for key in added:
+                cache.pop(key, None)
             raise BDDError(
-                f"sat_count variables {sorted(variables)} do not cover "
+                f"sat_count variables {list(sorted_levels)} do not cover "
                 f"support variables "
                 f"{sorted(bad)}"
             )
@@ -993,49 +1021,78 @@ class BDDManager:
                 node = self._high[node]
         return assignment
 
-    def all_sat(
-        self, a: int, variables: Sequence[int]
-    ) -> Iterator[Dict[int, bool]]:
-        """Iterate complete assignments over ``variables`` satisfying ``a``.
+    def to_keys(self, a: int, variables: Sequence[int]) -> List[int]:
+        """The satisfying assignments of ``a`` over ``variables``, one
+        integer key each: the inverse of :meth:`from_keys`.
 
-        Bits of ``a``'s support outside ``variables`` must not occur
-        (checked); wildcard bits *within* ``variables`` are expanded to
-        both values, so each yielded dict assigns every requested
-        variable.
+        Bit ``p`` of each key is the value of ``variables[p]``.  Every
+        terminal other than ``FALSE`` is a leaf (so a multi-terminal
+        diagram yields the keys of its non-zero assignments).  Bits of
+        ``a``'s support outside ``variables`` must not occur (checked);
+        a requested variable no path tests is a wildcard, expanded to
+        both values by doubling the path's key list.  The walk keeps an
+        explicit stack of path prefixes, so it needs O(depth + output)
+        memory, and visits paths low branch first, in level order.
         """
-        level_list = sorted(set(self._to_levels(variables)))
-        bad = self.support(a) - set(variables)
+        levels = self._to_levels(variables)
+        n = len(levels)
+        if len(set(levels)) != n:
+            raise BDDError(f"to_keys over repeated variables {levels}")
+        if a == FALSE:
+            return []
+        order = sorted(range(n), key=levels.__getitem__)
+        lv = [levels[p] for p in order]
+        bit = [1 << p for p in order]
+        # rank[l]: how many requested levels lie above level l; span[i]:
+        # the key bits of the i requested levels nearest the root.
+        rank: List[int] = []
+        for i, level in enumerate(lv):
+            rank += [i] * (level + 1 - len(rank))
+        rank += [n] * (self._num_vars + 1 - len(rank))
+        span = [0]
+        for b in bit:
+            span.append(span[-1] | b)
+        level_of, low_of, high_of = self._level, self._low, self._high
+        keys: List[int] = []
+        bad: set = set()
+        # (node, requested levels decided above it, key, wildcard bits)
+        stack = [(a, 0, 0, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, i, key, wild = pop()
+            level = level_of[node]
+            j = rank[level]
+            wild |= span[j] ^ span[i]
+            low = low_of[node]
+            if low < 0:
+                if bad:
+                    continue
+                if not wild:
+                    keys.append(key)
+                    continue
+                out = [key]
+                while wild:
+                    b = wild & -wild
+                    out += [k | b for k in out]
+                    wild ^= b
+                keys += out
+                continue
+            high = high_of[node]
+            if j < n and lv[j] == level:
+                if high != FALSE:
+                    push((high, j + 1, key | bit[j], wild))
+                if low != FALSE:
+                    push((low, j + 1, key, wild))
+            else:
+                bad.add(level)
+                push((high, j, key, wild))
+                push((low, j, key, wild))
         if bad:
             raise BDDError(
-                f"all_sat variables do not cover support variables "
+                f"to_keys variables do not cover support variables "
                 f"{sorted(bad)}"
             )
-
-        def rec(node: int, idx: int) -> Iterator[Dict[int, bool]]:
-            if node == FALSE:
-                return
-            if idx == len(level_list):
-                yield {}
-                return
-            level = level_list[idx]
-            node_level = self._level[node]
-            if node_level == level:
-                for value, child in (
-                    (False, self._low[node]),
-                    (True, self._high[node]),
-                ):
-                    for rest in rec(child, idx + 1):
-                        rest[level] = value
-                        yield rest
-            else:
-                # level is a wildcard here (node tests something deeper).
-                for rest in rec(node, idx + 1):
-                    for value in (False, True):
-                        out = dict(rest)
-                        out[level] = value
-                        yield out
-
-        return rec(a, 0)
+        return keys
 
     # ------------------------------------------------------------------
     # Shape and size (profiler support)

@@ -12,7 +12,7 @@ of work) are diagrams whose terminals carry the weights.
 
 The node arrays, hash-consing :meth:`~BDDManager.mk`, reference
 counting and GC, the shape/postorder/support walks, ``cube``/``var``
-construction, ``replace``, ``all_sat`` and the level introspection are
+construction, ``replace``, ``to_keys`` and the level introspection are
 inherited.  The subclass overrides only what terminals beyond 0/1
 change:
 

@@ -19,7 +19,7 @@ eliminates nodes whose high branch is ``EMPTY``.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.bdd.manager import BDDError, build_from_keys
 from repro.bdd.stats import KernelStats
@@ -440,34 +440,47 @@ class ZDDManager:
         result = self.count(self._low[a]) + self.count(self._high[a])
         return self._cache_store(self._count_cache, a, result)
 
-    def all_sat(
-        self, a: int, levels: Sequence[int]
-    ) -> Iterator[Dict[int, bool]]:
-        """Iterate strings as complete ``{level: bool}`` dicts over ``levels``.
+    def to_keys(self, a: int, levels: Sequence[int]) -> List[int]:
+        """The strings of the family, one integer key each: the inverse
+        of :meth:`from_keys` (bit ``p`` of each key is the value at
+        ``levels[p]``; a level absent from a path is 0).
 
-        Bits absent from a path are 0.  ``levels`` must cover the support.
+        ``levels`` must cover the support (checked).  The walk keeps an
+        explicit stack of path prefixes, so it needs O(depth + output)
+        memory, and visits paths low branch first, in level order.
         """
-        level_list = sorted(set(levels))
-        bad = self.support(a) - set(level_list)
+        bit: Dict[int, int] = {}
+        for p, level in enumerate(levels):
+            if not 0 <= level < self._num_vars:
+                raise BDDError(f"level {level} out of range")
+            bit[level] = 1 << p
+        if len(bit) != len(levels):
+            raise BDDError(f"to_keys over repeated levels {list(levels)}")
+        level_of, low_of, high_of = self._level, self._low, self._high
+        keys: List[int] = []
+        bad: set = set()
+        stack = [(a, 0)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            node, key = pop()
+            if node <= BASE:
+                if node == BASE and not bad:
+                    keys.append(key)
+                continue
+            level = level_of[node]
+            b = bit.get(level)
+            if b is None:
+                bad.add(level)
+                b = 0
+            push((high_of[node], key | b))
+            low = low_of[node]
+            if low != EMPTY:
+                push((low, key))
         if bad:
             raise BDDError(
-                f"all_sat levels do not cover support levels {sorted(bad)}"
+                f"to_keys levels do not cover support levels {sorted(bad)}"
             )
-
-        def rec(node: int) -> Iterator[Dict[int, bool]]:
-            if node == EMPTY:
-                return
-            if node == BASE:
-                yield {}
-                return
-            level = self._level[node]
-            yield from rec(self._low[node])
-            for rest in rec(self._high[node]):
-                rest[level] = True
-                yield rest
-
-        for partial in rec(a):
-            yield {lv: partial.get(lv, False) for lv in level_list}
+        return keys
 
     def to_dot(self, a: int, var_names: Optional[Dict[int, str]] = None) -> str:
         """GraphViz rendering of the ZDD rooted at ``a``.

@@ -15,7 +15,7 @@ other operand's private bits before intersecting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.bdd import FALSE, TRUE, BDDManager, MTBDDManager, ZDDManager
 from repro.telemetry import traced as _traced
@@ -168,10 +168,10 @@ class DiagramBackend:
         """Number of tuples over the given used levels."""
         raise NotImplementedError
 
-    def all_sat(
-        self, a: int, levels: Sequence[int]
-    ) -> Iterator[Dict[int, bool]]:
-        """Iterate complete assignments of the used levels."""
+    def to_keys(self, a: int, variables: Sequence[int]) -> List[int]:
+        """Every tuple as one integer key, the inverse of
+        :meth:`from_keys`: bit ``p`` of each key is the value of
+        ``variables[p]``, which must cover the diagram's support."""
         raise NotImplementedError
 
     def node_count(self, a: int) -> int:
@@ -290,8 +290,9 @@ class BDDBackend(DiagramBackend):
     def count(self, a: int, levels: Sequence[int]) -> int:
         return self.manager.sat_count(a, levels)
 
-    def all_sat(self, a, levels):
-        return self.manager.all_sat(a, levels)
+    @_traced("bdd.to_keys", "kernel")
+    def to_keys(self, a: int, variables: Sequence[int]) -> List[int]:
+        return self.manager.to_keys(a, variables)
 
     @_traced("bdd.relprod_pipeline", "kernel")
     def relprod_pipeline(self, a: int, steps: Sequence[PipelineStep]) -> int:
@@ -376,8 +377,9 @@ class ZDDBackend(DiagramBackend):
     def count(self, a: int, levels: Sequence[int]) -> int:
         return self.manager.count(a)
 
-    def all_sat(self, a, levels):
-        return self.manager.all_sat(a, levels)
+    @_traced("zdd.to_keys", "kernel")
+    def to_keys(self, a: int, variables: Sequence[int]) -> List[int]:
+        return self.manager.to_keys(a, variables)
 
 
 class MultiTerminalBackend(BDDBackend):

@@ -371,6 +371,26 @@ def _key_encoder(universe: Universe, schema: Schema):
     return schema.levels(), encode
 
 
+def _key_decoder(schema: Schema):
+    """The key -> row decoding, the inverse of :func:`_key_encoder`.
+
+    Returns ``(variables, decode)`` for :meth:`DiagramBackend.to_keys`.
+    ``decode(key)`` cuts each attribute's index out of the key by shift
+    and mask and maps it back to its object, raising
+    :class:`JeddError` for an index its domain never interned.
+    """
+    fields = []
+    offset = 0
+    for attr, pd in schema.pairs:
+        fields.append((attr.domain.object_of, offset, (1 << pd.bits) - 1))
+        offset += pd.bits
+
+    def decode(key: int) -> Tuple[Hashable, ...]:
+        return tuple([obj(key >> shift & mask) for obj, shift, mask in fields])
+
+    return schema.levels(), decode
+
+
 class Relation:
     """An immutable relation value.
 
@@ -1191,13 +1211,8 @@ class Relation:
 
     def tuples(self) -> Iterator[Tuple[Hashable, ...]]:
         """Iterate tuples as object tuples in schema order."""
-        levels = self.schema.levels()
-        for assignment in self.backend.all_sat(self.node, levels):
-            row = []
-            for attr, pd in self.schema.pairs:
-                idx = self.universe.decode_bits(pd, assignment)
-                row.append(attr.domain.object_of(idx))
-            yield tuple(row)
+        variables, decode = _key_decoder(self.schema)
+        yield from map(decode, self.backend.to_keys(self.node, variables))
 
     def __iter__(self) -> Iterator:
         """Single-attribute iterator (objects) or tuple iterator.
@@ -1310,9 +1325,14 @@ class Relation:
         """Grouped aggregation via MTBDD abstraction operators."""
         be = self.backend
         u = self.universe
-        group_levels = [
-            l for n in group_by for l in self.schema.physdom(n).levels
-        ]
+        group_levels, decode = _key_decoder(
+            Schema(
+                [
+                    (self.schema.attribute(n), self.schema.physdom(n))
+                    for n in group_by
+                ]
+            )
+        )
         group_set = set(group_levels)
         other_levels = [
             l for l in self.schema.levels() if l not in group_set
@@ -1350,16 +1370,13 @@ class Relation:
                 masked = be.ite(self.node, values, be.terminal(sentinel))
                 value_node = be.abstract(agg, masked, other_levels)
         group_node = be.abstract("or", self.node, other_levels)
-        group_pairs = [
-            (self.schema.attribute(n), self.schema.physdom(n))
-            for n in group_by
-        ]
         weights = {}
-        for assignment in be.all_sat(group_node, group_levels):
-            key = tuple(
-                attr_.domain.object_of(u.decode_bits(pd_, assignment))
-                for attr_, pd_ in group_pairs
-            )
+        for bits in be.to_keys(group_node, group_levels):
+            assignment = {
+                level: bool(bits >> p & 1)
+                for p, level in enumerate(group_levels)
+            }
+            key = decode(bits)
             if agg == "count":
                 weights[key] = be.evaluate(count_node, assignment)
             elif agg == "mean":

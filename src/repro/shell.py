@@ -343,8 +343,9 @@ class RelationalShell(cmd.Cmd):
         self._say(str(result))
 
     def do_count(self, arg: str) -> None:
-        """count EXPR -- cardinality via one satcount pass over the
-        diagram (no tuple enumeration)."""
+        """count EXPR -- cardinality from the kernel's satcount, with no
+        tuple enumeration.  Per-node counts are kept until the next GC,
+        so recounting after a small update walks only the new nodes."""
         rel = self._eval(arg.strip())
         if isinstance(rel, WeightedRelation):
             self._say(str(rel.size()))

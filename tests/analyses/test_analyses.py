@@ -19,6 +19,7 @@ from repro.analyses import (
     naive_subtypes,
     synthesize,
 )
+from repro.bdd import BDDError
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +110,27 @@ class TestPointsTo:
         low = LowLevelPointsTo(facts)
         low.solve()
         assert low.pt_tuples() == set(high.tuples())
+
+    @pytest.mark.parametrize("field", ["var", "obj"])
+    def test_lowlevel_rejects_uninterned_index(self, small, field):
+        """A pt pair holding an index no variable or object was given
+        raises instead of silently leaving the decoded set."""
+        facts, _ = small
+        low = LowLevelPointsTo(facts)
+        low.solve()
+        v, o = 0, 0
+        if field == "var":
+            v = len(low._vars)
+            assert v < 1 << low.V1.bits
+        else:
+            o = len(low._objs)
+            assert o < 1 << low.H1.bits
+        stray = low.m.from_keys(
+            low.V1.levels + low.H1.levels, [v | o << low.V1.bits]
+        )
+        low.pt = low.m.apply_or(low.pt, stray)
+        with pytest.raises(BDDError, match="interned"):
+            low.pt_tuples()
 
 
 class TestCallGraph:

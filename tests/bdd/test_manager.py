@@ -256,24 +256,80 @@ class TestCounting:
     def test_any_sat_false(self, m):
         assert m.any_sat(FALSE) is None
 
-    def test_all_sat_enumerates(self, m):
+    def test_to_keys_enumerates(self, m):
         f = m.apply_or(m.cube({0: True, 1: True}), m.cube({0: False, 1: False}))
-        sols = sorted(
-            tuple(sorted(s.items())) for s in m.all_sat(f, [0, 1])
-        )
-        assert sols == [
-            ((0, False), (1, False)),
-            ((0, True), (1, True)),
-        ]
+        assert sorted(m.to_keys(f, [0, 1])) == [0b00, 0b11]
 
-    def test_all_sat_expands_wildcards(self, m):
-        sols = list(m.all_sat(m.var(0), [0, 1]))
-        assert len(sols) == 2
-        assert all(s[0] is True for s in sols)
+    def test_to_keys_expands_wildcards(self, m):
+        keys = m.to_keys(m.var(0), [0, 1])
+        assert len(keys) == 2
+        assert all(k & 1 for k in keys)
 
-    def test_all_sat_count_agreement(self, m):
+    def test_to_keys_count_agreement(self, m):
         f = m.apply_xor(m.var(1), m.var(4))
-        assert len(list(m.all_sat(f, [1, 4, 6]))) == m.sat_count(f, [1, 4, 6])
+        assert len(m.to_keys(f, [1, 4, 6])) == m.sat_count(f, [1, 4, 6])
+
+
+class TestCountCache:
+    """sat_count keeps per-node counts across calls until the next GC."""
+
+    @staticmethod
+    def _brute_count(m, f, variables):
+        return sum(
+            m.eval(f, lambda v, k=k: bool(k >> variables.index(v) & 1))
+            for k in range(1 << len(variables))
+        )
+
+    def test_second_count_is_all_hits(self, m):
+        f = m.apply_or(m.apply_and(m.var(0), m.var(3)), m.var(6))
+        first = m.sat_count(f, [0, 3, 6, 7])
+        misses, hits = m.stats.count_misses, m.stats.count_hits
+        assert misses > 0
+        assert m.sat_count(f, [0, 3, 6, 7]) == first
+        assert m.stats.count_misses == misses
+        assert m.stats.count_hits > hits
+
+    def test_recount_walks_only_new_nodes(self, m):
+        f = m.from_keys([0, 2, 4, 6], [0b0001, 0b0110, 0b1011])
+        m.sat_count(f, [0, 2, 4, 6])
+        g = m.apply_or(f, m.from_keys([0, 2, 4, 6], [0b1111]))
+        misses = m.stats.count_misses
+        assert m.sat_count(g, [0, 2, 4, 6]) == 4
+        new = set(m.postorder(g)) - set(m.postorder(f))
+        assert m.stats.count_misses - misses == len(new)
+
+    def test_level_sets_keep_separate_counts(self, m):
+        f = m.apply_xor(m.var(1), m.var(4))
+        assert m.sat_count(f, [1, 4]) == 2
+        assert m.sat_count(f, [1, 4, 6]) == 4
+        assert m.sat_count(f) == 2**7
+        assert m.sat_count(f, [1, 4]) == 2
+
+    def test_count_after_gc_on_recycled_ids(self, m):
+        variables = [0, 2, 3, 5, 7]
+        f = m.ref(m.from_keys(variables, [0b00001, 0b10110, 0b11111]))
+        assert m.sat_count(f, variables) == 3
+        counted = set(m.postorder(f))
+        m.deref(f)
+        m.gc()
+        assert not m._count_cache
+        g = m.from_keys(variables, [0b00000, 0b01010, 0b01011, 0b11000])
+        # g reuses freed node ids, so a count kept across the GC would
+        # be read for the wrong node.
+        assert counted & set(m.postorder(g))
+        assert m.sat_count(g, variables) == self._brute_count(m, g, variables)
+        assert m.sat_count(g, variables) == 4
+
+    def test_failed_count_stores_nothing(self, m):
+        f = m.apply_and(m.var(0), m.apply_or(m.nvar(3), m.var(5)))
+        with pytest.raises(BDDError):
+            m.sat_count(f, [0, 1])
+        assert not m._count_cache
+        assert m.sat_count(f, [0, 3, 5]) == 3
+        # The cached counts over [0, 3, 5] do not hide the uncovered
+        # levels from a later call over another set.
+        with pytest.raises(BDDError, match=r"\[3, 5\]"):
+            m.sat_count(f, [0, 1])
 
 
 class TestShape:
@@ -447,12 +503,13 @@ class TestCacheLimit:
         m.apply_and(m.var(2), m.var(3))
         assert len(m._apply_cache) <= 1
 
-    # The quantifier and permutation caches honour the bound too.
+    # The quantifier, permutation and count caches honour the bound too.
 
     @staticmethod
     def _quantify_and_rename(mgr):
         """and_exist, exist and replace over a few overlapping functions;
-        returns each result's truth table over the manager's 8 variables."""
+        returns each result's sat-count and truth table over the
+        manager's 8 variables."""
         f = mgr.apply_or(
             mgr.apply_and(mgr.var(0), mgr.var(3)),
             mgr.apply_and(mgr.var(5), mgr.nvar(6)),
@@ -467,8 +524,9 @@ class TestCacheLimit:
             mgr.replace(g, {7: 0, 3: 6, 1: 5}),
         ]
         return [
-            [mgr.eval(r, lambda v, bits=bits: bool(bits >> v & 1))
-             for bits in range(1 << 8)]
+            (mgr.sat_count(r, range(8)),
+             [mgr.eval(r, lambda v, bits=bits: bool(bits >> v & 1))
+              for bits in range(1 << 8)])
             for r in results
         ]
 
@@ -480,7 +538,14 @@ class TestCacheLimit:
         assert bounded.stats.and_exist_misses > free.stats.and_exist_misses
 
     @pytest.mark.parametrize(
-        "cache", ["_apply_cache", "_and_exist_cache", "_exist_cache", "_replace_cache"]
+        "cache",
+        [
+            "_apply_cache",
+            "_and_exist_cache",
+            "_exist_cache",
+            "_replace_cache",
+            "_count_cache",
+        ],
     )
     def test_limit_set_after_construction_bounds_each_cache(self, cache):
         m = BDDManager(8)

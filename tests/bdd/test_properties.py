@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bdd import FALSE, TRUE, BDDManager
+from repro.bdd import FALSE, TRUE, BDDError, BDDManager
 
 N_VARS = 5
 
@@ -104,14 +104,40 @@ def test_sat_count_matches_truth_set(expr):
 
 @given(expr=exprs)
 @settings(max_examples=100, deadline=None)
-def test_all_sat_matches_truth_set(expr):
+def test_to_keys_matches_truth_set(expr):
     m = BDDManager(N_VARS)
     node = build_bdd(m, expr)
-    sols = set()
-    for assignment in m.all_sat(node, range(N_VARS)):
-        bits = sum(1 << lv for lv, val in assignment.items() if val)
-        sols.add(bits)
-    assert sols == truth_set(expr)
+    keys = m.to_keys(node, range(N_VARS))
+    assert len(keys) == len(set(keys))
+    assert set(keys) == truth_set(expr)
+
+
+@given(
+    expr=exprs,
+    level_sets=st.lists(
+        st.sets(st.integers(0, N_VARS - 1)), min_size=1, max_size=4
+    ),
+    cache_limit=st.sampled_from([None, 1, 3]),
+)
+@settings(max_examples=100, deadline=None)
+def test_sat_count_matches_to_keys(expr, level_sets, cache_limit):
+    """Counts kept across calls over several level sets agree with the
+    enumeration over each set; a set that misses part of the support
+    makes both raise."""
+    m = BDDManager(N_VARS, cache_limit=cache_limit)
+    node = build_bdd(m, expr)
+    support = m.support(node)
+    for levels in level_sets + [set(range(N_VARS))]:
+        variables = sorted(levels, reverse=True)
+        if support <= levels:
+            keys = m.to_keys(node, variables)
+            assert m.sat_count(node, variables) == len(keys)
+        else:
+            with pytest.raises(BDDError):
+                m.to_keys(node, variables)
+            with pytest.raises(BDDError):
+                m.sat_count(node, variables)
+    assert m.sat_count(node) == len(truth_set(expr))
 
 
 @given(expr=exprs, levels=st.sets(st.integers(0, N_VARS - 1)))

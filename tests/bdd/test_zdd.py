@@ -24,10 +24,10 @@ def build(z, family):
 
 
 def extract(z, node):
-    out = set()
-    for assignment in z.all_sat(node, range(N_VARS)):
-        out.add(frozenset(lv for lv, v in assignment.items() if v))
-    return out
+    return {
+        frozenset(lv for lv in range(N_VARS) if k >> lv & 1)
+        for k in z.to_keys(node, range(N_VARS))
+    }
 
 
 @pytest.fixture
@@ -130,10 +130,10 @@ class TestGC:
 
 
 def extract_small(z, node):
-    out = set()
-    for assignment in z.all_sat(node, range(z.num_vars)):
-        out.add(frozenset(lv for lv, v in assignment.items() if v))
-    return out
+    return {
+        frozenset(lv for lv in range(z.num_vars) if k >> lv & 1)
+        for k in z.to_keys(node, range(z.num_vars))
+    }
 
 
 class TestProperties:

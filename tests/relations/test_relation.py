@@ -301,6 +301,21 @@ class TestExtraction:
         r = rel(u, ["type", "signature"], [("A", "f")], ["T1", "S1"])
         assert list(iter(r)) == [("A", "f")]
 
+    def test_tuples_follow_schema_order(self, u):
+        rows = {("A", "f"), ("B", "g"), ("C", "f"), ("D", "h")}
+        r = rel(u, ["signature", "type"], [(s, t) for t, s in rows],
+                ["S1", "T2"])
+        assert sorted(r.tuples()) == sorted((s, t) for t, s in rows)
+        assert len(list(r.tuples())) == r.size()
+
+    def test_uninterned_index_raises(self, u):
+        r = rel(u, ["type", "signature"], [("A", "f")], ["T1", "S1"])
+        # Type index 5 was never interned.
+        stray = r.backend.from_keys(r.schema.levels(), [5])
+        bad = Relation(u, r.schema, r.backend.union(r.node, stray))
+        with pytest.raises(JeddError, match="not interned"):
+            list(bad.tuples())
+
     def test_len_matches_size(self, u):
         r = rel(u, ["type"], [("A",), ("B",), ("C",)], ["T1"])
         assert len(r) == r.size() == 3
