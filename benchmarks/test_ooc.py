@@ -7,16 +7,22 @@ kernel state is tens of megabytes must complete under a
 bounded by the cap for the entire solve, and produce a final relation
 bit-identical to the reference kernel's.  This file is the benchmark
 version of ``tests/bdd/test_ooc_cap.py``: the ``javac-xl`` preset
-(~26 MB uncapped) under a 4 MiB cap, which saturates all three spill
-mechanisms -- unique-table sorted-run flushes, node-page eviction,
-and sweep-queue chunk spills.
+under a 2 MiB cap, which saturates all three spill mechanisms --
+unique-table sorted-run flushes, node-page eviction, and sweep-queue
+chunk spills.
 
-The cap was 8 MiB while facts were encoded one cube-and-union per
-tuple (~43 MB uncapped).  Bulk encoding shrank the solve so much that
-at 8 MiB no node page was ever evicted (``pages_evicted == 0``), and
-the eviction path went unexercised; 4 MiB evicts again (127 pages
-measured) while keeping the pressure well above ``MIN_PRESSURE``.
-Every spill counter must still be non-zero.
+The cap has followed the solve's footprint down.  It was 8 MiB while
+facts were encoded one cube-and-union per tuple (~43 MB uncapped).
+Bulk encoding shrank the solve so much that at 8 MiB no node page was
+ever evicted, so the cap went to 4 MiB (127 evictions measured then).
+Later kernel and encoding savings left the solve's pages resident
+under 4 MiB too: it peaked at 3.05 MB and evicted no page, and at
+3 MiB it evicted only 5.  At 2 MiB it evicts 1,162 pages (peak 1.8 MB
+of a 22.6 MB uncapped footprint, 10.8x pressure, 9-13x slower than the
+reference kernel on a 2-vCPU VM), so the
+test asserts at least ``MIN_PAGES_EVICTED`` evictions: the paged
+regime must hold by a margin, not by a handful of pages.  Every other
+spill counter must still be non-zero.
 
 The measured numbers are exported as ``ooc_benchmark.json`` (uploaded
 by the CI ooc job).
@@ -34,8 +40,11 @@ from tests.bdd.test_ooc_cap import ResidentWatchdog, _solve_pointsto
 ARTIFACT = "ooc_benchmark.json"
 
 #: Memory cap for the javac-xl solve (the module docstring says why
-#: 4 MiB: it forces every spill mechanism, and 8 MiB evicts no page).
-XL_CAP_BYTES = 4 << 20
+#: 2 MiB: it forces every spill mechanism, and 4 MiB evicts no page).
+XL_CAP_BYTES = 2 << 20
+
+#: Node-page evictions the capped solve must reach.
+MIN_PAGES_EVICTED = 100
 
 #: The cap must undercut the uncapped footprint by at least this
 #: factor for the run to prove anything.
@@ -98,7 +107,9 @@ def test_capped_xl_solve_stays_under_cap_and_matches_reference():
     )
     # The solve genuinely went out of core on every axis.
     assert prof["unique_flushes"] > 0
-    assert prof["pages_evicted"] > 0
+    assert prof["pages_evicted"] >= MIN_PAGES_EVICTED, (
+        f"only {prof['pages_evicted']} page evictions under cap {cap}"
+    )
     assert prof["queue_rows_spilled"] > 0
     assert prof["spill_bytes_written"] > 0
 

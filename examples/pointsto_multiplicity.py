@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Points-to multiplicity: quantitative analysis on the MTBDD backend.
+"""Points-to multiplicity: quantitative analysis on the bdd backend.
 
 The boolean analyses of whole_program_analysis.py answer *whether* a
 variable may point to an object; this example answers *how many*.  The
-whole pipeline runs on the multi-terminal backend, and every multiplicity
-is computed by :meth:`Relation.aggregate` -- terminal arithmetic on the
-shared diagram, not tuple enumeration -- then cross-checked against the
-dict-of-tuples oracle.
+whole pipeline runs on the default bdd backend (the zdd backend gives
+the same numbers), and every multiplicity is computed by
+:meth:`Relation.aggregate`, then cross-checked against counts of the
+relation's tuples made here.
 
 Three layers exercise the same aggregates end to end:
 
@@ -37,6 +37,7 @@ import io
 import os
 import sys
 import tempfile
+from collections import Counter
 
 from repro.analyses import (
     AnalysisUniverse,
@@ -50,25 +51,23 @@ from repro.shell import run_script
 
 
 def check_aggregates(name, rel):
-    """Every grouping of `count` on the diagram path, against the
-    dict-of-tuples oracle (weight 0 means absent in both)."""
+    """Every grouping of `count` against a Counter over the relation's
+    tuples (an empty group is absent in both)."""
     names = list(rel.schema.names())
+    rows = list(rel.tuples())
     checked = 0
     for group_by in [[]] + [[n] for n in names]:
         got = rel.aggregate("count", group_by=group_by)
-        oracle = {
-            k: v
-            for k, v in rel._aggregate_tuples("count", None, group_by).items()
-            if v != 0
-        }
-        assert got.as_dict() == oracle, (name, group_by)
+        cols = [names.index(n) for n in group_by]
+        oracle = Counter(tuple(row[c] for c in cols) for row in rows)
+        assert got.as_dict() == dict(oracle), (name, group_by)
         checked += 1
     print(f"    {name}: {checked} groupings bit-exact against the oracle")
 
 
 def jedd_language_segment(facts):
-    """Run examples/jedd/multiplicity.jedd through the interpreter on the
-    mtbdd backend and verify its per-variable counts against a naive
+    """Run examples/jedd/multiplicity.jedd through the interpreter and
+    verify its per-variable counts against a naive
     assign-only closure computed with plain Python sets."""
     from repro.jedd.compiler import compile_source
 
@@ -79,7 +78,7 @@ def jedd_language_segment(facts):
             "multiplicity.jedd",
         )
     ).read()
-    it = compile_source(src).interpreter(backend="mtbdd")
+    it = compile_source(src).interpreter()
     it.set_global("alloc", it.relation_of(["var", "obj"], facts.allocs))
     it.set_global(
         "assignEdge", it.relation_of(["dstvar", "srcvar"], facts.assigns)
@@ -101,7 +100,7 @@ def jedd_language_segment(facts):
                 changed = True
     want = {(v,): len(objs) for v, objs in sets.items() if objs}
     assert pt.aggregate("count", group_by=["var"]).as_dict() == want
-    print(f"    multiplicity.jedd (interpreter, mtbdd): "
+    print(f"    multiplicity.jedd (interpreter): "
           f"{pt.count()} pt pairs, per-variable counts match the closure")
     return pt
 
@@ -119,7 +118,6 @@ def shell_segment(pt):
         out = io.StringIO()
         shell = run_script(
             [
-                "backend mtbdd",
                 "domain Var 4096",
                 "domain Obj 1024",
                 "attribute var : Var",
@@ -143,8 +141,8 @@ def shell_segment(pt):
 def main() -> None:
     name = sys.argv[1] if len(sys.argv) > 1 else "javac-s"
     facts = preset(name)
-    au = AnalysisUniverse(facts, backend="mtbdd")
-    print(f"benchmark {name} on the mtbdd backend: {facts.counts()}")
+    au = AnalysisUniverse(facts)
+    print(f"benchmark {name} on the bdd backend: {facts.counts()}")
 
     hierarchy = Hierarchy(au)
     pt = PointsTo(au).solve()

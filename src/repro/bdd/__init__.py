@@ -9,7 +9,6 @@ on either without modification.
 
 from repro.bdd.fdd import FDDManager, FiniteDomain
 from repro.bdd.manager import FALSE, TRUE, BDDError, BDDManager
-from repro.bdd.mtbdd import MTBDDManager
 from repro.bdd.ooc import OocBDDManager
 from repro.bdd.zdd import ZDDManager
 
@@ -19,7 +18,6 @@ __all__ = [
     "FALSE",
     "FDDManager",
     "FiniteDomain",
-    "MTBDDManager",
     "OocBDDManager",
     "TRUE",
     "ZDDManager",

@@ -48,8 +48,8 @@ Hot paths
 ``and``/``or``/``diff``/``xor``, ``and_exist``, ``exist`` and
 ``replace`` each recurse through a closure over locals bound once per
 top-level call (node arrays, unique table, free list, the op's cache,
-``stats``, ``cache_limit``), never in ``__init__``: subclasses swap the
-arrays or the stats object after construction, and ``cache_limit`` may
+``stats``, ``cache_limit``), never in ``__init__``: a subclass swaps the
+arrays after construction (the ooc kernel does), and ``cache_limit`` may
 change between calls.  They build nodes with :meth:`~BDDManager.mk`
 inlined, so a subclass that overrides ``mk`` overrides them too (the
 ooc kernel does); every other builder keeps calling ``self.mk``.  The
@@ -158,8 +158,8 @@ class BDDManager:
         # above them the op tag (apply) or an id from _key_ids
         # (exist/and_exist via _quantifier_keys, replace, sat_count).  An
         # int key takes half the memory of the equivalent tuple.  The ooc
-        # and MTBDD kernels' own recursions keep tuple keys, which never
-        # equal an int.
+        # kernel's own recursions keep tuple keys, which never equal an
+        # int.
         self._apply_cache: Dict[int, int] = {}
         self._not_cache: Dict[int, int] = {}
         self._exist_cache: Dict[int, int] = {}
@@ -243,10 +243,6 @@ class BDDManager:
         """True for the constant nodes ``FALSE`` and ``TRUE``."""
         return node <= TRUE
 
-    def _terminal_nodes(self) -> Iterable[int]:
-        """Every constant node (the ones :meth:`is_terminal` accepts)."""
-        return (FALSE, TRUE)
-
     def _check_var(self, var: int) -> None:
         if not 0 <= var < self._num_vars:
             raise BDDError(
@@ -288,8 +284,7 @@ class BDDManager:
         if count < 0:
             raise BDDError("count must be non-negative")
         self._num_vars += count
-        for node in self._terminal_nodes():
-            self._level[node] = self._num_vars
+        self._level[FALSE] = self._level[TRUE] = self._num_vars
         # Counting caches depend on the distance to the terminal level.
         self._count_cache.clear()
 
@@ -347,20 +342,14 @@ class BDDManager:
                 node = self.mk(var, node, FALSE)
         return node
 
-    def from_keys(
-        self,
-        variables: Sequence[int],
-        keys: Iterable[int],
-        leaves: Optional[Sequence[int]] = None,
-    ) -> int:
+    def from_keys(self, variables: Sequence[int], keys: Iterable[int]) -> int:
         """The union of one cube per key, built in one bottom-up pass.
 
         Bit ``p`` of each key is the value of variable ``variables[p]``
-        (see :func:`build_from_keys`); ``leaves`` optionally gives each
-        key's terminal instead of ``TRUE``.
+        (see :func:`build_from_keys`).
         """
         return build_from_keys(
-            self.mk, self._to_levels(variables), keys, FALSE, TRUE, leaves
+            self.mk, self._to_levels(variables), keys, FALSE, TRUE
         )
 
     # ------------------------------------------------------------------
@@ -1025,9 +1014,7 @@ class BDDManager:
         """The satisfying assignments of ``a`` over ``variables``, one
         integer key each: the inverse of :meth:`from_keys`.
 
-        Bit ``p`` of each key is the value of ``variables[p]``.  Every
-        terminal other than ``FALSE`` is a leaf (so a multi-terminal
-        diagram yields the keys of its non-zero assignments).  Bits of
+        Bit ``p`` of each key is the value of ``variables[p]``.  Bits of
         ``a``'s support outside ``variables`` must not occur (checked);
         a requested variable no path tests is a wildcard, expanded to
         both values by doubling the path's key list.  The walk keeps an
@@ -1293,9 +1280,9 @@ class BDDManager:
 # binary trie whose reduction *is* the diagram, so it can be built in one
 # bottom-up pass with no apply-cache work, the way Adiar builds diagrams
 # level by level from sorted streams.  The pass is written once, against
-# a node constructor and two terminals: the BDD kernels (reference,
-# ooc, and MTBDD with per-key terminal leaves) pass their
-# hash-consing ``mk``, the ZDD kernel its zero-suppressing one.
+# a node constructor and two terminals: the BDD kernels (reference
+# and ooc) pass their hash-consing ``mk``, the ZDD kernel its
+# zero-suppressing one.
 # Canonicity makes the result the very node the fold would return.
 
 
@@ -1305,7 +1292,6 @@ def build_from_keys(
     keys: Iterable[int],
     zero: int,
     one: int,
-    leaves: Optional[Sequence[int]] = None,
 ) -> int:
     """The diagram holding exactly the assignments encoded by ``keys``.
 
@@ -1317,9 +1303,6 @@ def build_from_keys(
     node, with ``zero`` for an absent branch and ``one`` at a complete
     assignment.  A subrange that holds every assignment of the levels
     below it is built once per depth and shared.
-
-    ``leaves`` optionally gives the terminal of each key instead of
-    ``one`` (a multi-terminal diagram); its keys must then be distinct.
     """
     n = len(levels)
     if len(set(levels)) != n:
@@ -1329,20 +1312,7 @@ def build_from_keys(
         raise BDDError(f"bulk build key outside {n} bit(s)")
     order = sorted(range(n), key=levels.__getitem__)
     top = [levels[p] for p in order]
-    keys = _level_keys(keys, order)
-    if leaves is None:
-        keys = sorted(set(keys))
-        leaf = None
-    else:
-        if len(leaves) != len(keys):
-            raise BDDError(
-                f"bulk build: {len(keys)} key(s) but {len(leaves)} leaves"
-            )
-        pairs = sorted(zip(keys, leaves))
-        keys = [k for k, _ in pairs]
-        leaf = [t for _, t in pairs]
-        if any(a == b for a, b in zip(keys, keys[1:])):
-            raise BDDError("bulk build: repeated key with per-key leaves")
+    keys = sorted(set(_level_keys(keys, order)))
     if not keys:
         return zero
 
@@ -1367,8 +1337,8 @@ def build_from_keys(
     def rec(lo: int, hi: int, d: int) -> int:
         # keys[lo:hi] agree on the levels above depth d.
         if hi - lo == 1:
-            return chain(keys[lo], d, one if leaf is None else leaf[lo])
-        if leaf is None and hi - lo == 1 << (n - d):
+            return chain(keys[lo], d, one)
+        if hi - lo == 1 << (n - d):
             return complete(d)
         shift = n - 1 - d
         split = bisect_left(keys, (keys[lo] >> shift | 1) << shift, lo, hi)

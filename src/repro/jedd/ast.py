@@ -338,8 +338,7 @@ class ReplaceOp(Expr):
 
 @dataclass
 class AggregateOp(Expr):
-    """``count x.p group by a, b`` -- a weighted (MTBDD-terminal)
-    expression.  ``attr`` is the aggregated attribute (None only for
+    """``count x.p group by a, b`` -- a weighted expression.  ``attr`` is the aggregated attribute (None only for
     bare ``count``); the result maps each ``group_by`` assignment to a
     number, so it is *weighted* and may only appear where a
     :class:`~repro.relations.relation.WeightedRelation` is acceptable

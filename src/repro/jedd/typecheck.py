@@ -404,8 +404,8 @@ class _Checker:
         )
 
     def _forbid_weighted(self, expr: ast.Expr, what: str) -> None:
-        """Aggregates produce weighted relations (numeric MTBDD
-        terminals), which the boolean relational operators cannot
+        """Aggregates produce weighted relations (tuples mapped to
+        numbers), which the boolean relational operators cannot
         consume; they are printable but not composable."""
         if getattr(expr, "weighted", False):
             raise TypeError_(

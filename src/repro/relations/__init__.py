@@ -9,7 +9,6 @@ reference-count-managing containers.
 from repro.relations.backend import (
     BDDBackend,
     DiagramBackend,
-    MultiTerminalBackend,
     PipelineStep,
     ZDDBackend,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ExecutionPolicy",
     "FixpointEngine",
     "JeddError",
-    "MultiTerminalBackend",
     "PhysicalDomain",
     "PipelineStep",
     "Relation",

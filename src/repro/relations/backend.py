@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence
 
-from repro.bdd import FALSE, TRUE, BDDManager, MTBDDManager, ZDDManager
+from repro.bdd import FALSE, TRUE, BDDManager, ZDDManager
 from repro.telemetry import traced as _traced
 from repro.bdd.zdd import BASE, EMPTY
 
@@ -25,14 +25,8 @@ __all__ = [
     "DiagramBackend",
     "BDDBackend",
     "ZDDBackend",
-    "MultiTerminalBackend",
     "PipelineStep",
-    "BOOLEAN_TERMINALS",
 ]
-
-#: The terminal domain every boolean backend reports: a diagram maps
-#: each tuple to 0 (absent) or 1 (present).
-BOOLEAN_TERMINALS = frozenset({0, 1})
 
 
 @dataclass(frozen=True)
@@ -69,21 +63,6 @@ class DiagramBackend:
     def __init__(self, manager) -> None:
         self.manager = manager
 
-    # Terminal domain -----------------------------------------------------
-    def terminal_domain(self) -> frozenset:
-        """Values a diagram may map tuples to.
-
-        Boolean backends report ``{0, 1}`` (membership); the
-        multi-terminal backend reports ``None``, meaning any number —
-        the relational layer uses this to decide whether weighted
-        relations can live on this backend.
-        """
-        return BOOLEAN_TERMINALS
-
-    def supports_weights(self) -> bool:
-        """Whether diagrams may carry non-boolean terminal values."""
-        return self.terminal_domain() is None
-
     # Constants ---------------------------------------------------------
     def empty(self) -> int:
         """Handle of the empty relation (0B)."""
@@ -98,18 +77,11 @@ class DiagramBackend:
         """Single tuple: a complete assignment of the used levels."""
         raise NotImplementedError
 
-    def from_keys(
-        self,
-        variables: Sequence[int],
-        keys: Iterable[int],
-        leaves: Sequence[int] | None = None,
-    ) -> int:
+    def from_keys(self, variables: Sequence[int], keys: Iterable[int]) -> int:
         """Many tuples at once: the union of one cube per key, built in
         one bottom-up pass with no apply work.
 
         Bit ``p`` of each key is the value of ``variables[p]``.
-        ``leaves`` gives each (distinct) key a terminal of its own; only
-        a backend that :meth:`supports_weights` accepts it.
         """
         raise NotImplementedError
 
@@ -241,8 +213,8 @@ class BDDBackend(DiagramBackend):
         return self.manager.cube(assignment)
 
     @_traced("bdd.from_keys", "kernel")
-    def from_keys(self, variables, keys, leaves=None) -> int:
-        return self.manager.from_keys(variables, keys, leaves)
+    def from_keys(self, variables, keys) -> int:
+        return self.manager.from_keys(variables, keys)
 
     @_traced("bdd.union", "kernel")
     def union(self, a: int, b: int) -> int:
@@ -382,65 +354,8 @@ class ZDDBackend(DiagramBackend):
         return self.manager.to_keys(a, variables)
 
 
-class MultiTerminalBackend(BDDBackend):
-    """Adapter over :class:`repro.bdd.MTBDDManager` (ADD/MTBDD diagrams).
-
-    Boolean relations are the ``{0, 1}``-terminal special case, so the
-    whole relational operation set is :class:`BDDBackend`'s, unchanged:
-    a join is still a conjunction and projection is still
-    ``or``-abstraction.  On top of that the backend exposes the weighted
-    operations the aggregate executor needs: pointwise arithmetic
-    combinators and sum/max/min-abstraction.
-    """
-
-    name = "mtbdd"
-
-    def terminal_domain(self):
-        return None  # any numeric terminal
-
-    # Weighted operations (only this backend provides them) --------------
-    def terminal(self, value) -> int:
-        """The constant diagram carrying ``value``."""
-        return self.manager.terminal(value)
-
-    def terminal_value(self, node: int):
-        """The number carried by a terminal node handle."""
-        return self.manager.value(node)
-
-    @_traced("mtbdd.apply", "kernel")
-    def apply(self, op: str, a: int, b: int) -> int:
-        """Pointwise combinator (``add``/``mul``/``max``/``min``/...)."""
-        return self.manager.apply(op, a, b)
-
-    @_traced("mtbdd.ite", "kernel")
-    def ite(self, f: int, g: int, h: int) -> int:
-        """Pointwise if-then-else with a boolean guard diagram."""
-        return self.manager.ite(f, g, h)
-
-    @_traced("mtbdd.abstract", "kernel")
-    def abstract(self, op: str, a: int, levels: Iterable[int]) -> int:
-        """Quantify levels by ``or``/``add``/``max``/``min``."""
-        return self.manager.abstract(op, a, levels)
-
-    @_traced("mtbdd.weighted_total", "kernel")
-    def weighted_total(self, a: int, levels: Sequence[int]):
-        """Sum of the diagram over all assignments of ``levels``."""
-        return self.manager.weighted_total(a, levels)
-
-    def all_terminals(self, a, levels):
-        """Iterate ``(assignment, value)`` pairs with non-zero value."""
-        return self.manager.all_terminals(a, levels)
-
-    def evaluate(self, a: int, assignment: Dict[int, bool]):
-        """Terminal value of one complete assignment (weight lookup)."""
-        return self.manager.evaluate(a, assignment)
-
-
 def _backend_for(manager) -> DiagramBackend:
     """Wrap a manager in the matching adapter (internal)."""
-    # MTBDDManager subclasses BDDManager: test it first.
-    if isinstance(manager, MTBDDManager):
-        return MultiTerminalBackend(manager)
     if isinstance(manager, BDDManager):
         return BDDBackend(manager)
     if isinstance(manager, ZDDManager):

@@ -181,7 +181,7 @@ class Universe:
     ) -> None:
         if ordering not in ("interleaved", "sequential"):
             raise JeddError(f"unknown ordering {ordering!r}")
-        if backend not in ("bdd", "zdd", "mtbdd"):
+        if backend not in ("bdd", "zdd"):
             raise JeddError(f"unknown backend {backend!r}")
         if kernel is None:
             kernel = os.environ.get("JEDD_KERNEL", "reference")
@@ -369,10 +369,6 @@ class Universe:
                 self.manager = OocBDDManager(total_bits)
             else:
                 self.manager = BDDManager(total_bits)
-        elif self.backend_name == "mtbdd":
-            from repro.bdd.mtbdd import MTBDDManager
-
-            self.manager = MTBDDManager(total_bits)
         else:
             self.manager = ZDDManager(total_bits)
 

@@ -19,10 +19,9 @@ The universe container is the ``JDDU`` format: magic, a version byte
 understand instead of guessing at the layout), a JSON header with the
 declarations, then one length-prefixed binary relation checkpoint per
 named relation (each itself carrying the versioned ``JDDB`` diagram
-encoding).  Multi-terminal universes add a ``terminals`` tag to the
-header naming the terminal domain (``"numeric"``) and are written at
-container version 2; boolean universes keep the version-1 layout
-byte-for-byte.
+encoding).  Container version 2 and the header tag ``"terminals":
+"numeric"`` belonged to the removed multi-terminal backend; the loader
+refuses them by name.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import json
 from typing import BinaryIO, Dict, List, Mapping, Optional, Sequence, TextIO, Tuple
 
 from repro.bdd.io import (
+    MULTI_TERMINAL_REMOVED,
     dumps_diagram,
     dumps_diagram_binary,
     loads_diagram,
@@ -50,29 +50,15 @@ __all__ = [
     "load_universe",
     "UNIVERSE_MAGIC",
     "UNIVERSE_VERSION",
-    "WEIGHTED_UNIVERSE_VERSION",
-    "MAX_UNIVERSE_VERSION",
 ]
 
 #: Magic prefix of the universe container format.
 UNIVERSE_MAGIC = b"JDDU"
 
-#: Version of the universe container layout this build writes for
-#: boolean universes.  The layout is unchanged since version 1, so
-#: boolean checkpoints stay byte-identical across builds.
+#: Version of the universe container layout this build writes and the
+#: highest it reads.  The layout is unchanged since version 1, so
+#: checkpoints stay byte-identical across builds.
 UNIVERSE_VERSION = 1
-
-#: Container version for multi-terminal (weighted) universes: their
-#: header carries a ``terminals`` tag and their relation diagrams use
-#: the kind-2 ``JDDB`` layout, neither of which version-1 readers
-#: defined.
-WEIGHTED_UNIVERSE_VERSION = 2
-
-#: Highest container version this reader understands.
-MAX_UNIVERSE_VERSION = 2
-
-#: Terminal-domain tags a version-2 header may carry.
-_TERMINAL_TAGS = ("boolean", "numeric")
 
 
 def save_tsv(relation: Relation, fp: TextIO) -> int:
@@ -253,9 +239,8 @@ def save_universe(
         raise JeddError("save_universe: finalize() the universe first")
     for name, rel in relations.items():
         if isinstance(rel, WeightedRelation):
-            # Aggregate results are derived artifacts (often
-            # table-backed, with no diagram to checkpoint); recompute
-            # them after load instead of persisting them.
+            # Aggregate results are derived artifacts with no diagram
+            # to checkpoint; recompute them after load instead.
             raise JeddError(
                 f"save_universe: {name!r} is a weighted aggregate "
                 "result and cannot be checkpointed; drop it or "
@@ -281,7 +266,6 @@ def save_universe(
             scratch.append([pd.name, pd.bits])
         else:
             physdoms.append([pd.name, pd.bits])
-    weighted = universe.backend_name == "mtbdd"
     header = {
         "backend": universe.backend_name,
         "ordering": universe.ordering,
@@ -296,12 +280,8 @@ def save_universe(
         "bit_order": universe._bit_order_groups,
         "relations": list(relations),
     }
-    if weighted:
-        header["terminals"] = "numeric"
     out = bytearray(UNIVERSE_MAGIC)
-    out.append(
-        0x80 | (WEIGHTED_UNIVERSE_VERSION if weighted else UNIVERSE_VERSION)
-    )
+    out.append(0x80 | UNIVERSE_VERSION)
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     _write_uvarint(out, len(header_bytes))
     out += header_bytes
@@ -329,10 +309,12 @@ def load_universe(fp: BinaryIO) -> Tuple[Universe, Dict[str, Relation]]:
     if not version_byte & 0x80:
         raise JeddError("bad universe checkpoint version byte")
     version = version_byte & 0x7F
-    if version > MAX_UNIVERSE_VERSION:
+    if version == 2:  # only multi-terminal universes were written at 2
+        raise JeddError(MULTI_TERMINAL_REMOVED)
+    if version > UNIVERSE_VERSION:
         raise JeddError(
             f"universe checkpoint has version {version}, this reader "
-            f"understands up to {MAX_UNIVERSE_VERSION} "
+            f"understands up to {UNIVERSE_VERSION} "
             "(refusing to guess at the layout)"
         )
     pos = len(UNIVERSE_MAGIC) + 1
@@ -345,16 +327,12 @@ def load_universe(fp: BinaryIO) -> Tuple[Universe, Dict[str, Relation]]:
         raise JeddError(f"bad universe checkpoint header: {err}") from None
     pos += header_len
     terminals = header.get("terminals", "boolean")
-    if terminals not in _TERMINAL_TAGS:
+    if terminals == "numeric" or header["backend"] == "mtbdd":
+        raise JeddError(MULTI_TERMINAL_REMOVED)
+    if terminals != "boolean":
         raise JeddError(
             f"universe checkpoint has unknown terminal-domain tag "
-            f"{terminals!r} (this reader knows {_TERMINAL_TAGS}; "
-            "refusing to guess at the semantics)"
-        )
-    if (terminals == "numeric") != (header["backend"] == "mtbdd"):
-        raise JeddError(
-            f"universe checkpoint terminal-domain tag {terminals!r} "
-            f"does not fit backend {header['backend']!r}"
+            f"{terminals!r} (refusing to guess at the semantics)"
         )
     universe = Universe(
         backend=header["backend"],

@@ -37,8 +37,8 @@ needs:
     selection by fixed attribute values (section 2.2.4);
 ``aggregate``
     grouped ``count/sum/max/min/mean`` producing a weighted relation
-    (the quantitative extension — executed via the multi-terminal
-    backend's abstraction operators where available).
+    (the quantitative extension; the grouping runs over the operand's
+    tuples on every backend).
 """
 
 from __future__ import annotations

@@ -1247,7 +1247,7 @@ class Relation:
         )
 
     # ------------------------------------------------------------------
-    # Aggregates (quantitative extension; ROADMAP "MTBDD/ADD backend")
+    # Aggregates (quantitative extension)
     # ------------------------------------------------------------------
 
     @_traced("relation.aggregate", "relation")
@@ -1269,15 +1269,11 @@ class Relation:
         ``sum`` / ``max`` / ``min``
             over the numeric objects of ``attr``;
         ``mean``
-            ``sum / count`` (Python true division, identical in both
-            execution paths).
+            ``sum / count`` (Python true division).
 
-        On the multi-terminal backend the grouping runs as diagram
-        abstraction — ``count``/``sum`` are ``add``-quantification of
-        the (value-weighted) relation over the non-group levels,
-        ``max``/``min`` their idempotent counterparts; other backends
-        fall back to tuple materialisation with identical results.
-        Returns a :class:`WeightedRelation` keyed by the group columns.
+        The projected tuples are enumerated once and grouped in a dict,
+        the same way on every backend.  Returns a
+        :class:`WeightedRelation` keyed by the group columns.
         """
         if agg not in AGGREGATE_OPS:
             raise JeddError(
@@ -1313,84 +1309,14 @@ class Relation:
                 for n in group_by
             ]
         )
-        if self.backend.supports_weights():
-            weights = base._aggregate_diagram(agg, attr, group_by)
-        else:
-            weights = base._aggregate_tuples(agg, attr, group_by)
         return WeightedRelation(
-            self.universe, result_schema, weights=weights
+            self.universe,
+            result_schema,
+            base._aggregate_tuples(agg, attr, group_by),
         )
-
-    def _aggregate_diagram(self, agg, attr, group_by):
-        """Grouped aggregation via MTBDD abstraction operators."""
-        be = self.backend
-        u = self.universe
-        group_levels, decode = _key_decoder(
-            Schema(
-                [
-                    (self.schema.attribute(n), self.schema.physdom(n))
-                    for n in group_by
-                ]
-            )
-        )
-        group_set = set(group_levels)
-        other_levels = [
-            l for l in self.schema.levels() if l not in group_set
-        ]
-        count_node = None
-        value_node = None
-        if agg in ("count", "mean"):
-            count_node = be.abstract("add", self.node, other_levels)
-        if attr is not None and agg != "count":
-            pd = self.schema.physdom(attr)
-            dom = self.schema.attribute(attr).domain
-            variables, encode = _key_encoder(
-                u, Schema([(self.schema.attribute(attr), pd)])
-            )
-            keys = []
-            leaves = []
-            for idx in dom.values():
-                obj = dom.object_of(idx)
-                if not isinstance(obj, (int, float)):
-                    raise JeddError(
-                        f"aggregate {agg!r}: attribute {attr!r} holds "
-                        f"non-numeric object {obj!r}"
-                    )
-                keys.append(encode((obj,)))
-                leaves.append(be.terminal(obj))
-            values = be.from_keys(variables, keys, leaves)
-            if agg in ("sum", "mean"):
-                masked = be.ite(self.node, values, be.terminal(0))
-                value_node = be.abstract("add", masked, other_levels)
-            else:
-                # Absent tuples must not win the max/min: mask them to
-                # the operation's identity; absent *groups* are never
-                # enumerated, so the sentinel is never read.
-                sentinel = float("-inf") if agg == "max" else float("inf")
-                masked = be.ite(self.node, values, be.terminal(sentinel))
-                value_node = be.abstract(agg, masked, other_levels)
-        group_node = be.abstract("or", self.node, other_levels)
-        weights = {}
-        for bits in be.to_keys(group_node, group_levels):
-            assignment = {
-                level: bool(bits >> p & 1)
-                for p, level in enumerate(group_levels)
-            }
-            key = decode(bits)
-            if agg == "count":
-                weights[key] = be.evaluate(count_node, assignment)
-            elif agg == "mean":
-                weights[key] = be.evaluate(
-                    value_node, assignment
-                ) / be.evaluate(count_node, assignment)
-            else:
-                weights[key] = be.evaluate(value_node, assignment)
-        return weights
 
     def _aggregate_tuples(self, agg, attr, group_by):
-        """Portable fallback: materialise tuples and aggregate in dicts
-        (this is also, verbatim, the differential tests' oracle
-        semantics)."""
+        """Materialise the tuples and aggregate them in dicts."""
         names = list(self.schema.names())
         gidx = [names.index(n) for n in group_by]
         aidx = names.index(attr) if attr is not None else None
@@ -1436,80 +1362,26 @@ class Relation:
 
 
 class WeightedRelation:
-    """A relation mapping tuples to numeric weights.
+    """A relation mapping tuples to numeric weights, held as a dict.
 
-    Two interchangeable representations behind one API: *diagram-backed*
-    (an MTBDD whose terminals carry the weights — only on the
-    multi-terminal backend) and *table-backed* (a plain dict, the
-    portable fallback and the form aggregate results take).  A weight of
-    0 means the tuple is absent — the diagram encoding cannot
-    distinguish the two, so the table form drops zero net weights for
-    consistency.
-
-    Build one with :meth:`from_weighted_tuples` (repeated tuples sum
-    their weights) or receive one from :meth:`Relation.aggregate`.
+    A weight of 0 means the tuple is absent, so zero net weights are
+    dropped.  Build one with :meth:`from_weighted_tuples` (repeated
+    tuples sum their weights) or receive one from
+    :meth:`Relation.aggregate`.  It holds no diagram, so it needs no
+    disposal and cannot be a relational operand.
     """
 
-    __slots__ = (
-        "universe", "schema", "backend", "node", "_weights", "_released"
-    )
+    __slots__ = ("universe", "schema", "_weights")
 
     def __init__(
         self,
         universe: Universe,
         schema: Schema,
-        node: Optional[int] = None,
-        weights: Optional[Dict[tuple, object]] = None,
-        backend: Optional[DiagramBackend] = None,
+        weights: Dict[tuple, object],
     ) -> None:
-        if (node is None) == (weights is None):
-            raise JeddError(
-                "WeightedRelation needs exactly one of node/weights"
-            )
         self.universe = universe
         self.schema = schema
-        self.backend = backend or _backend_for(universe.manager)
-        self._released = False
-        if node is not None:
-            if not self.backend.supports_weights():
-                raise JeddError(
-                    f"the {self.backend.name} backend cannot hold "
-                    "weighted diagrams (open the universe with "
-                    "backend='mtbdd')"
-                )
-            self.node = self.backend.ref(node)
-            self._weights = None
-        else:
-            self.node = None
-            self._weights = {
-                tuple(k): w for k, w in weights.items() if w != 0
-            }
-        universe._note_relation(self)
-
-    def __del__(self) -> None:
-        self.dispose()
-
-    def dispose(self) -> None:
-        """Drop the diagram reference (idempotent; no-op on the table
-        representation)."""
-        if not self._released:
-            self._released = True
-            if self.node is not None:
-                try:
-                    self.backend.deref(self.node)
-                except Exception:
-                    pass  # interpreter shutdown may have torn down the manager
-
-    @property
-    def disposed(self) -> bool:
-        return self._released
-
-    def __enter__(self) -> "WeightedRelation":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.dispose()
-        return False
+        self._weights = {tuple(k): w for k, w in weights.items() if w != 0}
 
     @classmethod
     def from_weighted_tuples(
@@ -1522,12 +1394,9 @@ class WeightedRelation:
         """Bulk constructor: each row is ``(*objects, weight)``.
 
         Repeated tuples sum their weights; tuples whose net weight is 0
-        are dropped.  On the multi-terminal backend the result is
-        diagram-backed (built in one pass, each tuple's leaf its weight
-        terminal); elsewhere it is table-backed.
+        are dropped.  The objects are interned in their domains.
         """
         schema = Relation._make_schema(universe, attributes, physdoms)
-        backend = _backend_for(universe.manager)
         acc: Dict[tuple, object] = {}
         for row in rows:
             if len(row) != len(schema) + 1:
@@ -1545,18 +1414,10 @@ class WeightedRelation:
             key = tuple(objs)
             acc[key] = acc.get(key, 0) + weight
         acc = {k: w for k, w in acc.items() if w != 0}
-        if not backend.supports_weights():
-            # Intern eagerly so lookups behave identically to the
-            # diagram path.
-            for key in acc:
-                for (attr, _), obj in zip(schema.pairs, key):
-                    attr.domain.intern(obj)
-            return cls(universe, schema, weights=acc, backend=backend)
-        variables, encode = _key_encoder(universe, schema)
-        keys = [encode(key) for key in acc]
-        leaves = [backend.terminal(weight) for weight in acc.values()]
-        node = backend.from_keys(variables, keys, leaves)
-        return cls(universe, schema, node=node, backend=backend)
+        for key in acc:
+            for (attr, _), obj in zip(schema.pairs, key):
+                attr.domain.intern(obj)
+        return cls(universe, schema, acc)
 
     # ------------------------------------------------------------------
     # Lookup and enumeration
@@ -1573,31 +1434,11 @@ class WeightedRelation:
                 f"weight() takes {len(self.schema)} object(s), "
                 f"got {len(objs)}"
             )
-        if self._weights is not None:
-            return self._weights.get(tuple(objs), 0)
-        assignment: Dict[int, bool] = {}
-        for (attr, pd), obj in zip(self.schema.pairs, objs):
-            if obj not in attr.domain:
-                return 0
-            assignment.update(
-                self.universe.encode_bits(pd, attr.domain.index_of(obj))
-            )
-        return self.backend.evaluate(self.node, assignment)
+        return self._weights.get(tuple(objs), 0)
 
     def items(self) -> Iterator[Tuple[tuple, object]]:
         """Iterate ``(tuple, weight)`` pairs (non-zero weights only)."""
-        if self._weights is not None:
-            yield from self._weights.items()
-            return
-        levels = self.schema.levels()
-        for assignment, value in self.backend.all_terminals(
-            self.node, levels
-        ):
-            key = []
-            for attr, pd in self.schema.pairs:
-                idx = self.universe.decode_bits(pd, assignment)
-                key.append(attr.domain.object_of(idx))
-            yield tuple(key), value
+        return iter(self._weights.items())
 
     def tuples(self) -> Iterator[tuple]:
         """Iterate the tuples carrying non-zero weight."""
@@ -1605,29 +1446,18 @@ class WeightedRelation:
 
     def as_dict(self) -> Dict[tuple, object]:
         """The full tuple->weight mapping as a plain dict."""
-        return dict(self.items())
+        return dict(self._weights)
 
     def size(self) -> int:
         """Number of tuples with non-zero weight."""
-        if self._weights is not None:
-            return len(self._weights)
-        return sum(1 for _ in self.items())
+        return len(self._weights)
 
     def __len__(self) -> int:
         return self.size()
 
     def total(self):
-        """Sum of all weights.
-
-        Diagram-backed relations compute this as one
-        ``add``-abstraction over all used levels (the satcount
-        generalisation) — no tuple materialisation.
-        """
-        if self._weights is not None:
-            return sum(self._weights.values())
-        return self.backend.weighted_total(
-            self.node, self.schema.levels()
-        )
+        """Sum of all weights."""
+        return sum(self._weights.values())
 
     def to_relation(self, threshold=0) -> Relation:
         """The boolean relation of tuples with ``weight > threshold``."""
@@ -1640,16 +1470,13 @@ class WeightedRelation:
         )
 
     def node_count(self) -> int:
-        """Diagram nodes (table-backed relations report 0)."""
-        if self.node is None:
-            return 0
-        return self.backend.node_count(self.node)
+        """Diagram nodes: 0, as the weights live in a dict (the
+        profiler and the shell's ``list`` ask every result)."""
+        return 0
 
     def shape(self) -> List[int]:
-        """Per-level node counts (empty for table-backed relations)."""
-        if self.node is None:
-            return []
-        return self.backend.shape(self.node)
+        """Per-level node counts: none, as for :meth:`node_count`."""
+        return []
 
     def __str__(self) -> str:
         """Tabular rendering with a trailing weight column."""
@@ -1672,8 +1499,4 @@ class WeightedRelation:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        kind = "diagram" if self.node is not None else "table"
-        return (
-            f"WeightedRelation({self.schema!r}, {self.size()} tuples, "
-            f"{kind}-backed)"
-        )
+        return f"WeightedRelation({self.schema!r}, {self.size()} tuples)"

@@ -141,11 +141,11 @@ class RelationalShell(cmd.Cmd):
     # -- declaration commands ------------------------------------------------
 
     def do_backend(self, arg: str) -> None:
-        """backend bdd|zdd|mtbdd -- choose the diagram engine (before
-        finalize); mtbdd additionally supports weighted aggregates."""
+        """backend bdd|zdd -- choose the diagram engine (before
+        finalize)."""
         name = arg.strip()
-        if name not in ("bdd", "zdd", "mtbdd"):
-            raise _ShellError("backend must be 'bdd', 'zdd', or 'mtbdd'")
+        if name not in ("bdd", "zdd"):
+            raise _ShellError("backend must be 'bdd' or 'zdd'")
         self._need_unfinalized()
         self.backend = name
         self._say(f"backend set to {name}")

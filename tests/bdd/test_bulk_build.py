@@ -7,12 +7,10 @@ manager, so hash-consing makes "same function" mean "same handle".
 Hypothesis draws the key width, which variables the key bits land on
 (in a random bit-to-variable order), and the keys themselves, with
 empty inputs, single keys, duplicates, and shuffled or reversed
-orders.  The multi-terminal
-kernel is checked with per-key weight leaves against the
-``add(node, mul(cube, terminal))`` fold.
+orders.
 
-Above the kernel, ``Relation.from_tuples`` / ``from_csv`` /
-``from_weighted_tuples`` are checked against the same fold over
+Above the kernel, ``Relation.from_tuples`` / ``from_csv`` are checked
+against the same fold over
 ``encode_bits`` cubes, including physical domains wider than their
 domains and both of the universe's bit layouts, and the jedit fact
 relations are pinned to zero apply work.
@@ -26,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analyses import AnalysisUniverse, preset
-from repro.bdd import FALSE, BDDError, BDDManager, FDDManager, MTBDDManager
+from repro.bdd import FALSE, BDDError, BDDManager, FDDManager
 from repro.bdd.ooc import OocBDDManager
 from repro.bdd.zdd import ZDDManager
 from repro.relations import Relation, Universe
@@ -40,7 +38,6 @@ TINY_CAP = 1
 KERNELS = {
     "reference": BDDManager,
     "ooc": lambda n: OocBDDManager(n, memory_cap_bytes=TINY_CAP),
-    "mtbdd": MTBDDManager,
     "zdd": ZDDManager,
 }
 MAX_VARS = 9
@@ -110,40 +107,6 @@ def test_bad_inputs_are_rejected(kernel):
         m.from_keys([0, 7], [1])  # no such variable
 
 
-weights = st.one_of(
-    st.integers(min_value=-5, max_value=5).filter(bool),
-    st.sampled_from([0.5, -2.25, 3.0, 1e9]),
-)
-
-
-@settings(deadline=None, max_examples=80)
-@given(
-    case=key_sets(),
-    data=st.data(),
-)
-def test_mtbdd_weight_leaves_equal_add_mul_fold(case, data):
-    num_vars, variables, keys = case
-    keys = sorted(set(keys))
-    random.Random(num_vars).shuffle(keys)
-    ws = data.draw(st.lists(weights, min_size=len(keys), max_size=len(keys)))
-    m = MTBDDManager(num_vars)
-    leaves = [m.terminal(w) for w in ws]
-    built = m.from_keys(variables, keys, leaves)
-    node = FALSE
-    for key, w in zip(keys, ws):
-        cube = m.cube({v: bool(key >> p & 1) for p, v in enumerate(variables)})
-        node = m.apply("add", node, m.apply("mul", cube, m.terminal(w)))
-    assert built == node
-
-
-def test_mtbdd_repeated_key_with_leaves_is_rejected():
-    m = MTBDDManager(3)
-    with pytest.raises(BDDError):
-        m.from_keys([0, 1], [2, 2], [m.terminal(3), m.terminal(4)])
-    with pytest.raises(BDDError):
-        m.from_keys([0, 1], [2], [])
-
-
 @pytest.mark.parametrize("size", [1, 2, 5, 8, 1000, 300_001])
 def test_fdd_domain_bdd(size):
     fdd = FDDManager()
@@ -179,7 +142,6 @@ def test_zdd_equality_equals_fold():
 UNIVERSES = [
     ("bdd", "reference"),
     ("bdd", "ooc"),
-    ("mtbdd", "reference"),
     ("zdd", "reference"),
 ]
 
@@ -254,21 +216,18 @@ def test_from_csv_keeps_checks_and_interning_order(backend, kernel):
 
 @pytest.mark.parametrize("agg", ["sum", "max"])
 def test_weighted_relation_and_aggregate_values(agg):
-    u = make_universe("mtbdd", "reference")
+    u = make_universe("bdd", "reference")
     rows = [(0, "a", 3), (1, "b", -2), (0, "a", 4), (2, "c", 0.5),
             (3, "d", 2), (3, "d", -2)]
     wr = WeightedRelation.from_weighted_tuples(u, ["x", "y"], rows,
                                               ["PA", "PB"])
-    m = u.manager
-    node = FALSE
-    for key, w in {(0, "a"): 7, (1, "b"): -2, (2, "c"): 0.5}.items():
-        cube = {}
-        for (attr, pd), obj in zip(wr.schema.pairs, key):
-            cube.update(u.encode_bits(pd, attr.domain.index_of(obj)))
-        node = m.apply("add", node, m.apply("mul", m.cube(cube),
-                                            m.terminal(w)))
-    assert wr.node == node
-    # The aggregate's value diagram: one leaf per interned number.
+    # Repeated tuples sum; (3, "d") nets 0, so it is dropped before its
+    # objects are interned.
+    assert wr.as_dict() == {(0, "a"): 7, (1, "b"): -2, (2, "c"): 0.5}
+    assert [u.get_domain("B").object_of(i) for i in range(3)] == [
+        "a", "b", "c"
+    ]
+    assert "d" not in u.get_domain("B")
     rel = Relation.from_tuples(
         u, ["x", "n"], [(0, 5), (0, 7), (1, 11)], ["PA", "PN"]
     )

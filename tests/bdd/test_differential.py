@@ -1,21 +1,18 @@
 """Randomized differential testing across every kernel and backend.
 
-Each *chain* builds the same random relational program five ways -- on
+Each *chain* builds the same random relational program four ways -- on
 the reference BDD kernel, on the out-of-core streaming kernel
-(:mod:`repro.bdd.ooc`), on the ZDD backend, on the multi-terminal
-(mtbdd) backend, and against a plain-Python oracle that stores
+(:mod:`repro.bdd.ooc`), on the ZDD backend, and against a plain-Python
+oracle that stores
 relations as sets of ``{attribute: value}`` rows -- and asserts they
 all agree on the exact tuple set after every operation.  Between the
 two BDD kernels the check is stronger than tuple-set equality:
 hash-consing makes reduced ordered BDDs canonical, so under the same
 variable order both must build *node-for-node identical* diagrams.  The
 harness asserts that by comparing serialized wire bytes
-(:func:`repro.bdd.io.dumps_diagram_binary`) after every operation.  The
-mtbdd lane's relations are {0, 1}-terminal MTBDDs, which must match,
-node for node, the reference kernel's diagrams: the same
-``node_count`` and the same ``(var, low, high)`` table up to
-renumbering.  At the end of every chain the reference, ooc and mtbdd
-managers run ``check_integrity()``.
+(:func:`repro.bdd.io.dumps_diagram_binary`) after every operation.  At
+the end of every chain the reference and ooc managers run
+``check_integrity()``.
 
 Chains are seeded by index: on the first divergence the harness prints
 a one-line replay recipe (seed + chain index + which pair of
@@ -42,7 +39,7 @@ DOMAIN_SIZE = 8
 #: banks of 500, each run by its own test below.  The kernel stress job
 #: adds longer ones.
 PLAIN_SEEDS = range(500)
-MTBDD_SEEDS = range(90_000, 90_500)
+SECOND_SEEDS = range(90_000, 90_500)
 N_CHAINS_STRESS = 250
 OPS_PER_CHAIN = 6
 OPS_PER_CHAIN_STRESS = 14
@@ -167,40 +164,22 @@ LANE_LABELS = {
     "ref": "reference-bdd",
     "ooc": "ooc-bdd",
     "zdd": "zdd",
-    "mtbdd": "mtbdd",
 }
 
 
-def structure(manager, root):
-    """The diagram's ``(var, low, high)`` node table up to renumbering.
-
-    Nodes are numbered in postorder (low subtree first) and the
-    terminals keep their handles 0/1, so two kernels holding the same
-    reduced diagram produce equal tables whatever their node ids.
-    """
-    order = manager.postorder(root)
-    local = {0: 0, 1: 1}
-    for i, node in enumerate(order, start=2):
-        local[node] = i
-    return local[root], [
-        (manager.var_of(n), local[manager.low(n)], local[manager.high(n)])
-        for n in order
-    ]
-
-
-class Quint:
-    """The same relation on every lane -- the two BDD kernels, the
-    ZDD engine and the multi-terminal backend -- plus the oracle."""
+class Quad:
+    """The same relation on every lane -- the two BDD kernels and the
+    ZDD engine -- plus the oracle."""
 
     def __init__(self, rels, oracle):
         self.rels = rels
         self.oracle = oracle
 
     def each(self, fn, oracle):
-        return Quint({k: fn(r) for k, r in self.rels.items()}, oracle)
+        return Quad({k: fn(r) for k, r in self.rels.items()}, oracle)
 
     def pair(self, other, fn, oracle):
-        return Quint(
+        return Quad(
             {k: fn(r, other.rels[k]) for k, r in self.rels.items()}, oracle
         )
 
@@ -232,16 +211,6 @@ class Quint:
             f"({len(wire_ref)} vs {len(wire_ooc)} wire bytes)\n"
             + _repro("reference-bdd vs ooc-bdd")
         )
-        # A 0/1 MTBDD is the reduced BDD of the same function.  Its wire
-        # kind differs (kind 2 carries a terminal table), so compare the
-        # node tables directly.
-        mt = self.rels["mtbdd"]
-        m_mt = mt.universe.manager
-        assert m_mt.node_count(mt.node) == m_ref.node_count(ref.node)
-        assert structure(m_mt, mt.node) == structure(m_ref, ref.node), (
-            f"mtbdd diverged from the reference kernel's node table "
-            f"over {names}\n" + _repro("reference-bdd vs mtbdd")
-        )
 
 
 def random_base(rng, universes):
@@ -253,7 +222,7 @@ def random_base(rng, universes):
         tuple(rng.randrange(DOMAIN_SIZE) for _ in attrs)
         for _ in range(n_rows)
     ]
-    return Quint(
+    return Quad(
         {
             lane: Relation.from_tuples(u, attrs, rows, pds)
             for lane, u in universes.items()
@@ -263,7 +232,7 @@ def random_base(rng, universes):
 
 
 def apply_random_op(rng, pool, universes):
-    """Apply one random operation; returns a new Quint or None."""
+    """Apply one random operation; returns a new Quad or None."""
     ops = ["base", "union", "intersect", "difference", "project",
            "rename", "join", "compose", "select", "replace"]
     op = rng.choice(ops)
@@ -343,7 +312,6 @@ def run_chain(seed, n_ops, chain_index=0):
         "ref": build_universe("bdd", kernel="reference"),
         "ooc": build_universe("bdd", kernel="ooc"),
         "zdd": build_universe("zdd"),
-        "mtbdd": build_universe("mtbdd"),
     }
     pool = [random_base(rng, universes)]
     pool[0].check()
@@ -355,7 +323,7 @@ def run_chain(seed, n_ops, chain_index=0):
         pool.append(result)
         if len(pool) > 6:
             pool.pop(0)
-    for lane in ("ref", "ooc", "mtbdd"):
+    for lane in ("ref", "ooc"):
         universes[lane].manager.check_integrity()
 
 
@@ -378,10 +346,9 @@ def test_differential_chains(batch):
 
 
 @pytest.mark.parametrize("batch", range(BATCHES))
-def test_differential_chains_mtbdd(batch):
-    """Seeds 90,000-90,499, every lane; the CI mtbdd job selects these
-    with ``-k mtbdd``."""
-    _run_batch(MTBDD_SEEDS, batch)
+def test_differential_chains_second_bank(batch):
+    """Seeds 90,000-90,499, every lane."""
+    _run_batch(SECOND_SEEDS, batch)
 
 
 @pytest.mark.kernel_stress

@@ -5,11 +5,9 @@ never so that they do different work: the same cache probes must hit
 and miss, and the same nodes must be created, as the plain recursions
 they replaced.  These pins hold the figures of those recursions.
 
-The seeded chains also run on the MTBDD kernel, which replaces the
-stats object after construction, and on the reference kernel with a
+The seeded chains also run on the reference kernel with a
 ``cache_limit`` set after construction: a kernel that bound its state
-when the manager was built would count into the wrong object or never
-evict, and miss these figures.
+when the manager was built would never evict, and miss these figures.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ import pytest
 
 from repro.analyses import AnalysisUniverse, LowLevelPointsTo, PointsTo, preset
 from repro.bdd import BDDManager
-from repro.bdd.mtbdd import MTBDDManager
 from repro.bdd.ooc import OocBDDManager
 
 
@@ -137,18 +134,6 @@ CHAINS = {
             "exist": (21, 139),
             "replace": (13, 165),
             "nodes": 618,
-        },
-    ),
-    "mtbdd": (
-        lambda: MTBDDManager(NUM_VARS),
-        {
-            "and": (9, 64),
-            "or": (2, 19),
-            "diff": (7, 56),
-            "and_exist": (0, 0),
-            "exist": (44, 199),
-            "replace": (42, 165),
-            "nodes": 607,
         },
     ),
     "ooc": (

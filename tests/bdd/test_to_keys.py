@@ -3,7 +3,7 @@
 Each kernel enumerates a random diagram as integer keys, with the
 requested variables out of level order and some of them wildcards, and
 the result must be the brute-force truth set: every assignment of the
-requested variables the diagram maps to something other than 0.  The
+requested variables the diagram holds.  The
 edge cases (``FALSE``, ``TRUE``, uncovered support) run on every kernel
 too.
 """
@@ -17,7 +17,6 @@ from repro.bdd import (
     TRUE,
     BDDError,
     BDDManager,
-    MTBDDManager,
     OocBDDManager,
     ZDDManager,
 )
@@ -25,15 +24,13 @@ from repro.bdd.zdd import BASE, EMPTY
 
 N_VARS = 8
 
-KERNELS = ["reference", "ooc", "mtbdd", "mtbdd-numeric", "zdd"]
+KERNELS = ["reference", "ooc", "zdd"]
 
 
 def _manager(kernel):
     return {
         "reference": BDDManager,
         "ooc": OocBDDManager,
-        "mtbdd": MTBDDManager,
-        "mtbdd-numeric": MTBDDManager,
         "zdd": ZDDManager,
     }[kernel](N_VARS)
 
@@ -51,39 +48,21 @@ def _expand(keys, wild):
 
 @st.composite
 def diagrams(draw):
-    """(variables, keys, wildcard mask, leaf value per key)."""
+    """(variables, keys, wildcard mask)."""
     n = draw(st.integers(1, 6))
     variables = draw(st.permutations(range(N_VARS)))[:n]
     keys = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=12))
     wild = draw(st.integers(0, (1 << n) - 1))
-    values = draw(
-        st.lists(st.sampled_from([0, 1, 2, 3.5]), min_size=1, max_size=4)
-    )
-    return variables, keys, wild, values
+    return variables, keys, wild
 
 
-def _build(m, kernel, variables, keys, values):
-    """The diagram of ``keys`` and its truth set: the keys it maps to a
-    non-zero value (every key, except on the numeric MTBDD lane)."""
-    keys = sorted(keys)
-    if kernel != "mtbdd-numeric":
-        return m.from_keys(variables, keys), set(keys)
-    weights = [values[k % len(values)] for k in keys]
-    node = m.from_keys(variables, keys, [m.terminal(w) for w in weights])
-    return node, {k for k, w in zip(keys, weights) if w != 0}
-
-
-def _brute_force(m, kernel, node, variables):
+def _brute_force(m, node, variables):
     """Evaluate ``node`` on every assignment of ``variables`` (BDD
     kernels only; the ZDD lane's truth set is its construction)."""
     out = set()
     for key in range(1 << len(variables)):
         assignment = {v: bool(key >> p & 1) for p, v in enumerate(variables)}
-        if kernel.startswith("mtbdd"):
-            hit = m.evaluate(node, assignment) != 0
-        else:
-            hit = m.eval(node, lambda v: assignment.get(v, False))
-        if hit:
+        if m.eval(node, lambda v: assignment.get(v, False)):
             out.add(key)
     return out
 
@@ -92,14 +71,15 @@ def _brute_force(m, kernel, node, variables):
 @given(case=diagrams())
 @settings(max_examples=60, deadline=None)
 def test_to_keys_matches_truth_set(kernel, case):
-    variables, keys, wild, values = case
+    variables, keys, wild = case
     m = _manager(kernel)
-    node, truth = _build(m, kernel, variables, _expand(keys, wild), values)
+    truth = _expand(keys, wild)
+    node = m.from_keys(variables, sorted(truth))
     got = m.to_keys(node, variables)
     assert len(got) == len(set(got))
     assert set(got) == truth
     if kernel != "zdd":
-        assert truth == _brute_force(m, kernel, node, variables)
+        assert truth == _brute_force(m, node, variables)
     # Asking for the variables in another order permutes each key.
     flipped = variables[::-1]
     n = len(variables)
@@ -114,9 +94,10 @@ def test_to_keys_matches_truth_set(kernel, case):
 def test_untested_variables_are_wildcards(kernel, case, extra):
     """Requested variables the diagram never tests double the output
     (on the ZDD lane they read 0 instead)."""
-    variables, keys, wild, values = case
+    variables, keys, wild = case
     m = _manager(kernel)
-    node, truth = _build(m, kernel, variables, _expand(keys, wild), values)
+    truth = _expand(keys, wild)
+    node = m.from_keys(variables, sorted(truth))
     more = [v for v in sorted(extra) if v not in variables]
     got = m.to_keys(node, more + list(variables))
     shift = len(more)

@@ -4,7 +4,7 @@
 identifiers unless followed by an expression), type-check as *weighted*
 expressions usable only where a weighted result is acceptable, and
 evaluate identically in the interpreter and the generated code, on both
-the boolean and the multi-terminal backends.
+the bdd and the zdd backends.
 """
 
 import contextlib
@@ -79,15 +79,16 @@ def run_generated(backend):
 
 
 class TestEndToEnd:
-    @pytest.mark.parametrize("backend", ["bdd", "mtbdd"])
+    @pytest.mark.parametrize("backend", ["bdd", "zdd"])
     def test_interpreter_matches_generated(self, backend):
         assert run_interp(backend) == run_generated(backend)
 
     def test_backends_agree(self):
-        assert run_interp("bdd") == run_interp("mtbdd")
+        assert run_interp("bdd") == run_interp("zdd")
 
-    def test_values_match_oracle(self):
-        out = [line.rstrip() for line in run_interp("mtbdd").splitlines()]
+    @pytest.mark.parametrize("backend", ["bdd", "zdd"])
+    def test_values_match_oracle(self, backend):
+        out = [line.rstrip() for line in run_interp(backend).splitlines()]
         # count pt == 5 distinct (v, p) pairs
         assert out[0:3] == ["weight", "------", "5"]
         # count pt group by v

@@ -1,11 +1,12 @@
 """Differential suite for quantitative relations.
 
-The MTBDD abstraction path of :meth:`Relation.aggregate` must be
-bit-exact against the dict-of-tuples oracle (``_aggregate_tuples``) —
-and against the boolean backends' fallback path — for random relations,
-for every aggregate, and for the relations of all four whole-program
-analyses (points-to, call graph, side effects, hierarchy).  Weights
-here are integers, so "bit-exact" means exact equality, not tolerance.
+:meth:`Relation.aggregate` must equal a dict oracle computed in this
+file straight from the tuple sets (:func:`oracle`) -- on the bdd and the
+zdd backend, for random relations, for every aggregate and grouping,
+and for the relations of all four whole-program analyses (points-to,
+call graph, side effects, hierarchy), whose tuple sets come from the
+``naive_*`` reference analyses rather than from the diagrams.  Weights
+here are integers, so the comparison is exact equality, not tolerance.
 """
 
 import io
@@ -20,6 +21,10 @@ from repro.analyses import (
     Hierarchy,
     PointsTo,
     SideEffects,
+    naive_call_graph,
+    naive_points_to,
+    naive_side_effects,
+    naive_subtypes,
     synthesize,
 )
 from repro.relations import (
@@ -30,6 +35,8 @@ from repro.relations import (
     Universe,
     WeightedRelation,
 )
+
+BACKENDS = ("bdd", "zdd")
 
 NUMS = list(range(6))
 
@@ -54,9 +61,28 @@ def make_numeric_universe(backend):
     return u
 
 
-def normalize(weights):
-    """Weight 0 means absent: the canonical form WeightedRelation keeps."""
-    return {k: v for k, v in weights.items() if v != 0}
+def oracle(rows, names, agg, attr=None, group_by=()):
+    """The aggregate of ``rows`` (tuples over ``names``), computed
+    directly: project onto the aggregated and grouped columns (all of
+    them for a bare ``count``) as a set, group, and fold each group.
+    Weight 0 means absent, so zero results are dropped, as
+    :class:`WeightedRelation` does."""
+    cols = list(names) if attr is None else list(group_by) + [attr]
+    projected = {tuple(row[names.index(c)] for c in cols) for row in rows}
+    groups = {}
+    for prow in projected:
+        values = dict(zip(cols, prow))
+        key = tuple(values[g] for g in group_by)
+        groups.setdefault(key, []).append(values.get(attr))
+    fold = {
+        "count": len,
+        "sum": sum,
+        "max": max,
+        "min": min,
+        "mean": lambda vs: sum(vs) / len(vs),
+    }[agg]
+    out = {key: fold(vs) for key, vs in groups.items()}
+    return {key: w for key, w in out.items() if w != 0}
 
 
 def groupings():
@@ -68,67 +94,59 @@ def groupings():
 
 
 class TestAggregateDifferential:
-    """MTBDD diagram path == dict oracle == boolean fallback path."""
+    """Every backend's aggregate == the dict oracle."""
 
     @given(rows=num_rows)
     @settings(max_examples=40, deadline=None)
     def test_all_aggregates_match_oracle(self, rows):
-        u = make_numeric_universe("mtbdd")
-        rel = Relation.from_tuples(
-            u, ["a", "b", "c"], rows, ["P1", "P2", "P3"]
-        )
-        ub = make_numeric_universe("bdd")
-        rel_b = Relation.from_tuples(
-            ub, ["a", "b", "c"], rows, ["P1", "P2", "P3"]
-        )
-        for agg in AGGREGATE_OPS:
-            for attr, group_by in groupings():
-                if agg != "count" and attr is None:
-                    continue
-                got = rel.aggregate(agg, attr, group_by)
-                needed = set(group_by) | (
-                    {attr} if attr is not None else {"a", "b", "c"}
-                )
-                oracle = rel.project_onto(*needed)._aggregate_tuples(
-                    agg, attr, list(group_by)
-                )
-                assert got.as_dict() == normalize(oracle), (
-                    agg, attr, group_by,
-                )
-                boolean = rel_b.aggregate(agg, attr, group_by)
-                assert boolean.as_dict() == normalize(oracle), (
-                    agg, attr, group_by,
-                )
+        for backend in BACKENDS:
+            u = make_numeric_universe(backend)
+            rel = Relation.from_tuples(
+                u, ["a", "b", "c"], rows, ["P1", "P2", "P3"]
+            )
+            for agg in AGGREGATE_OPS:
+                for attr, group_by in groupings():
+                    if agg != "count" and attr is None:
+                        continue
+                    got = rel.aggregate(agg, attr, group_by)
+                    expected = oracle(
+                        rows, ("a", "b", "c"), agg, attr, group_by
+                    )
+                    assert got.as_dict() == expected, (
+                        backend, agg, attr, group_by,
+                    )
 
     @given(rows=num_rows)
     @settings(max_examples=30, deadline=None)
     def test_count_equals_satcount(self, rows):
-        u = make_numeric_universe("mtbdd")
-        rel = Relation.from_tuples(
-            u, ["a", "b", "c"], rows, ["P1", "P2", "P3"]
-        )
-        assert rel.count() == len(rows)
-        ungrouped = rel.aggregate("count")
-        assert ungrouped.as_dict() == ({(): len(rows)} if rows else {})
+        for backend in BACKENDS:
+            u = make_numeric_universe(backend)
+            rel = Relation.from_tuples(
+                u, ["a", "b", "c"], rows, ["P1", "P2", "P3"]
+            )
+            assert rel.count() == len(rows)
+            ungrouped = rel.aggregate("count")
+            assert ungrouped.as_dict() == ({(): len(rows)} if rows else {})
 
     @given(rows=num_rows)
     @settings(max_examples=30, deadline=None)
     def test_weighted_total_and_size(self, rows):
-        u = make_numeric_universe("mtbdd")
-        rel = Relation.from_tuples(
-            u, ["a", "b", "c"], rows, ["P1", "P2", "P3"]
-        )
-        w = rel.aggregate("count", group_by=["b"])
-        assert isinstance(w, WeightedRelation)
-        groups = {b for _, b, _ in rows}
-        assert w.size() == len(groups)
-        # per-group counts sum to the total cardinality
-        assert w.total() == len(rows)
+        for backend in BACKENDS:
+            u = make_numeric_universe(backend)
+            rel = Relation.from_tuples(
+                u, ["a", "b", "c"], rows, ["P1", "P2", "P3"]
+            )
+            w = rel.aggregate("count", group_by=["b"])
+            assert isinstance(w, WeightedRelation)
+            groups = {b for _, b, _ in rows}
+            assert w.size() == len(groups)
+            # per-group counts sum to the total cardinality
+            assert w.total() == len(rows)
 
 
 class TestAggregateErrors:
     def setup_method(self):
-        self.u = Universe(backend="mtbdd")
+        self.u = Universe()
         d = self.u.domain("S", 4)
         for obj in ("x", "y"):
             d.intern(obj)
@@ -173,89 +191,104 @@ class TestAggregateErrors:
 
 @pytest.fixture(scope="module")
 def analysis_relations():
-    """The four analyses' result relations on the mtbdd backend."""
+    """Per backend, the four analyses' result relations, each with the
+    tuple set of its ``naive_*`` reference analysis (in schema order)."""
     facts = synthesize("small", n_classes=10, n_signatures=6, seed=7)
-    au = AnalysisUniverse(facts, backend="mtbdd")
-    h = Hierarchy(au)
-    pt = PointsTo(au).solve()
-    cg = CallGraph(au, pt)
-    edges = cg.build()
-    reads, writes = SideEffects(au, pt, edges).solve()
-    return {
-        "subtype": h.subtype,
-        "pt": pt,
-        "callgraph": edges,
-        "reads": reads,
-        "writes": writes,
+    naive_reads, naive_writes = naive_side_effects(facts)
+    naive = {
+        "subtype": (("subtype", "supertype"), naive_subtypes(facts)),
+        "pt": (("var", "obj"), naive_points_to(facts)[0]),
+        "callgraph": (("caller", "callee"), naive_call_graph(facts)),
+        "reads": (("method", "baseobj", "field"), naive_reads),
+        "writes": (("method", "baseobj", "field"), naive_writes),
     }
+    out = {}
+    for backend in BACKENDS:
+        au = AnalysisUniverse(facts, backend=backend)
+        h = Hierarchy(au)
+        pt = PointsTo(au).solve()
+        edges = CallGraph(au, pt).build()
+        reads, writes = SideEffects(au, pt, edges).solve()
+        rels = {
+            "subtype": h.subtype,
+            "pt": pt,
+            "callgraph": edges,
+            "reads": reads,
+            "writes": writes,
+        }
+        out[backend] = {}
+        for name, rel in rels.items():
+            cols, rows = naive[name]
+            names = rel.schema.names()
+            out[backend][name] = (
+                rel,
+                {tuple(row[cols.index(n)] for n in names) for row in rows},
+            )
+    return out
 
 
 class TestAnalysisAggregates:
-    """Acceptance: every aggregate bit-exact against the oracle on all
-    four analyses' relations, running on the multi-terminal backend."""
-
-    def test_backend_is_weighted(self, analysis_relations):
-        for rel in analysis_relations.values():
-            assert rel.universe.backend_name == "mtbdd"
-            assert rel.backend.supports_weights()
+    """Acceptance: every aggregate equals the dict oracle over the
+    reference analyses' tuples, for all four analyses' relations, on
+    every backend."""
 
     def test_counts_match_oracle_all_groupings(self, analysis_relations):
-        for name, rel in analysis_relations.items():
-            names = list(rel.schema.names())
-            group_choices = [()] + [(n,) for n in names] + (
-                [tuple(names[:2])] if len(names) > 2 else []
-            )
-            for group_by in group_choices:
-                got = rel.aggregate("count", group_by=list(group_by))
-                oracle = rel._aggregate_tuples("count", None, list(group_by))
-                assert got.as_dict() == normalize(oracle), (name, group_by)
+        for backend, relations in analysis_relations.items():
+            for name, (rel, rows) in relations.items():
+                assert set(rel.tuples()) == rows, (backend, name)
+                names = list(rel.schema.names())
+                group_choices = [()] + [(n,) for n in names] + (
+                    [tuple(names[:2])] if len(names) > 2 else []
+                )
+                for group_by in group_choices:
+                    got = rel.aggregate("count", group_by=list(group_by))
+                    expected = oracle(rows, names, "count", None, group_by)
+                    assert got.as_dict() == expected, (
+                        backend, name, group_by,
+                    )
 
     def test_numeric_aggregates_match_oracle(self, analysis_relations):
         # The analyses intern string objects, so the numeric aggregates
         # run over each relation's *index mirror*: the same tuples with
-        # every object replaced by its integer index — exercising
-        # sum/max/min/mean through the diagram path on real analysis
-        # shapes with integer weights (bit-exact comparison).
-        for name, rel in analysis_relations.items():
-            rows = list(rel.tuples())
-            names = list(rel.schema.names())
-            mirrors = [
-                {obj: i for i, obj in enumerate(sorted({r[k] for r in rows}))}
-                for k in range(len(names))
-            ]
-            mirrored = {
-                tuple(mirrors[k][row[k]] for k in range(len(names)))
-                for row in rows
-            }
-            u = Universe(backend="mtbdd")
-            doms = []
-            for k, mirror in enumerate(mirrors):
-                d = u.domain(f"D{k}", max(2, len(mirror)))
-                for i in range(len(mirror)):
-                    d.intern(i)
-                doms.append(d)
-                u.attribute(names[k], d)
-                u.physical_domain(f"P{k}", d.bits)
-            u.finalize()
-            mrel = Relation.from_tuples(
-                u, names, mirrored, [f"P{k}" for k in range(len(names))]
-            )
-            for agg in ("sum", "max", "min", "mean", "count"):
-                attr = names[-1] if agg != "count" else None
-                group_by = [names[0]]
-                got = mrel.aggregate(agg, attr, group_by)
-                needed = set(group_by) | (
-                    {attr} if attr else set(names)
+        # every object replaced by its integer index -- exercising
+        # sum/max/min/mean on real analysis shapes with integer weights
+        # (exact comparison).
+        for backend, relations in analysis_relations.items():
+            for name, (rel, rows) in relations.items():
+                names = list(rel.schema.names())
+                mirrors = [
+                    {
+                        obj: i
+                        for i, obj in enumerate(sorted({r[k] for r in rows}))
+                    }
+                    for k in range(len(names))
+                ]
+                mirrored = {
+                    tuple(mirrors[k][row[k]] for k in range(len(names)))
+                    for row in rows
+                }
+                u = Universe(backend=backend)
+                for k, mirror in enumerate(mirrors):
+                    d = u.domain(f"D{k}", max(2, len(mirror)))
+                    for i in range(len(mirror)):
+                        d.intern(i)
+                    u.attribute(names[k], d)
+                    u.physical_domain(f"P{k}", d.bits)
+                u.finalize()
+                mrel = Relation.from_tuples(
+                    u, names, mirrored, [f"P{k}" for k in range(len(names))]
                 )
-                oracle = mrel.project_onto(*needed)._aggregate_tuples(
-                    agg, attr, group_by
-                )
-                assert got.as_dict() == normalize(oracle), (name, agg)
+                for agg in ("sum", "max", "min", "mean", "count"):
+                    attr = names[-1] if agg != "count" else None
+                    group_by = [names[0]]
+                    got = mrel.aggregate(agg, attr, group_by)
+                    expected = oracle(mirrored, names, agg, attr, group_by)
+                    assert got.as_dict() == expected, (backend, name, agg)
 
 
 class TestCsvLoading:
     def test_csv_roundtrip_with_converters(self):
-        u = make_numeric_universe("mtbdd")
+        u = make_numeric_universe("bdd")
         src = io.StringIO("a,b,c\n1,2,3\n4,5,0\n1,2,3\n")
         rel = Relation.from_csv(
             u,
@@ -269,7 +302,7 @@ class TestCsvLoading:
         assert rel.count() == 2
 
     def test_malformed_row_reports_line(self):
-        u = make_numeric_universe("mtbdd")
+        u = make_numeric_universe("bdd")
         src = io.StringIO("1,2,3\nbadrow\n")
         with pytest.raises(CsvFormatError, match="line 2"):
             Relation.from_csv(

@@ -1,10 +1,10 @@
 """Shell-level aggregates: `agg`, `count`, `load-facts`, weighted names.
 
-Mirrors tests/test_shell.py's script-driven idiom on a numeric universe
-so the multi-terminal backend's weighted results flow through the whole
-REPL surface: auto-named aggregate results, satcount-backed `count`,
-CSV bulk loading with converters, and the guard that keeps weighted
-results out of relational expressions.
+Mirrors tests/test_shell.py's script-driven idiom on a numeric universe,
+on the bdd and the zdd backend, so weighted results flow through the
+whole REPL surface: auto-named aggregate results, satcount-backed
+`count`, CSV bulk loading with converters, and the guard that keeps
+weighted results out of relational expressions.
 """
 
 import io
@@ -14,8 +14,7 @@ import pytest
 from repro.relations import WeightedRelation
 from repro.shell import run_script
 
-SETUP = [
-    "backend mtbdd",
+DECLARATIONS = [
     "domain Var 16",
     "domain Num 16",
     "attribute v : Var",
@@ -30,9 +29,16 @@ SETUP = [
 CSV = "v,p\nv0,1\nv0,2\nv1,2\nv2,0\nv2,4\n"
 
 
-def script(extra, setup=None):
+@pytest.fixture(params=["bdd", "zdd"])
+def backend(request):
+    return request.param
+
+
+def script(backend, extra, setup=None):
+    if setup is None:
+        setup = [f"backend {backend}"] + DECLARATIONS
     out = io.StringIO()
-    shell = run_script((setup or SETUP) + extra, stdout=out)
+    shell = run_script(setup + extra, stdout=out)
     return shell, out.getvalue()
 
 
@@ -43,51 +49,55 @@ def facts_csv(tmp_path):
     return str(path)
 
 
-def loaded(extra, facts_csv):
+def loaded(backend, extra, facts_csv):
     return script(
-        [f"load-facts {facts_csv} pt v:VD p:OD --header --int=p"] + extra
+        backend,
+        [f"load-facts {facts_csv} pt v:VD p:OD --header --int=p"] + extra,
     )
 
 
 class TestLoadFacts:
-    def test_reports_count_and_path(self, facts_csv):
-        shell, out = loaded([], facts_csv)
+    def test_reports_count_and_path(self, backend, facts_csv):
+        shell, out = loaded(backend, [], facts_csv)
         assert f"pt: loaded 5 tuple(s) from {facts_csv}" in out
         assert set(shell.relations["pt"].tuples()) == {
             ("v0", 1), ("v0", 2), ("v1", 2), ("v2", 0), ("v2", 4),
         }
 
-    def test_malformed_row_reports_line(self, tmp_path):
+    def test_malformed_row_reports_line(self, backend, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("v0,1\nonly-one-field\n")
         shell, out = script(
-            [f"load-facts {path} pt v:VD p:OD --int=p", "list"]
+            backend, [f"load-facts {path} pt v:VD p:OD --int=p", "list"]
         )
         assert "error" in out and "line 2" in out
         assert "pt" not in shell.relations
 
-    def test_skip_flag_drops_malformed_rows(self, tmp_path):
+    def test_skip_flag_drops_malformed_rows(self, backend, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("v0,1\nonly-one-field\nv1,2\n")
         shell, out = script(
-            [f"load-facts {path} pt v:VD p:OD --int=p --skip"]
+            backend, [f"load-facts {path} pt v:VD p:OD --int=p --skip"]
         )
         assert "pt: loaded 2 tuple(s)" in out
 
-    def test_unknown_flag_rejected(self, facts_csv):
+    def test_unknown_flag_rejected(self, backend, facts_csv):
         shell, out = script(
-            [f"load-facts {facts_csv} pt v:VD p:OD --frobnicate"]
+            backend, [f"load-facts {facts_csv} pt v:VD p:OD --frobnicate"]
         )
         assert "error" in out and "unknown flag" in out
 
-    def test_missing_file_reported(self):
-        shell, out = script(["load-facts /no/such/file.csv pt v:VD p:OD"])
+    def test_missing_file_reported(self, backend):
+        shell, out = script(
+            backend, ["load-facts /no/such/file.csv pt v:VD p:OD"]
+        )
         assert "error" in out and "cannot read" in out
 
 
 class TestAggCommand:
-    def test_auto_named_results(self, facts_csv):
+    def test_auto_named_results(self, backend, facts_csv):
         shell, out = loaded(
+            backend,
             ["agg count pt group by v", "agg sum pt.p group by v"],
             facts_csv,
         )
@@ -101,56 +111,62 @@ class TestAggCommand:
             ("v0",): 3, ("v1",): 2, ("v2",): 4,
         }
 
-    def test_table_output(self, facts_csv):
-        shell, out = loaded(["agg mean pt.p group by v"], facts_csv)
+    def test_table_output(self, backend, facts_csv):
+        shell, out = loaded(
+            backend, ["agg mean pt.p group by v"], facts_csv
+        )
         lines = [ln.rstrip() for ln in out.splitlines()]
         assert "v0  1.5" in lines
         assert "v2  2.0" in lines
 
-    def test_non_aggregate_rejected(self, facts_csv):
-        shell, out = loaded(["agg pt"], facts_csv)
+    def test_non_aggregate_rejected(self, backend, facts_csv):
+        shell, out = loaded(backend, ["agg pt"], facts_csv)
         assert "error" in out and "needs an aggregate expression" in out
 
-    def test_print_evaluates_aggregates_inline(self, facts_csv):
-        shell, out = loaded(["print max pt.p"], facts_csv)
+    def test_print_evaluates_aggregates_inline(self, backend, facts_csv):
+        shell, out = loaded(backend, ["print max pt.p"], facts_csv)
         assert out.splitlines()[-1].strip() == "4"
 
 
 class TestCountCommand:
-    def test_count_is_cardinality(self, facts_csv):
-        shell, out = loaded(["count pt"], facts_csv)
+    def test_count_is_cardinality(self, backend, facts_csv):
+        shell, out = loaded(backend, ["count pt"], facts_csv)
         assert out.splitlines()[-1].strip() == "5"
 
-    def test_count_of_weighted_name_is_group_count(self, facts_csv):
+    def test_count_of_weighted_name_is_group_count(
+        self, backend, facts_csv
+    ):
         shell, out = loaded(
-            ["agg count pt group by v", "count a1"], facts_csv
+            backend, ["agg count pt group by v", "count a1"], facts_csv
         )
         assert out.splitlines()[-1].strip() == "3"
 
-    def test_count_of_expression(self, facts_csv):
-        shell, out = loaded(["count pt & pt"], facts_csv)
+    def test_count_of_expression(self, backend, facts_csv):
+        shell, out = loaded(backend, ["count pt & pt"], facts_csv)
         assert out.splitlines()[-1].strip() == "5"
 
 
 class TestWeightedNames:
-    def test_list_marks_weighted(self, facts_csv):
-        shell, out = loaded(["agg count pt group by v", "list"], facts_csv)
+    def test_list_marks_weighted(self, backend, facts_csv):
+        shell, out = loaded(
+            backend, ["agg count pt group by v", "list"], facts_csv
+        )
         listing = [ln for ln in out.splitlines() if ln.startswith("a1 ")]
         assert listing and "(weighted)" in listing[0]
 
-    def test_print_stored_weighted_result(self, facts_csv):
+    def test_print_stored_weighted_result(self, backend, facts_csv):
         shell, out = loaded(
-            ["agg sum pt.p group by v", "print a1"], facts_csv
+            backend, ["agg sum pt.p group by v", "print a1"], facts_csv
         )
         assert "weight" in out
         assert out.count("v0  3") == 2  # once from agg, once from print
 
-    def test_save_skips_weighted_results(self, facts_csv, tmp_path):
+    def test_save_skips_weighted_results(self, backend, facts_csv, tmp_path):
         # Aggregate results are derived artifacts; `save` checkpoints
         # the relations they came from and says what it skipped.
         ckpt = tmp_path / "u.jddu"
         shell, out = loaded(
-            ["agg count pt group by v", f"save {ckpt}"], facts_csv
+            backend, ["agg count pt group by v", f"save {ckpt}"], facts_csv
         )
         assert "skipped 1 weighted aggregate result(s)" in out
         out2 = io.StringIO()
@@ -162,9 +178,11 @@ class TestWeightedNames:
             shell.relations["a1"].as_dict()
         )
 
-    def test_weighted_name_not_a_relational_operand(self, facts_csv):
+    def test_weighted_name_not_a_relational_operand(
+        self, backend, facts_csv
+    ):
         shell, out = loaded(
-            ["agg count pt group by v", "let x = a1 | pt"], facts_csv
+            backend, ["agg count pt group by v", "let x = a1 | pt"], facts_csv
         )
         assert "error" in out
         assert "weighted aggregate result" in out
@@ -173,22 +191,6 @@ class TestWeightedNames:
 
 class TestBackendGate:
     def test_bad_backend_name_rejected(self):
-        shell, out = script(["backend addz"], setup=[])
-        assert "error" in out and "'bdd', 'zdd', or 'mtbdd'" in out
-
-    def test_aggregates_work_on_boolean_backend_too(self, tmp_path):
-        # The fallback tuple path serves bdd universes, so the same
-        # script works (slower) without the multi-terminal engine.
-        path = tmp_path / "pt.csv"
-        path.write_text(CSV)
-        setup = ["backend bdd"] + SETUP[1:]
-        shell, out = script(
-            [
-                f"load-facts {path} pt v:VD p:OD --header --int=p",
-                "agg sum pt.p group by v",
-            ],
-            setup=setup,
-        )
-        assert shell.relations["a1"].as_dict() == {
-            ("v0",): 3, ("v1",): 2, ("v2",): 4,
-        }
+        for name in ("addz", "mtbdd"):
+            shell, out = script(None, [f"backend {name}"], setup=[])
+            assert "error" in out and "'bdd' or 'zdd'" in out
