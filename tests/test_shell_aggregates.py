@@ -194,3 +194,21 @@ class TestBackendGate:
         for name in ("addz", "mtbdd"):
             shell, out = script(None, [f"backend {name}"], setup=[])
             assert "error" in out and "'bdd' or 'zdd'" in out
+
+    def test_aggregates_work_on_boolean_backend_too(self, tmp_path):
+        # The tuple path serves a bdd universe with no weighted engine
+        # behind it, so an aggregate script runs unchanged there.
+        path = tmp_path / "pt.csv"
+        path.write_text(CSV)
+        setup = ["backend bdd"] + DECLARATIONS
+        shell, out = script(
+            None,
+            [
+                f"load-facts {path} pt v:VD p:OD --header --int=p",
+                "agg sum pt.p group by v",
+            ],
+            setup=setup,
+        )
+        assert shell.relations["a1"].as_dict() == {
+            ("v0",): 3, ("v1",): 2, ("v2",): 4,
+        }
