@@ -49,7 +49,9 @@ exists".
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import combinations, compress, count
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -139,23 +141,27 @@ class DomainAssigner:
         self.minimize = minimize
         self.pd_names = sorted(physdoms)
         # Candidate physical domains per node: wide enough for the
-        # attribute's domain ("enough bits", section 3.2.1).
+        # attribute's domain ("enough bits", section 3.2.1), in
+        # ``pd_names`` order.  Nodes that need as many bits share a list.
+        wide_enough: Dict[int, List[str]] = {}
+        needed: List[int] = []
         self.candidates: Dict[int, List[str]] = {}
         for node in graph.nodes:
-            needed = domain_bits[node.domain]
-            cands = [p for p in self.pd_names if physdoms[p] >= needed]
+            bits = domain_bits[node.domain]
+            cands = wide_enough.get(bits)
+            if cands is None:
+                cands = wide_enough[bits] = [
+                    p for p in self.pd_names if physdoms[p] >= bits
+                ]
             self.candidates[node.node_id] = cands
+            needed.append(bits)
         self.quotient = equality_quotient(graph)
-        # Per component: the candidates every member shares, in
-        # ``pd_names`` order.
-        self.comp_candidates: List[List[str]] = []
-        for nodes in self.quotient.members:
-            shared = set(self.candidates[nodes[0]])
-            for n in nodes[1:]:
-                shared.intersection_update(self.candidates[n])
-            self.comp_candidates.append(
-                [p for p in self.candidates[nodes[0]] if p in shared]
-            )
+        # Per component: the candidates every member shares, which are
+        # those of its widest member.
+        self.comp_candidates: List[List[str]] = [
+            self.candidates[max(nodes, key=needed.__getitem__)]
+            for nodes in self.quotient.members
+        ]
 
     # ------------------------------------------------------------------
     # Flow path enumeration
@@ -212,7 +218,7 @@ class DomainAssigner:
                 new_set = path_set | {nxt}
                 # Subset-minimality: BFS order guarantees any strictly
                 # smaller path was recorded earlier.
-                if any(new_set.issuperset(p) for p in existing):
+                if any(map(new_set.issuperset, existing)):
                     continue
                 new_path = path + (nxt,)
                 existing.append(new_path)
@@ -277,7 +283,7 @@ class DomainAssigner:
         clauses += map(tuple, var_range)
         # 2. No component gets two physical domains.
         for r in var_range:
-            clauses += [(-x, -y) for i, x in enumerate(r, 1) for y in r[i:]]
+            clauses += combinations(range(-r.start, -r.stop, -1), 2)
         # 3. Specified components get their specified domains.
         specified_by: Dict[int, int] = {}  # component -> first specified node
         for node_id, pd in graph.specified.items():
@@ -312,13 +318,14 @@ class DomainAssigner:
                 continue
             joined.add(pair)
             va, vb = pd_var[ca], pd_var[cb]
-            for p, x in va.items():
-                if ca == cb:
-                    conflicts[len(clauses)] = (a, b, p)
-                    clauses.append((-x,))
-                elif p in vb:
-                    conflicts[len(clauses)] = (a, b, p)
-                    clauses.append((-x, -vb[p]))
+            shared = [p for p in va if p in vb]
+            conflicts.update(
+                zip(count(len(clauses)), [(a, b, p) for p in shared])
+            )
+            if ca == cb:
+                clauses += [(-va[p],) for p in shared]
+            else:
+                clauses += [(-va[p], -vb[p]) for p in shared]
         # 5. Equality edges: none; the quotient merged their endpoints.
         # 6 & 7. Flow paths.
         for node in nodes:
@@ -370,9 +377,10 @@ class DomainAssigner:
         if not result.satisfiable:
             raise AssignmentError(self._conflict_message(result.core, conflicts))
         model = result.model
+        # Each component's domain: the one whose variable is true.
         comp_domains = [
-            next(p for p, var in comp_vars.items() if model[var])
-            for comp_vars in pd_var
+            next(compress(vars_, map(model.__getitem__, vars_.values())))
+            for vars_ in pd_var
         ]
         comp_of = self.quotient.comp_of
 
@@ -469,33 +477,26 @@ def minimize_replaces(
     comp_of = quotient.comp_of
     fixed = {comp_of[n] for n in graph.specified}
     # Conflict and assignment adjacency at component level.
-    conflicts: Dict[int, List[int]] = {}
+    conflicts: Dict[int, List[int]] = defaultdict(list)
     for a, b in graph.conflict_edges:
         ca, cb = comp_of[a], comp_of[b]
-        conflicts.setdefault(ca, []).append(cb)
-        conflicts.setdefault(cb, []).append(ca)
-    assign_neighbors: Dict[int, List[int]] = {}
+        conflicts[ca].append(cb)
+        conflicts[cb].append(ca)
+    assign_neighbors: Dict[int, List[int]] = defaultdict(list)
     for a, b in graph.assignment_edges:
         ca, cb = comp_of[a], comp_of[b]
         if ca != cb:
-            assign_neighbors.setdefault(ca, []).append(cb)
-            assign_neighbors.setdefault(cb, []).append(ca)
+            assign_neighbors[ca].append(cb)
+            assign_neighbors[cb].append(ca)
 
     comp_pd = list(comp_domains)
-
-    def broken_for(comp: int, pd: str) -> int:
-        return sum(
-            1
-            for other in assign_neighbors.get(comp, [])
-            if comp_pd[other] != pd
-        )
 
     def all_on_flow_paths() -> bool:
         reached = set(fixed)
         stack = list(fixed)
         while stack:
             comp = stack.pop()
-            for other in assign_neighbors.get(comp, []):
+            for other in assign_neighbors.get(comp, ()):
                 if other not in reached and comp_pd[other] == comp_pd[comp]:
                     reached.add(other)
                     stack.append(other)
@@ -508,12 +509,19 @@ def minimize_replaces(
             if comp in fixed:
                 continue
             current = comp_pd[comp]
-            banned = {comp_pd[c] for c in conflicts.get(comp, [])}
-            current_cost = broken_for(comp, current)
+            # The assignment edges a domain breaks: those to neighbours
+            # in other domains.
+            domains = [comp_pd[o] for o in assign_neighbors.get(comp, ())]
+            degree = len(domains)
+            current_cost = degree - domains.count(current)
+            if not current_cost:
+                continue  # no move can break fewer
+            same = Counter(domains)
+            banned = {comp_pd[c] for c in conflicts.get(comp, ())}
             # Cheapest first; ties keep candidate order.
             moves = sorted(
                 (
-                    (broken_for(comp, pd), pd)
+                    (degree - same[pd], pd)
                     for pd in comp_candidates[comp]
                     if pd not in banned and pd != current
                 ),

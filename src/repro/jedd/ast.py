@@ -16,7 +16,7 @@ physical-domain-assignment conflicts can be reported the way section
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "AGGREGATE_OPS",
@@ -62,8 +62,7 @@ __all__ = [
 AGGREGATE_OPS = ("count", "sum", "max", "min", "mean")
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     """Line/column of a token, 1-based, as in the paper's error messages."""
 
     line: int

@@ -4,12 +4,17 @@ Recognises the relational symbols added by Figure 5 of the paper
 (``><``, ``<>``, ``=>``, ``0B``, ``1B``) along with ordinary identifiers,
 integers, strings, and punctuation.  Java-style ``//`` and ``/* */``
 comments are skipped.
+
+One compiled master regex is matched at each position; its first
+matching alternative names the lexeme.  Lines and columns come from the
+newlines that whitespace and comments consume (no other lexeme holds
+one), so a column is the token's offset from the start of its line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, List
+import re
+from typing import Iterator, List, NamedTuple
 
 from repro.jedd.ast import Position
 
@@ -31,39 +36,39 @@ KEYWORDS = {
     "fix",
 }
 
-# Multi-character symbols, longest first so maximal munch works.
-_SYMBOLS = [
-    "|=",
-    "&=",
-    "-=",
-    "==",
-    "!=",
-    "=>",
-    "><",
-    "<>",
-    "<",
-    ">",
-    "{",
-    "}",
-    "(",
-    ")",
-    ",",
-    ";",
-    ":",
-    ".",
-    "=",
-    "|",
-    "&",
-    "-",
-]
+# Each match is the whitespace before a lexeme, then the lexeme, named
+# by its first matching alternative.  Identifiers come first, as the
+# commonest.  Multi-character symbols come before their one-character
+# prefixes, so maximal munch works.  The relation constants 0B and 1B
+# (paper section 2.1) come before integers, so "01B" is the integer 01
+# then the identifier B.  A digit is a Unicode decimal digit; an
+# identifier starts with a word character that is not one and goes on
+# with word characters.  ``skip`` is a comment; ``eof`` matches the end
+# of the input; ``bad`` any other character: the start of an
+# unterminated string or comment, or an unexpected character.
+_LEXEME = re.compile(
+    r"""
+    [ \t\r\n]*
+    (?:
+        (?P<ident> [^\W\d]\w* )
+      | (?P<symbol> \|= | &= | -= | == | != | => | >< | <> | [<>{}(),;:.=|&-] )
+      | (?P<relconst> [01]B )
+      | (?P<int> \d+ )
+      | (?P<string> "[^"\n]*" )
+      | (?P<skip> //[^\n]* | /\*.*?\*/ )
+      | (?P<eof> \Z )
+      | (?P<bad> . )
+    )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 class LexError(Exception):
     """Raised on unrecognised input."""
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One lexeme with its kind, text, and source position."""
 
     kind: str  # "ident", "keyword", "int", "string", "relconst", symbol, "eof"
@@ -77,77 +82,36 @@ def tokenize(source: str) -> List[Token]:
 
 
 def _tokens(source: str) -> Iterator[Token]:
-    i = 0
     line = 1
-    col = 1
+    line_start = 0  # offset of the first character of ``line``
     n = len(source)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if source[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            advance((end if end != -1 else n) - i)
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise LexError(f"unterminated comment at {line},{col}")
-            advance(end + 2 - i)
-            continue
-        pos = Position(line, col)
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise LexError(f"unterminated string at {pos}")
-                j += 1
-            if j >= n:
+    # Offset of the first newline not yet counted; n when none is left.
+    newline = source.find("\n") % (n + 1)
+    new = tuple.__new__  # builds a named tuple without its Python __new__
+    for m in _LEXEME.finditer(source):
+        kind = m.lastgroup
+        if kind == "skip":
+            continue  # its newlines are counted before the next lexeme
+        start = m.start(kind)
+        if start > newline:
+            line += source.count("\n", newline, start)
+            line_start = source.rindex("\n", newline, start) + 1
+            newline = source.find("\n", start) % (n + 1)
+        pos = new(Position, (line, start - line_start + 1))
+        text = m.group(kind)
+        if kind == "ident":
+            if text in KEYWORDS:
+                kind = "keyword"
+        elif kind == "symbol":
+            kind = text
+        elif kind == "string":
+            text = text[1:-1]
+        elif kind == "bad":
+            if source.startswith("/*", start):
+                raise LexError(f"unterminated comment at {pos}")
+            if text == '"':
                 raise LexError(f"unterminated string at {pos}")
-            text = source[i + 1 : j]
-            advance(j + 1 - i)
-            yield Token("string", text, pos)
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            # The relation constants 0B and 1B (paper section 2.1).
-            if j < n and source[j] == "B" and source[i:j] in ("0", "1"):
-                text = source[i : j + 1]
-                advance(j + 1 - i)
-                yield Token("relconst", text, pos)
-                continue
-            text = source[i:j]
-            advance(j - i)
-            yield Token("int", text, pos)
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            advance(j - i)
-            kind = "keyword" if text in KEYWORDS else "ident"
-            yield Token(kind, text, pos)
-            continue
-        for sym in _SYMBOLS:
-            if source.startswith(sym, i):
-                advance(len(sym))
-                yield Token(sym, sym, pos)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r} at {pos}")
-    yield Token("eof", "", Position(line, col))
+            raise LexError(f"unexpected character {text!r} at {pos}")
+        yield new(Token, (kind, text, pos))
+        if kind == "eof":
+            return  # the end also matches after a lexeme that reaches it

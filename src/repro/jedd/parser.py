@@ -29,14 +29,17 @@ class _Parser:
 
     # -- token plumbing -------------------------------------------------
 
+    # ``tokens`` ends with ``eof`` and ``advance`` never passes it, so
+    # ``tokens[i]`` is always a token.
+
     def peek(self, offset: int = 0) -> Token:
         return self.tokens[min(self.i + offset, len(self.tokens) - 1)]
 
     def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
+        return self.tokens[self.i].kind == kind
 
     def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         return tok.kind == "keyword" and tok.text == word
 
     def advance(self) -> Token:
@@ -46,12 +49,14 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != kind:
             raise ParseError(
                 f"expected {kind!r} but found {tok.text!r} at {tok.pos}"
             )
-        return self.advance()
+        if kind != "eof":
+            self.i += 1
+        return tok
 
     def expect_keyword(self, word: str) -> Token:
         tok = self.peek()

@@ -293,12 +293,76 @@ def save_universe(
     return len(out)
 
 
+def _is(value: object, kind: type) -> bool:
+    """``isinstance``, except that a JSON boolean is not a number."""
+    return isinstance(value, kind) and not (
+        kind is int and isinstance(value, bool)
+    )
+
+
+def _rows(*kinds: type):
+    """A test for a list of rows, each a list of values of ``kinds``."""
+    return lambda value: isinstance(value, list) and all(
+        isinstance(row, list)
+        and len(row) == len(kinds)
+        and all(map(_is, row, kinds))
+        for row in value
+    )
+
+
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(_is(x, str) for x in value)
+
+
+def _domains(value: object) -> bool:
+    """Rows ``[name, size, objects]`` whose objects are JSON scalars."""
+    return _rows(str, int, list)(value) and all(
+        not isinstance(obj, (list, dict)) for row in value for obj in row[2]
+    )
+
+
+#: Each field of a JDDU header: whether a header must hold it, the shape
+#: ``save_universe`` writes it in, and a test of that shape.
+_HEADER_FIELDS = (
+    ("backend", True, "a string", lambda v: _is(v, str)),
+    ("ordering", True, "a string", lambda v: _is(v, str)),
+    ("kernel", True, "a string", lambda v: _is(v, str)),
+    ("terminals", False, "a string", lambda v: _is(v, str)),
+    ("domains", True, "a list of [name, size, [object, ...]]", _domains),
+    ("attributes", True, "a list of [name, domain]", _rows(str, str)),
+    ("physdoms", True, "a list of [name, bits]", _rows(str, int)),
+    ("scratch", False, "a list of [name, bits]", _rows(str, int)),
+    (
+        "bit_order", False, "null or a list of lists of names",
+        lambda v: v is None or (isinstance(v, list) and all(map(_strings, v))),
+    ),
+    ("relations", True, "a list of names", _strings),
+)
+
+
+def _check_header(header: dict) -> None:
+    """Raise :class:`JeddError` naming the first field of a JDDU header
+    that is missing or not of the shape ``save_universe`` writes."""
+    for name, required, shape, ok in _HEADER_FIELDS:
+        if name not in header:
+            if required:
+                raise JeddError(
+                    f"universe checkpoint header lacks field {name!r}"
+                )
+        elif not ok(header[name]):
+            raise JeddError(
+                f"universe checkpoint header field {name!r} is not "
+                f"{shape}: {header[name]!r}"
+            )
+
+
 def load_universe(fp: BinaryIO) -> Tuple[Universe, Dict[str, Relation]]:
     """Rebuild a universe (and its named relations) from a checkpoint
     written by :func:`save_universe`.
 
-    Fails loudly on unknown magic and on container versions newer than
-    this reader (see ``UNIVERSE_VERSION``).
+    Fails loudly on unknown magic, on container versions newer than
+    this reader (see ``UNIVERSE_VERSION``), and on a header that is not a
+    JSON object or lacks or mistypes a field.
     """
     data = fp.read()
     if len(data) < len(UNIVERSE_MAGIC) + 1:
@@ -326,9 +390,15 @@ def load_universe(fp: BinaryIO) -> Tuple[Universe, Dict[str, Relation]]:
     except ValueError as err:
         raise JeddError(f"bad universe checkpoint header: {err}") from None
     pos += header_len
+    if not isinstance(header, dict):
+        raise JeddError(
+            "universe checkpoint header is not a JSON object: "
+            f"{type(header).__name__}"
+        )
     terminals = header.get("terminals", "boolean")
-    if terminals == "numeric" or header["backend"] == "mtbdd":
+    if terminals == "numeric" or header.get("backend") == "mtbdd":
         raise JeddError(MULTI_TERMINAL_REMOVED)
+    _check_header(header)
     if terminals != "boolean":
         raise JeddError(
             f"universe checkpoint has unknown terminal-domain tag "

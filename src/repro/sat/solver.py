@@ -22,18 +22,26 @@ them and, through phase saving, make nearly all of them again.
 
 Core extraction works by tracking, for every learned clause, the set of
 *original* clause indices used in its derivation (the leaves of the
-resolution proof).  When a conflict has all its literals at level 0
-(whatever the current decision level), the union of the conflict's
-origins with the origin closures of its falsifying level-0 assignments
-is an unsatisfiable subset of the input -- the core reported to the
-caller.  Like zchaff's, the core is small in
-practice but not guaranteed minimal.
+resolution proof).  A level-0 assignment records only its direct
+origins: its unit input clause, its reason's origins, or, for a learned
+unit, its derivation's.  Its *origin closure* adds the closures of the
+reason's other literals, all false at level 0; it is computed, and
+memoised, only when a learned clause's derivation or a core resolves
+the literal away.  A level-0 literal never leaves the trail, so its
+reason is never deleted and its closure is the same whenever it is
+taken.  When a conflict has all its literals at level 0 (whatever the
+current decision level), the union of the conflict's origins with the
+origin closures of its falsified literals is an unsatisfiable subset of
+the input -- the core reported to the caller.  Like zchaff's, the core
+is small in practice but not guaranteed minimal.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import is_
 from typing import (
     Collection, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
 )
@@ -135,7 +143,10 @@ class Solver:
         self.lval: List[Optional[bool]] = [None] * (2 * nv + 1)
         self.reason: List[Optional[int]] = [None] * (nv + 1)
         self.level: List[int] = [0] * (nv + 1)
-        self.zero_origins: List[FrozenSet[int]] = [frozenset()] * (nv + 1)
+        # A level-0 literal's direct origins (see the module docstring),
+        # and the origin closures taken so far, by variable.
+        self.zero_direct: List[Optional[Collection[int]]] = [None] * (nv + 1)
+        self.zero_closure: Dict[int, FrozenSet[int]] = {}
         self.trail: List[int] = []
         self.trail_lim: List[int] = []
         self.prop_head = 0
@@ -148,9 +159,7 @@ class Solver:
         self.activity: List[float] = [0.0] * (nv + 1)
         self.var_inc = 1.0
         self.var_decay = 0.95
-        self.order: List[Tuple[float, int]] = [
-            (0.0, v) for v in range(1, nv + 1)
-        ]  # sorted, hence already a heap
+        self.order: List[Tuple[float, int]] = []  # filled by _solve
         self.queued: List[Optional[float]] = [0.0] * (nv + 1)
         self.saved_phase: List[bool] = [False] * (nv + 1)
         # Learned-clause database management.
@@ -185,30 +194,29 @@ class Solver:
         self.clauses = clauses = list(self.cnf.clauses)
         watches = self.watches
         for idx, clause in enumerate(clauses):
-            n = len(clause)
             # A tautology (a variable in both polarities) is always
             # satisfied and never in a core: it has fewer distinct
             # variables than distinct literals.
-            if n == 2:
+            if len(clause) == 2:
                 a, b = clause
-                if a == -b:
+                if a != -b:
+                    watches[-a].append(idx)
+                    watches[-b].append(idx)
+                else:
                     clauses[idx] = None
-                    continue
-            elif n > 2:
+            elif len(clause) > 2:
                 if len(set(map(abs, clause))) != len(set(clause)):
                     clauses[idx] = None
                     continue
                 clauses[idx] = list(clause)
-                a, b = clause[0], clause[1]
+                watches[-clause[0]].append(idx)
+                watches[-clause[1]].append(idx)
             else:
                 clauses[idx] = None
-                if n == 1:
+                if clause:
                     self._unit_inputs.append((clause[0], idx))
                 else:
                     self._empty_clause_idx = idx
-                continue
-            watches[-a].append(idx)
-            watches[-b].append(idx)
 
     def _origins(self, cid: int) -> Collection[int]:
         """The input clauses at the leaves of clause ``cid``'s derivation."""
@@ -229,8 +237,8 @@ class Solver:
         level: Optional[int] = None,
     ) -> None:
         """Assign ``lit`` at ``level``, by default the current decision
-        level.  A level-0 assignment also gets its origin closure, whatever
-        the current decision level."""
+        level.  A level-0 assignment also records its direct origins,
+        whatever the current decision level."""
         var = lit if lit > 0 else -lit
         self.lval[lit] = True
         self.lval[-lit] = False
@@ -240,16 +248,45 @@ class Solver:
         self.level[var] = level
         self.saved_phase[var] = lit > 0
         if level == 0:
-            acc: Set[int] = set()
-            if unit_origin is not None:
-                acc.add(unit_origin)
-            if reason_cid is not None:
-                acc.update(self._origins(reason_cid))
-                for other in self.clauses[reason_cid]:
-                    if other != lit:
-                        acc.update(self.zero_origins[abs(other)])
-            self.zero_origins[var] = frozenset(acc)
+            self.zero_direct[var] = (
+                (unit_origin,) if reason_cid is None
+                else self._origins(reason_cid)
+            )
         self.trail.append(lit)
+
+    def level0_origins(self, var: int) -> FrozenSet[int]:
+        """The origin closure of level-0 variable ``var``: the input
+        clauses that force its value.
+
+        Taken once per variable, iteratively over the level-0 reasons
+        (the literals below ``var`` first), then kept.
+        """
+        closure = self.zero_closure
+        done = closure.get(var)
+        if done is not None:
+            return done
+        clauses, reason, level = self.clauses, self.reason, self.level
+        direct = self.zero_direct
+        stack = [var]
+        while stack:
+            v = stack[-1]
+            if v in closure:
+                stack.pop()
+                continue
+            cid = reason[v]
+            below = () if cid is None else [
+                u for u in map(abs, clauses[cid]) if u != v and level[u] == 0
+            ]
+            todo = [u for u in below if u not in closure]
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            acc = set(direct[v] or ())
+            for u in below:
+                acc.update(closure[u])
+            closure[v] = frozenset(acc)
+        return closure[var]
 
     def _backtrack(self, target_level: int) -> None:
         """Undo every assignment above ``target_level``.
@@ -291,8 +328,8 @@ class Solver:
 
         An implied literal takes the highest level among its reason's
         other literals, which may be below the current decision level.
-        Above level 0 the implied assignments are made inline; at level 0
-        they go through :meth:`_assign`, which builds origin closures.
+        Implied assignments are made inline; one at level 0 also records
+        its reason's origins as its direct origins.
 
         A binary clause never moves its watches: its implied literal is
         the one that is not ``false_lit``.  A watch list is compacted in
@@ -303,6 +340,7 @@ class Solver:
         trail, lval = self.trail, self.lval
         clauses, watches = self.clauses, self.watches
         reason, level, phase = self.reason, self.level, self.saved_phase
+        n_input, zero_direct = self.n_input, self.zero_direct
         dl = len(self.trail_lim)
         head = start = self.prop_head
         conflict = None
@@ -360,16 +398,18 @@ class Solver:
                                 lvl = k_lvl
                                 if lvl == dl:
                                     break
+                    lval[first] = True
+                    lval[-first] = False
+                    var = first if first > 0 else -first
+                    reason[var] = cid
+                    level[var] = lvl
+                    phase[var] = first > 0
+                    trail.append(first)
                     if lvl == 0:
-                        self._assign(first, cid, None, 0)
-                    else:
-                        lval[first] = True
-                        lval[-first] = False
-                        var = first if first > 0 else -first
-                        reason[var] = cid
-                        level[var] = lvl
-                        phase[var] = first > 0
-                        trail.append(first)
+                        zero_direct[var] = (
+                            (cid,) if cid < n_input
+                            else self.learned_origins[cid]
+                        )
                 elif first_val is False:
                     # Conflict: keep the remaining watchers, stop.
                     if w >= 0:
@@ -425,11 +465,11 @@ class Solver:
         level's on the trail, so the walk looks for marked literals of
         ``conflict_level`` only; literals above it are never marked.
         """
-        clauses, zero = self.clauses, self.zero_origins
+        clauses, closure = self.clauses, self.zero_closure
         level, trail = self.level, self.trail
         bump = self._bump
         learnt: List[int] = []
-        seen = [False] * (self.nv + 1)
+        seen: Set[int] = set()
         origins_acc: Set[int] = set(self._origins(conflict_cid))
         self._bump_clause(conflict_cid)
         counter = 0
@@ -443,10 +483,12 @@ class Solver:
                 var = q if q > 0 else -q
                 q_level = level[var]
                 if q_level == 0:
-                    origins_acc.update(zero[var])
+                    origins_acc.update(
+                        closure.get(var) or self.level0_origins(var)
+                    )
                     continue
-                if not seen[var]:
-                    seen[var] = True
+                if var not in seen:
+                    seen.add(var)
                     bump(var)
                     if q_level == conflict_level:
                         counter += 1
@@ -457,9 +499,9 @@ class Solver:
                 p = trail[trail_idx]
                 trail_idx -= 1
                 p_var = p if p > 0 else -p
-                if seen[p_var] and level[p_var] == conflict_level:
+                if p_var in seen and level[p_var] == conflict_level:
                     break
-            seen[p_var] = False
+            seen.discard(p_var)
             counter -= 1
             if counter == 0:
                 learnt.append(-p)
@@ -476,7 +518,7 @@ class Solver:
     def _conflict_core_at_zero(self, conflict_cid: int) -> List[int]:
         acc: Set[int] = set(self._origins(conflict_cid))
         for lit in self.clauses[conflict_cid]:
-            acc.update(self.zero_origins[abs(lit)])
+            acc.update(self.level0_origins(abs(lit)))
         return sorted(acc)
 
     def check_trail(self) -> List[str]:
@@ -490,7 +532,7 @@ class Solver:
         * every implied literal's level is the highest level among its
           reason's other literals, which are all false;
         * every reasonless literal off ``trail_lim`` is at level 0;
-        * every level-0 literal has a nonempty ``zero_origins`` entry.
+        * every level-0 literal has a nonempty :meth:`level0_origins`.
         """
         problems: List[str] = []
         lval, level, reason = self.lval, self.level, self.reason
@@ -530,7 +572,7 @@ class Solver:
                     )
             elif lvl != 0:
                 problems.append(f"reasonless {lit} at level {lvl}")
-            if lvl == 0 and not self.zero_origins[var]:
+            if lvl == 0 and not self.level0_origins(var):
                 problems.append(f"level-0 {lit} has no origins")
         return problems
 
@@ -571,7 +613,7 @@ class Solver:
                 continue
             if val is False:
                 var = abs(lit)
-                core = sorted({idx} | self.zero_origins[var])
+                core = sorted({idx} | self.level0_origins(var))
                 return SATResult(False, core=core)
             self._assign(lit, None, idx, 0)
         conflict = self._propagate()
@@ -583,6 +625,12 @@ class Solver:
                 decisions=self.n_decisions,
                 propagations=self.n_propagations,
             )
+        # Every activity is zero, so the heap is the unassigned variables
+        # in order (sorted, hence already a heap).  A level-0 variable
+        # never leaves the trail and gets no entry.
+        nv, lval = self.nv, self.lval
+        unset = map(is_, lval[1:nv + 1], repeat(None))
+        self.order = list(zip(repeat(0.0), compress(range(1, nv + 1), unset)))
         clauses, level = self.clauses, self.level
         restart_count = 0
         conflicts_until_restart = 64 * _luby(1)
@@ -627,8 +675,8 @@ class Solver:
                 continue
             var = self._pick_branch_var()
             if var is None:
-                lval = self.lval
-                model = {v: bool(lval[v]) for v in range(1, self.nv + 1)}
+                # Every variable is assigned: True or False.
+                model = dict(zip(range(1, nv + 1), lval[1:nv + 1]))
                 return SATResult(
                     True,
                     model=model,
@@ -649,10 +697,10 @@ class Solver:
         self.n_learned += 1
         asserting = learnt[-1]
         if len(learnt) == 1:
-            # Unit learned clause: assign at level 0; its origin set is the
-            # derivation's origin set.
+            # Unit learned clause: assign at level 0; its direct origins
+            # are the derivation's origin set.
             var = abs(asserting)
-            self.zero_origins[var] = origins
+            self.zero_direct[var] = origins
             self.lval[asserting] = True
             self.lval[-asserting] = False
             self.reason[var] = None

@@ -178,6 +178,91 @@ class TestUniverseVersioning:
         assert loaded is None
 
 
+def forge_header(data, header):
+    """``data``, a saved JDDU, with its header replaced by ``header``
+    (any JSON value) and its relation blobs kept."""
+    start = len(UNIVERSE_MAGIC) + 1
+    header_len, pos = _read_uvarint(data, start)
+    raw = json.dumps(header).encode("utf-8")
+    out = bytearray(data[:start])
+    _write_uvarint(out, len(raw))
+    return bytes(out + raw + data[pos + header_len:])
+
+
+class TestMalformedHeader:
+    """A JDDU header that is not a JSON object, or lacks or mistypes a
+    field, fails with a :class:`JeddError` naming the field, not with
+    whatever indexing it raises."""
+
+    def saved(self):
+        u, edge = build()
+        buf = io.BytesIO()
+        save_universe(u, {"edge": edge}, buf)
+        data = buf.getvalue()
+        header_len, pos = _read_uvarint(data, len(UNIVERSE_MAGIC) + 1)
+        return data, json.loads(data[pos:pos + header_len])
+
+    def load(self, header):
+        data, _ = self.saved()
+        return load_universe(io.BytesIO(forge_header(data, header)))
+
+    def test_saved_header_loads(self):
+        data, header = self.saved()
+        _, rels = self.load(header)
+        assert set(rels["edge"].tuples()) == set(EDGES)
+
+    @pytest.mark.parametrize(
+        "header", [[], ["backend", "bdd"], "bdd", 7, None],
+        ids=["empty-array", "array", "string", "number", "null"],
+    )
+    def test_non_object_header(self, header):
+        with pytest.raises(JeddError, match="not a JSON object"):
+            self.load(header)
+
+    def test_header_with_only_an_ordering(self):
+        with pytest.raises(JeddError, match="lacks field 'backend'"):
+            self.load({"ordering": "interleaved"})
+
+    @pytest.mark.parametrize("field", [
+        "backend", "ordering", "kernel", "domains", "attributes",
+        "physdoms", "relations",
+    ])
+    def test_missing_field(self, field):
+        _, header = self.saved()
+        del header[field]
+        with pytest.raises(JeddError, match=f"lacks field '{field}'"):
+            self.load(header)
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(field, value, id=f"{field}-{i}")
+        for i, (field, value) in enumerate([
+            ("backend", 1),
+            ("ordering", ["interleaved"]),
+            ("kernel", None),
+            ("terminals", 0),
+            ("domains", {"N": 16}),
+            ("domains", [["N", "16", []]]),
+            ("domains", [["N", True, []]]),
+            ("domains", [["N", 16]]),
+            ("domains", [["N", 16, [["a"]]]]),
+            ("attributes", [["src"]]),
+            ("attributes", [["src", 3]]),
+            ("physdoms", [["N1", 4.0]]),
+            ("physdoms", "N1"),
+            ("scratch", [["__scratch0"]]),
+            ("bit_order", "N1"),
+            ("bit_order", [["N1", 2]]),
+            ("relations", "edge"),
+            ("relations", [["edge"]]),
+        ])
+    ])
+    def test_mistyped_field(self, field, value):
+        _, header = self.saved()
+        header[field] = value
+        with pytest.raises(JeddError, match=f"field '{field}' is not"):
+            self.load(header)
+
+
 class TestDiagramWireVersioning:
     def diagram(self):
         m = BDDManager(4)

@@ -75,7 +75,7 @@ def test_learned_unit_keeps_unrelated_decisions():
     assert solver.decided == list(range(1, d + 2)) + [z]
     assert result.decisions == d + 2
     # y is implied at level 0 while the d decisions stay on the trail.
-    assert solver.level[y] == 0 and solver.zero_origins[y] == {0, 1}
+    assert solver.level[y] == 0 and solver.level0_origins(y) == {0, 1}
 
 
 def test_check_trail_reports_a_wrong_implied_level():
